@@ -200,11 +200,10 @@ func (x *extractor) Event(e *trace.Event) {
 			x.arch[ArchUnaligned]++
 		}
 	}
-	info := e.Op.Info()
-	if info.Load {
+	if e.Op.IsLoad() {
 		x.arch[ArchLoads]++
 	}
-	if info.Store {
+	if e.Op.IsStore() {
 		x.arch[ArchStores]++
 	}
 	switch e.Op.Class() {

@@ -311,3 +311,21 @@ func TestExtractScheduledErrors(t *testing.T) {
 		t.Fatal("zero budget accepted")
 	}
 }
+
+// BenchmarkExtractScheduled40K is the verdict path's extraction rung: a
+// 40,000-instruction trace under a mixed-period schedule, as a monitor
+// engine runs it for every submitted program.
+func BenchmarkExtractScheduled40K(b *testing.B) {
+	p := genProgram(b, 0, 1)
+	lens := []int{1000, 1500, 2000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 0
+		next := func() int { k++; return lens[k%len(lens)] }
+		if _, err := ExtractScheduled(p, next, 40_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(40_000)
+}

@@ -255,3 +255,31 @@ func TestTrainDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkScoreWindow is the verdict path's scoring rung: one raw
+// window vector through a trained detector's projection, scaler and
+// model, as the monitor engine classifies every window.
+func BenchmarkScoreWindow(b *testing.B) {
+	_, mw := env(b)
+	for _, algo := range []string{"lr", "nn"} {
+		b.Run(algo, func(b *testing.B) {
+			spec := Spec{Kind: features.Instructions, Period: 2000, Algo: algo}
+			wd := mw.Get(spec.Kind)
+			d, err := Train(spec, wd, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			flagged := 0
+			for i := 0; i < b.N; i++ {
+				if d.ScoreWindow(wd.X[i%len(wd.X)]) >= d.Threshold {
+					flagged++
+				}
+			}
+			benchSink = flagged
+		})
+	}
+}
+
+var benchSink int

@@ -113,13 +113,30 @@ func TestLookupRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInvalidOpcodePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid opcode")
+func TestPackedPredicatesMatchInfo(t *testing.T) {
+	for op := Op(0); op < Op(NumOps); op++ {
+		i := op.Info()
+		if op.Class() != i.Class || op.Bytes() != i.Bytes || op.IsLoad() != i.Load ||
+			op.IsStore() != i.Store || op.IsMem() != (i.Load || i.Store) {
+			t.Fatalf("%s: packed predicates disagree with %+v", op, i)
 		}
-	}()
-	Op(255).Info()
+	}
+}
+
+func TestInvalidOpcodePanics(t *testing.T) {
+	for _, f := range []func(){
+		func() { Op(255).Info() },
+		func() { Op(NumOps).IsMem() }, // the packed predicates too
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic for invalid opcode")
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestInvalidOpcodeString(t *testing.T) {

@@ -143,3 +143,59 @@ func TestBackoffScheduleUnderInjector(t *testing.T) {
 		}
 	}
 }
+
+// TestInjectedStallWaitsThroughSleep: an injected FaultLatency stall is
+// waited out on the worker through Config.Sleep, capped at the window
+// deadline. A stall that reaches the deadline waits exactly the
+// deadline and times the attempt out; a shorter one waits its own
+// length and the window classifies as if nothing happened.
+func TestInjectedStallWaitsThroughSleep(t *testing.T) {
+	f := getFixture(t)
+	deadline := 10 * time.Millisecond
+	run := func(in FaultInjector, sleep func(context.Context, time.Duration) error) (Report, Stats) {
+		r, err := core.New(f.pool, 0x57A1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(r, Config{
+			Workers: 1, QueueDepth: 4, TraceLen: f.traceLen,
+			WindowDeadline: deadline, MaxRetries: -1, FailureThreshold: 1 << 30,
+			Injector: in, Sleep: sleep,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps := runStream(t, e, f.programs[:1])
+		return reps[f.programs[0].Name], e.Stats()
+	}
+	clean, _ := run(nil, nil)
+
+	for _, stall := range []time.Duration{3 * time.Millisecond, deadline, 4 * deadline} {
+		in := NewInjector(5)
+		in.SetDefault(Profile{LatencyRate: 1, Latency: stall})
+		rec := &sleepRec{}
+		rep, st := run(in, rec.sleep)
+		waits := rec.waits()
+		if len(waits) == 0 {
+			t.Fatalf("stall %v: no wait went through Config.Sleep", stall)
+		}
+		want := min(stall, deadline)
+		for _, d := range waits {
+			if d != want {
+				t.Fatalf("stall %v: waited %v, want %v", stall, d, want)
+			}
+		}
+		if stall < deadline {
+			if st.Timeouts != 0 || rep.Windows != clean.Windows || rep.Flagged != clean.Flagged || rep.Degraded != 0 {
+				t.Fatalf("stall %v under the deadline changed the verdict: %+v (timeouts %d), clean %+v",
+					stall, rep, st.Timeouts, clean)
+			}
+			continue
+		}
+		// Every detector stalls, so every attempt — scheduled and
+		// fallback — times out and every window is dropped.
+		if st.Timeouts != uint64(len(waits)) || rep.Windows != 0 || rep.Dropped != clean.Windows {
+			t.Fatalf("stall %v: %d timeouts for %d waits, report %+v", stall, st.Timeouts, len(waits), rep)
+		}
+	}
+}

@@ -25,9 +25,10 @@ const (
 	FaultError
 	// FaultPanic makes the classification call panic.
 	FaultPanic
-	// FaultLatency stalls the classification call for Fault.Latency
-	// before letting it proceed; with a stall beyond the engine's window
-	// deadline this manifests as a timeout.
+	// FaultLatency stalls the classification attempt for Fault.Latency,
+	// waited out on the worker through Config.Sleep, before letting it
+	// proceed; a stall that reaches the engine's window deadline is cut
+	// there and fails the attempt with ErrDeadline.
 	FaultLatency
 	// FaultCorrupt replaces the feature vector with NaNs before scoring,
 	// modelling silent corruption of the counter bus. The engine detects

@@ -65,9 +65,11 @@ type Config struct {
 	// RetryBackoffMax caps the exponential backoff (default
 	// 32×RetryBackoff).
 	RetryBackoffMax time.Duration
-	// Sleep is the injected clock seam the retry backoff waits through
-	// (nil = a real timer honoring ctx). Tests substitute a recording
-	// fake to assert the backoff schedule without waiting it out.
+	// Sleep is the injected clock seam the retry backoff and injected
+	// FaultLatency stalls wait through, on the worker (nil = a real
+	// timer honoring ctx). A stall waits at most WindowDeadline. Tests
+	// substitute a recording fake to assert the schedule without
+	// waiting it out.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// FailureThreshold is the consecutive-failure count that opens a
 	// detector's breaker (default 3).

@@ -118,8 +118,10 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 			Dur: time.Since(started), Detail: err.Error()})
 		return rep
 	}
-	e.tracer.Emit(obs.Event{Kind: obs.EvExtract, Program: p.Name, Detector: -1, Window: -1,
-		Dur: time.Since(started), Detail: fmt.Sprintf("%d windows", ws.Windows)})
+	if e.tracer != nil {
+		e.tracer.Emit(obs.Event{Kind: obs.EvExtract, Program: p.Name, Detector: -1, Window: -1,
+			Dur: time.Since(started), Detail: fmt.Sprintf("%d windows", ws.Windows)})
+	}
 
 	for w := 0; w < ws.Windows; w++ {
 		idx := seq[w]
@@ -164,13 +166,15 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 	vote := tr.StartSpan(span.StageVote, wk)
 	rep.Malware = float64(rep.Flagged) >= float64(rep.Windows)/2 && rep.Windows > 0
 	tr.EndSpan(vote)
-	verdict := "benign"
-	if rep.Malware {
-		verdict = "malware"
+	if e.tracer != nil {
+		verdict := "benign"
+		if rep.Malware {
+			verdict = "malware"
+		}
+		e.tracer.Emit(obs.Event{Kind: obs.EvVerdict, Program: p.Name, Detector: -1, Window: -1,
+			Dur: time.Since(started), Detail: fmt.Sprintf("%s: %d/%d flagged, %d degraded, %d dropped",
+				verdict, rep.Flagged, rep.Windows, rep.Degraded, rep.Dropped)})
 	}
-	e.tracer.Emit(obs.Event{Kind: obs.EvVerdict, Program: p.Name, Detector: -1, Window: -1,
-		Dur: time.Since(started), Detail: fmt.Sprintf("%s: %d/%d flagged, %d degraded, %d dropped",
-			verdict, rep.Flagged, rep.Windows, rep.Degraded, rep.Dropped)})
 	return rep
 }
 
@@ -309,62 +313,48 @@ func (e *Engine) exemplarID(tr *span.Trace) string {
 	return tr.ID()
 }
 
-// classifyOnce is a single deadline-bounded attempt. The detector call
-// runs in its own goroutine so a stalled or crashing model is contained:
-// panics are recovered into errors and a stall past the window deadline
-// is abandoned (the goroutine finishes harmlessly on its own). fault is
-// the attempt's injected detector fault, resolved by the caller
-// (FaultNone when no injector is configured).
-func (e *Engine) classifyOnce(ctx context.Context, fc FaultContext, fault Fault, score func([]float64) float64, threshold float64, vec []float64) (int, error) {
-	type outcome struct {
-		dec int
-		err error
-	}
-	ch := make(chan outcome, 1)
-	//rhmd:ignore goroutineleak deliberate abandonment: a detector stalled past the window deadline is left to finish on its own, and the buffered outcome channel lets it exit without a receiver
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				e.ins.panics.Inc()
-				e.tracer.Emit(obs.Event{Kind: obs.EvPanic, Program: fc.ProgName, Detector: fc.Detector,
-					Window: fc.Window, Attempt: fc.Attempt, Detail: fmt.Sprint(r)})
-				ch <- outcome{err: fmt.Errorf("monitor: detector %d panicked: %v", fc.Detector, r)}
-			}
-		}()
-		v := vec
-		switch fault.Kind {
-		case FaultError:
-			ch <- outcome{err: ErrInjected}
-			return
-		case FaultPanic:
-			panic("injected detector fault")
-		case FaultLatency:
-			time.Sleep(fault.Latency)
-		case FaultCorrupt:
-			v = make([]float64, len(vec))
-			for i := range v {
-				v[i] = math.NaN()
-			}
+// classifyOnce is a single deadline-bounded attempt, scored inline on
+// the worker: a panicking detector is recovered into an error, and an
+// injected stall is waited out through Config.Sleep, capped at the
+// window deadline — a stall that reaches the deadline fails the attempt
+// with ErrDeadline. fault is the attempt's injected detector fault,
+// resolved by the caller (FaultNone when no injector is configured).
+func (e *Engine) classifyOnce(ctx context.Context, fc FaultContext, fault Fault, score func([]float64) float64, threshold float64, vec []float64) (dec int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.ins.panics.Inc()
+			e.tracer.Emit(obs.Event{Kind: obs.EvPanic, Program: fc.ProgName, Detector: fc.Detector,
+				Window: fc.Window, Attempt: fc.Attempt, Detail: fmt.Sprint(r)})
+			dec, err = 0, fmt.Errorf("monitor: detector %d panicked: %v", fc.Detector, r)
 		}
-		s := score(v)
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			ch <- outcome{err: fmt.Errorf("monitor: detector %d produced non-finite score", fc.Detector)}
-			return
-		}
-		dec := 0
-		if s >= threshold {
-			dec = 1
-		}
-		ch <- outcome{dec: dec}
 	}()
-	select {
-	case out := <-ch:
-		return out.dec, out.err
-	case <-time.After(e.cfg.WindowDeadline):
-		return 0, ErrDeadline
-	case <-ctx.Done():
-		return 0, ctx.Err()
+	switch fault.Kind {
+	case FaultError:
+		return 0, ErrInjected
+	case FaultPanic:
+		panic("injected detector fault")
+	case FaultLatency:
+		stall := min(fault.Latency, e.cfg.WindowDeadline)
+		if err := e.cfg.Sleep(ctx, stall); err != nil {
+			return 0, err
+		}
+		if stall == e.cfg.WindowDeadline {
+			return 0, ErrDeadline
+		}
+	case FaultCorrupt:
+		vec = make([]float64, len(vec))
+		for i := range vec {
+			vec[i] = math.NaN()
+		}
 	}
+	s := score(vec)
+	if math.IsNaN(s) || math.IsInf(s, 0) {
+		return 0, fmt.Errorf("monitor: detector %d produced non-finite score", fc.Detector)
+	}
+	if s >= threshold {
+		return 1, nil
+	}
+	return 0, nil
 }
 
 // minPeriod returns the generation's smallest collection period.

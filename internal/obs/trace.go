@@ -90,11 +90,15 @@ func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
 	}
-	if ev.At.IsZero() {
-		ev.At = time.Now()
+	// Copy to the heap only here, past the nil check: taking &ev would
+	// move the parameter itself to the heap on every call, nil or not.
+	p := new(Event)
+	*p = ev
+	if p.At.IsZero() {
+		p.At = time.Now()
 	}
-	ev.Seq = t.seq.Add(1) - 1
-	if old := t.slots[ev.Seq%uint64(len(t.slots))].Swap(&ev); old != nil {
+	p.Seq = t.seq.Add(1) - 1
+	if old := t.slots[p.Seq%uint64(len(t.slots))].Swap(p); old != nil {
 		// The ring was full: the oldest event is evicted. A snapshot
 		// drain may already have served it, so this counts overwrites,
 		// not guaranteed-unseen loss — but counting them still lets a

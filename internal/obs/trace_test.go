@@ -64,6 +64,17 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	}
 }
 
+// TestNilTracerEmitDoesNotAllocate: disabled tracing costs no
+// allocation per event, so an engine without a trace ring allocates no
+// Events on the verdict path.
+func TestNilTracerEmitDoesNotAllocate(t *testing.T) {
+	var tr *Tracer
+	ev := Event{Kind: EvVerdict, Program: "p", Detector: -1, Window: -1, Detail: "benign"}
+	if n := testing.AllocsPerRun(100, func() { tr.Emit(ev) }); n != 0 {
+		t.Fatalf("nil Emit allocates %v times per call", n)
+	}
+}
+
 // TestTracerConcurrentEmit: concurrent emitters never lose a sequence
 // number and never tear an event (checked under -race).
 func TestTracerConcurrentEmit(t *testing.T) {

@@ -89,6 +89,29 @@ type Stats struct {
 // Original returns the number of executed non-injected instructions.
 func (s Stats) Original() int { return s.Total - s.Injected }
 
+// count records one executed instruction.
+func (s *Stats) count(e *Event) {
+	s.Total++
+	if e.Injected {
+		s.Injected++
+	}
+	if e.Op.IsLoad() {
+		s.Loads++
+	}
+	if e.Op.IsStore() {
+		s.Stores++
+	}
+}
+
+// used returns the executed instructions an Exec budget counts: all of
+// them, or with originalOnly the non-injected ones.
+func (s *Stats) used(originalOnly bool) int {
+	if originalOnly {
+		return s.Original()
+	}
+	return s.Total
+}
+
 // DynamicOverhead returns the relative execution-time increase caused by
 // injected instructions (paper Figure 9's dynamic overhead), assuming a
 // unit cost per instruction.
@@ -217,38 +240,20 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 	r := rng.NewKeyed(p.Seed, "trace")
 	mem := newMemState(rng.NewKeyed(p.Seed, "mem"), p.Mem)
 
+	// Live trip counters for counted loops, indexed by global block id
+	// (first[fi]+bi): the trips still to take plus one, 0 when no entry
+	// of the loop is live.
+	first := make([]int, len(p.Funcs))
+	for i := 1; i < len(p.Funcs); i++ {
+		first[i] = first[i-1] + len(p.Funcs[i-1].Blocks)
+	}
+	loops := make([]int, p.NumBlocks())
+
 	var st Stats
 	var stack []frame
 	fi, bi := 0, 0
 	var ev Event
-	// Live trip counters for counted loops, keyed by global block id.
-	loops := map[int]int{}
-
-	budgetLeft := func() bool {
-		if cfg.BudgetOriginalOnly {
-			return st.Original() < cfg.MaxInstructions
-		}
-		return st.Total < cfg.MaxInstructions
-	}
-
-	emit := func(e *Event) {
-		st.Total++
-		if e.Injected {
-			st.Injected++
-		}
-		info := e.Op.Info()
-		if info.Load {
-			st.Loads++
-		}
-		if info.Store {
-			st.Stores++
-		}
-		if sink != nil {
-			sink.Event(e)
-		}
-	}
-
-	for budgetLeft() {
+	for st.used(cfg.BudgetOriginalOnly) < cfg.MaxInstructions {
 		f := p.Funcs[fi]
 		b := f.Blocks[bi]
 		pc := b.Addr
@@ -258,9 +263,12 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 			if ins.Op.IsMem() {
 				ev.Addr = mem.addr(ins.Op, ins.Mem)
 			}
-			emit(&ev)
+			st.count(&ev)
+			if sink != nil {
+				sink.Event(&ev)
+			}
 			pc += uint64(ins.Op.Bytes())
-			if !budgetLeft() {
+			if st.used(cfg.BudgetOriginalOnly) >= cfg.MaxInstructions {
 				return st, nil
 			}
 		}
@@ -278,9 +286,9 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 				}
 			case prog.TermLoop:
 				st.Branches++
-				key := fi<<20 | bi
-				left, live := loops[key]
-				if !live {
+				id := first[fi] + bi
+				left := loops[id] - 1
+				if left < 0 {
 					// Fresh loop entry: draw this entry's trip count.
 					left = int(r.LogNorm(logMean(t.IterMean), 0.6))
 					if left < 1 {
@@ -291,9 +299,9 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 				if left > 0 {
 					ev.Taken = true
 					st.Taken++
-					loops[key] = left - 1
+					loops[id] = left // left-1 trips remain after this one
 				} else {
-					delete(loops, key)
+					loops[id] = 0
 				}
 			case prog.TermCall:
 				st.Calls++
@@ -302,7 +310,10 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 				st.Returns++
 				ev.Addr = mem.addr(isa.RET, prog.MemSpec{Pattern: prog.MemStack})
 			}
-			emit(&ev)
+			st.count(&ev)
+			if sink != nil {
+				sink.Event(&ev)
+			}
 		}
 
 		// Advance control flow.

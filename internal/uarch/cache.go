@@ -1,6 +1,9 @@
 package uarch
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cache is a set-associative cache with true-LRU replacement. Only tag
 // state is modelled (hit/miss behaviour); data movement is irrelevant to
@@ -9,12 +12,12 @@ type Cache struct {
 	ways     int
 	sets     int
 	lineBits uint
+	setBits  uint
 	setMask  uint64
-	// tags[set*ways+way]; lru[set*ways+way] is a per-set age stamp.
-	tags  []uint64
-	valid []bool
-	age   []uint64
-	clock uint64
+	// lines holds each set's ways at [set*ways, set*ways+ways) in
+	// recency order, most recently used first. A way stores its tag+1,
+	// so 0 marks an empty way; empty ways always trail the valid ones.
+	lines []uint64
 }
 
 // NewCache builds a cache of the given total size in bytes with the given
@@ -23,8 +26,10 @@ func NewCache(sizeBytes, ways, lineSize int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 {
 		return nil, fmt.Errorf("uarch: non-positive cache geometry %d/%d/%d", sizeBytes, ways, lineSize)
 	}
-	if lineSize&(lineSize-1) != 0 {
-		return nil, fmt.Errorf("uarch: line size %d not a power of two", lineSize)
+	if lineSize&(lineSize-1) != 0 || lineSize < 2 {
+		// A line of at least two bytes keeps every tag below 2^63, so
+		// the stored tag+1 never wraps to the empty marker.
+		return nil, fmt.Errorf("uarch: line size %d not a power of two of at least 2", lineSize)
 	}
 	lines := sizeBytes / lineSize
 	if lines == 0 || lines%ways != 0 {
@@ -34,19 +39,13 @@ func NewCache(sizeBytes, ways, lineSize int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("uarch: set count %d not a power of two", sets)
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < lineSize {
-		lineBits++
-	}
-	n := sets * ways
 	return &Cache{
 		ways:     ways,
 		sets:     sets,
-		lineBits: lineBits,
+		lineBits: uint(bits.TrailingZeros(uint(lineSize))),
+		setBits:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:  uint64(sets - 1),
-		tags:     make([]uint64, n),
-		valid:    make([]bool, n),
-		age:      make([]uint64, n),
+		lines:    make([]uint64, lines),
 	}, nil
 }
 
@@ -61,55 +60,33 @@ func MustCache(sizeBytes, ways, lineSize int) *Cache {
 }
 
 // Access looks up addr, filling the line on a miss, and reports whether
-// it hit.
+// it hit. A hit moves the line to the front of its set; a miss inserts
+// it there and shifts the least recently used way (or an empty one) out.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineBits
-	set := int(line & c.setMask)
-	tag := line >> uint(popShift(c.sets))
-	base := set * c.ways
-	c.clock++
-
-	victim, oldest := base, c.age[base]
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.age[i] = c.clock
+	key := line>>c.setBits + 1
+	base := int(line&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	for w, k := range set {
+		if k == key {
+			copy(set[1:w+1], set[:w])
+			set[0] = key
 			return true
 		}
-		if !c.valid[i] {
-			victim, oldest = i, 0
-		} else if c.age[i] < oldest {
-			victim, oldest = i, c.age[i]
-		}
 	}
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.age[victim] = c.clock
+	copy(set[1:], set)
+	set[0] = key
 	return false
 }
 
 // Reset invalidates every line.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.age[i] = 0
-	}
-	c.clock = 0
-}
+func (c *Cache) Reset() { clear(c.lines) }
 
 // Sets returns the number of sets (useful for tests).
 func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-func popShift(sets int) int {
-	s := 0
-	for 1<<s < sets {
-		s++
-	}
-	return s
-}
 
 // Hierarchy is a two-level data-cache hierarchy: L2 is accessed only on
 // L1 misses, mirroring an inclusive lookup path.

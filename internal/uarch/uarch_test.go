@@ -88,6 +88,7 @@ func TestCacheGeometryErrors(t *testing.T) {
 	cases := [][3]int{
 		{0, 8, 64},          // zero size
 		{1024, 8, 63},       // non-power-of-two line
+		{8, 8, 1},           // one-byte line
 		{192, 8, 64},        // not divisible into sets
 		{3 * 64 * 8, 8, 64}, // sets not power of two
 	}
