@@ -210,24 +210,22 @@ func benchmarkMonitor(b *testing.B, cfg func(*monitor.Config)) {
 }
 
 // BenchmarkMonitorBaseline is the uninstrumented reference: the engine's
-// always-on registry counters (pre-resolved atomics) but no tracer and
-// no scrape traffic.
+// always-on registry counters (pre-resolved atomics) but no span
+// recorder and no scrape traffic.
 func BenchmarkMonitorBaseline(b *testing.B) { benchmarkMonitor(b, nil) }
 
 // BenchmarkMonitorInstrumented is the guard for the observability PR:
-// full wiring — shared registry, event tracer, and a /metrics render per
-// iteration. Compare against BenchmarkMonitorBaseline; the delta must
-// stay in the noise, because the hot path adds only pre-resolved atomic
-// operations (no locks, no label lookups, no allocation).
+// a shared registry and a /metrics render per iteration. Compare against
+// BenchmarkMonitorBaseline; the delta must stay in the noise, because
+// the hot path adds only pre-resolved atomic operations (no locks, no
+// label lookups, no allocation).
 func BenchmarkMonitorInstrumented(b *testing.B) {
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(1 << 14)
 	benchmarkMonitor(b, func(c *monitor.Config) {
 		// A fresh registry per engine would be the production shape; the
 		// shared one here is fine because each iteration only adds to
 		// the same counters, and keeps the benchmark allocation-honest.
 		c.Metrics = reg
-		c.Tracer = tracer
 	})
 	var sink strings.Builder
 	if err := reg.WritePrometheus(&sink); err != nil {
@@ -236,22 +234,21 @@ func BenchmarkMonitorInstrumented(b *testing.B) {
 }
 
 // BenchmarkMonitorSpans is the guard for the verdict-tracing PR: the
-// full instrumented wiring of BenchmarkMonitorInstrumented plus a span
-// recorder at production sampling defaults and exemplars on. The delta
-// against BenchmarkMonitorInstrumented is exactly the per-verdict span
-// cost — pooled span records, an injected clock read per span edge, and
-// a flags-check at Finish — and must stay under 10% (see
+// instrumented wiring of BenchmarkMonitorInstrumented plus a span
+// recorder at production sampling defaults and exemplars on — what
+// rhmd-monitor runs with -metrics-addr. The delta against
+// BenchmarkMonitorInstrumented is exactly the per-verdict span cost —
+// pooled span records, an injected clock read per span edge, and a
+// flags-check at Finish — and must stay under 10% (see
 // results/bench-spans.txt for a committed run).
 func BenchmarkMonitorSpans(b *testing.B) {
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(1 << 14)
 	rec, err := span.NewRecorder(span.Config{Seed: 42, Now: time.Now}, reg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchmarkMonitor(b, func(c *monitor.Config) {
 		c.Metrics = reg
-		c.Tracer = tracer
 		c.Spans = rec
 		c.Exemplars = true
 	})

@@ -44,7 +44,7 @@ func main() {
 	defer stop()
 
 	if *metricsAddr != "" {
-		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, obs.Default(), nil)
+		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, obs.Default())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

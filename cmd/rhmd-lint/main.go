@@ -14,15 +14,11 @@
 //
 // Exit codes (the CI contract):
 //
-//	0  clean — no findings, or every error-severity finding is baselined
-//	1  findings — unsuppressed, unbaselined findings were reported
+//	0  clean — no error-severity findings (warn-severity findings are
+//	   reported but only inform)
+//	1  unsuppressed error-severity findings were reported
 //	2  the run itself failed (bad flags, unparseable or untypeable code)
 //
-// With -baseline, findings recorded in the baseline file are reported
-// but do not fail the run, and warn-severity findings never fail the
-// run; without it, any finding exits 1. The baseline is a ratchet:
-// it captures the legacy findings once (-write-baseline), new code must
-// stay clean, and entries are deleted — never added — as debt is paid.
 // Deliberate exceptions are suppressed in source with
 // `//rhmd:ignore <check> <reason>` on the offending line or the line
 // above.
@@ -65,8 +61,6 @@ func main() {
 	asJSON := flag.Bool("json", false, `emit the {"schema":"rhmd.lint/v1","diagnostics":[...]} envelope on stdout`)
 	listChecks := flag.Bool("list", false, "list available checks with severities and exit")
 	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 report to this file (- for stdout)")
-	baselinePath := flag.String("baseline", "", "baseline file; recorded findings and warn-severity findings do not fail the run")
-	writeBaseline := flag.Bool("write-baseline", false, "write current findings to -baseline and exit 0 (adoption step of the ratchet)")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "usage: rhmd-lint [flags] [packages...]\n\nChecks:\n")
@@ -74,8 +68,8 @@ func main() {
 			fmt.Fprintf(out, "  %-15s %-5s  %s\n", a.Name, severityOf(a), a.Doc)
 		}
 		fmt.Fprintf(out, "\nExit codes:\n")
-		fmt.Fprintf(out, "  0  clean (no findings, or all error-severity findings baselined)\n")
-		fmt.Fprintf(out, "  1  findings were reported\n")
+		fmt.Fprintf(out, "  0  clean (no error-severity findings; warn-severity findings only inform)\n")
+		fmt.Fprintf(out, "  1  error-severity findings were reported\n")
 		fmt.Fprintf(out, "  2  the run itself failed (bad flags, unparseable or untypeable code)\n")
 		fmt.Fprintf(out, "\nFlags:\n")
 		flag.PrintDefaults()
@@ -87,9 +81,6 @@ func main() {
 			fmt.Printf("%-15s %-5s  %s\n", a.Name, severityOf(a), a.Doc)
 		}
 		return
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fatal(fmt.Errorf("-write-baseline requires -baseline FILE"))
 	}
 
 	analyzers, err := analysis.ByName(*checks)
@@ -117,22 +108,6 @@ func main() {
 	res := analysis.RunSuite(analyzers, pkgs)
 	relativize(res.Diagnostics, loader.Root())
 
-	if *writeBaseline {
-		n, err := saveBaseline(*baselinePath, res.Diagnostics)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "rhmd-lint: wrote %d finding(s) to %s\n", n, *baselinePath)
-		return
-	}
-	var base *baseline
-	if *baselinePath != "" {
-		base, err = loadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	if *sarifOut != "" {
 		if err := emitSARIF(*sarifOut, analyzers, res.Diagnostics); err != nil {
 			fatal(err)
@@ -148,11 +123,7 @@ func main() {
 		// SARIF owns stdout; the human-readable listing would corrupt it.
 	default:
 		for _, d := range res.Diagnostics {
-			if base.covers(d) {
-				fmt.Printf("%s (baselined)\n", d)
-			} else {
-				fmt.Println(d)
-			}
+			fmt.Println(d)
 		}
 		if n := len(res.Diagnostics); n > 0 {
 			fmt.Fprintf(os.Stderr, "rhmd-lint: %d diagnostic(s) in %d package(s)\n", n, len(pkgs))
@@ -168,30 +139,25 @@ func main() {
 		}
 	}
 
-	if failing(res.Diagnostics, base) > 0 {
+	if failing(res.Diagnostics) > 0 {
 		os.Exit(1)
 	}
 }
 
-// failing counts the diagnostics that gate the run. Without a baseline
-// every finding fails; with one, only error-severity findings absent
-// from the baseline do (warn-severity is informational under a
-// baseline — the warn-first half of the ratchet).
-func failing(diags []analysis.Diagnostic, base *baseline) int {
+// failing counts the diagnostics that gate the run: error-severity
+// findings fail it, warn-severity findings only inform.
+func failing(diags []analysis.Diagnostic) int {
 	n := 0
 	for _, d := range diags {
-		if base != nil {
-			if d.Severity != analysis.SeverityError || base.covers(d) {
-				continue
-			}
+		if d.Severity == analysis.SeverityError {
+			n++
 		}
-		n++
 	}
 	return n
 }
 
 // relativize rewrites diagnostic paths relative to the module root so
-// output, baselines and SARIF artifacts are checkout-independent.
+// output and SARIF artifacts are checkout-independent.
 func relativize(diags []analysis.Diagnostic, root string) {
 	for i := range diags {
 		d := &diags[i]

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -171,64 +169,17 @@ func TestSARIFLevels(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip writes a baseline from findings, reloads it,
-// and checks coverage plus the failing() gate semantics.
-func TestBaselineRoundTrip(t *testing.T) {
+// TestFailingGatesOnErrorSeverity pins the gate: an error-severity
+// finding fails the run, a warn-severity finding only informs.
+func TestFailingGatesOnErrorSeverity(t *testing.T) {
 	diags := sampleDiags()
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	n, err := saveBaseline(path, diags[:1])
-	if err != nil {
-		t.Fatal(err)
+	if got := failing(diags); got != 1 {
+		t.Errorf("failing(error + warn) = %d, want 1", got)
 	}
-	if n != 1 {
-		t.Fatalf("saved %d findings, want 1", n)
+	if got := failing(diags[1:]); got != 0 {
+		t.Errorf("failing(warn only) = %d, want 0", got)
 	}
-	base, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !base.covers(diags[0]) {
-		t.Error("baseline does not cover the finding it was written from")
-	}
-	if base.covers(diags[1]) {
-		t.Error("baseline covers a finding it never recorded")
-	}
-
-	// Gate semantics: without a baseline both findings fail; with one,
-	// the baselined error is excused and the warn is informational.
-	if got := failing(diags, nil); got != 2 {
-		t.Errorf("failing(no baseline) = %d, want 2", got)
-	}
-	if got := failing(diags, base); got != 0 {
-		t.Errorf("failing(baselined error + warn) = %d, want 0", got)
-	}
-	// A fresh error-severity finding still fails under a baseline.
-	fresh := diags[0]
-	fresh.Message = "a brand new violation"
-	if got := failing([]analysis.Diagnostic{fresh}, base); got != 1 {
-		t.Errorf("failing(unbaselined error) = %d, want 1", got)
-	}
-}
-
-// TestBaselineMissingFileIsEmpty pins that a deleted baseline file is a
-// valid empty baseline — the ratchet's end state.
-func TestBaselineMissingFileIsEmpty(t *testing.T) {
-	base, err := loadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.covers(sampleDiags()[0]) {
-		t.Error("empty baseline covers a finding")
-	}
-}
-
-// TestBaselineRejectsWrongSchema pins the schema check.
-func TestBaselineRejectsWrongSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"rhmd.lint-baseline/v9","findings":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBaseline(path); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("loadBaseline accepted schema v9: %v", err)
+	if got := failing(nil); got != 0 {
+		t.Errorf("failing(clean) = %d, want 0", got)
 	}
 }

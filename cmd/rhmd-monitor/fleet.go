@@ -47,7 +47,6 @@ type fleetOptions struct {
 	// slowVerdict is -slow-ms, the fleet latency objective's threshold.
 	slowVerdict   time.Duration
 	metrics       *obs.Registry
-	tracer        *obs.Tracer
 	spans         *span.Recorder
 	metricsAddr   string
 	hold          time.Duration
@@ -77,7 +76,6 @@ func runFleet(o fleetOptions) error {
 		incidentDir: o.incidentDir,
 		objectives:  slo.FleetObjectives(o.slowVerdict, o.shards, 0),
 		reg:         o.metrics,
-		tracer:      o.tracer,
 		spans:       o.spans,
 		drift: func() any {
 			g := guardPtr.Load()
@@ -162,15 +160,15 @@ func runFleet(o fleetOptions) error {
 	}()
 
 	if o.metricsAddr != "" {
-		mounts := []obs.Mount{{Path: "/fleet", Handler: fl.HealthHandler()}}
-		if o.spans != nil {
-			mounts = append(mounts, obs.Mount{Path: "/traces", Handler: o.spans.Handler()})
+		mounts := []obs.Mount{
+			{Path: "/fleet", Handler: fl.HealthHandler()},
+			{Path: "/traces", Handler: o.spans.Handler()},
 		}
 		if guard != nil {
 			mounts = append(mounts, obs.Mount{Path: "/drift", Handler: guard.Handler()})
 		}
 		mounts = append(mounts, sloW.mounts...)
-		addr, shutdown, err := obs.ListenAndServe(o.metricsAddr, fl.Registry(), o.tracer, mounts...)
+		addr, shutdown, err := obs.ListenAndServe(o.metricsAddr, fl.Registry(), mounts...)
 		if err != nil {
 			return err
 		}
@@ -189,7 +187,7 @@ func runFleet(o fleetOptions) error {
 				}
 			}()
 		}
-		fmt.Fprintf(o.info, "observability endpoint on http://%s (/metrics, /fleet, /events, /debug/pprof)\n", addr)
+		fmt.Fprintf(o.info, "observability endpoint on http://%s (/metrics, /fleet, /traces, /debug/pprof)\n", addr)
 	}
 
 	start := time.Now()
@@ -276,7 +274,7 @@ func runFleet(o fleetOptions) error {
 	}
 
 	if o.traceOut != "" {
-		if err := writeTrace(o.traceOut, o.tracer); err != nil {
+		if err := writeTrace(o.traceOut, o.spans); err != nil {
 			return err
 		}
 	}

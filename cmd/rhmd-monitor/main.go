@@ -10,8 +10,8 @@
 //	rhmd-monitor -inject 1:error,4:panic,4:latency  # two faulty detectors
 //	rhmd-monitor -inject 4:panic -until 4:30        # detector 4 recovers
 //	rhmd-monitor -metrics-addr :9090 -snapshot-every 2s
-//	rhmd-monitor -trace-out events.json -json       # machine-readable
-//	rhmd-monitor -trace-verdicts -slow-ms 20 -exemplars -metrics-addr :9090
+//	rhmd-monitor -trace-out traces.json -json       # machine-readable
+//	rhmd-monitor -slow-ms 20 -exemplars -metrics-addr :9090
 //	rhmd-monitor -shards 3 -shard-checkpoint-dir /var/rhmd   # sharded fleet
 //	rhmd-monitor -shards 3 -chaos 0:crash-at-byte:4096       # kill-a-shard drill
 //
@@ -25,17 +25,18 @@
 //
 // With -metrics-addr set, the monitor serves live introspection while it
 // runs: Prometheus/OpenMetrics metrics on /metrics (format negotiated
-// from the Accept header), the structured event ring on /events, kept
-// per-verdict span traces on /traces (with -trace-verdicts), and
+// from the Accept header), kept per-verdict span traces on /traces, and
 // net/http/pprof on /debug/pprof/.
 //
-// -trace-verdicts records a span tree per submission (enqueue, queue
-// wait, worker pickup, feature extraction, switching draws, per-window
-// classification, vote, WAL fsync) and tail-samples which trees to
-// keep: slow (-slow-ms), shed, retried, errored or breaker-affected
-// verdicts always, plus a 1-in-N baseline (-keep-every). -exemplars
-// additionally stamps trace IDs onto the latency histograms as
-// OpenMetrics exemplars.
+// Kept span traces are the monitor's one event stream. Whenever
+// something reads them (-metrics-addr, -trace-out, -checkpoint-dir's
+// crash dump or -incident-dir's bundles), the monitor records a span
+// tree per submission (enqueue, queue wait, worker pickup, feature
+// extraction, switching draws, per-window classification, vote, WAL
+// fsync) and tail-samples which trees to keep: slow (-slow-ms), shed,
+// retried, errored or breaker-affected verdicts always, plus a 1-in-N
+// baseline (-keep-every). -exemplars additionally stamps trace IDs onto
+// the latency histograms as OpenMetrics exemplars.
 package main
 
 import (
@@ -79,8 +80,7 @@ func main() {
 	rate := flag.Float64("rate", 1.0, "total fault rate per faulty detector, split across its modes")
 	verbose := flag.Bool("v", false, "print one line per monitored program")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address while running (e.g. :9090)")
-	traceOut := flag.String("trace-out", "", "write the surviving trace events as JSON to this file after the run (- for stdout)")
-	traceCap := flag.Int("trace-cap", 4096, "event ring capacity for -trace-out and /traces")
+	traceOut := flag.String("trace-out", "", "write the kept verdict traces (the JSON array /traces serves) to this file after the run (- for stdout)")
 	snapshotEvery := flag.Duration("snapshot-every", 0, "log a one-line stats snapshot to stderr at this interval (0 = off)")
 	jsonOut := flag.Bool("json", false, "print the survival report as JSON instead of text")
 	ckptDir := flag.String("checkpoint-dir", "", "durable checkpoint directory: verdicts are write-ahead-logged, snapshots taken periodically, and a previous run's state is restored on start")
@@ -89,10 +89,9 @@ func main() {
 	shardCkptDir := flag.String("shard-checkpoint-dir", "", "fleet durability root: shard i checkpoints under <dir>/shard-i and restarts restore from it (requires -shards > 1)")
 	chaosScript := flag.String("chaos", "", "deterministic kill-a-shard script, e.g. '0:crash-at-byte:4096,1:wedge:25,2:panic:10' (requires -shards > 1)")
 	wedgeTimeout := flag.Duration("wedge-timeout", 2*time.Second, "how long a shard may hold a backlog with zero window progress before the supervisor restarts it (with -shards > 1)")
-	traceVerdicts := flag.Bool("trace-verdicts", false, "record a per-verdict span tree and tail-sample kept traces onto /traces")
-	slowMs := flag.Int("slow-ms", 50, "verdicts slower than this are always kept by the tail sampler (with -trace-verdicts)")
-	keepEvery := flag.Int("keep-every", 128, "keep every N-th verdict trace as a healthy baseline; 1 keeps all, -1 disables the baseline (with -trace-verdicts)")
-	exemplars := flag.Bool("exemplars", false, "attach kept-trace IDs to latency histograms as OpenMetrics exemplars (with -trace-verdicts)")
+	slowMs := flag.Int("slow-ms", 50, "verdicts slower than this are always kept by the tail sampler")
+	keepEvery := flag.Int("keep-every", 128, "keep every N-th verdict trace as a healthy baseline; 1 keeps all, -1 disables the baseline")
+	exemplars := flag.Bool("exemplars", false, "attach kept-trace IDs to latency histograms as OpenMetrics exemplars")
 	hold := flag.Duration("hold", 0, "keep the observability endpoint up this long after the run drains (for scrapers and smoke tests)")
 	drift := flag.Bool("drift", false, "run the live drift guard: watch agreement/accuracy EWMAs on the verdict stream, retrain in the background when drift fires, hot-swap the pool with canary rollback")
 	driftWindow := flag.Int("drift-window", 48, "verdicts required before drift can fire (EWMA warm-up, with -drift)")
@@ -141,10 +140,6 @@ func main() {
 	injector, err := parseInjector(*inject, *until, *rate, *deadline, *seed, len(pool))
 	check(err)
 
-	var tracer *obs.Tracer
-	if *traceOut != "" || *metricsAddr != "" || *ckptDir != "" {
-		tracer = obs.NewTracer(*traceCap)
-	}
 	// The engine's registry is built here (instead of engine-private) so
 	// the span recorder's kept/dropped counters land beside the engine's
 	// own instruments on the same /metrics scrape.
@@ -153,8 +148,9 @@ func main() {
 	// as the engine instruments, so a dashboard can pin every latency
 	// shift to the exact binary that produced it.
 	obs.RegisterBuildInfo(reg)
+	// The span recorder runs whenever something reads its kept traces.
 	var spans *span.Recorder
-	if *traceVerdicts {
+	if *metricsAddr != "" || *traceOut != "" || *ckptDir != "" || *incidentDir != "" {
 		spans, err = span.NewRecorder(span.Config{
 			Seed:      *seed,
 			Now:       time.Now,
@@ -188,7 +184,6 @@ func main() {
 		MinSamples:     *driftWindow,
 		CanaryWindow:   *driftCanary,
 		Metrics:        reg,
-		Tracer:         tracer,
 		OnEvent: func(kind, detail string) {
 			fmt.Fprintf(os.Stderr, "drift-guard: %s: %s\n", kind, detail)
 		},
@@ -231,7 +226,6 @@ func main() {
 				WindowDeadline:  *deadline,
 				ProbeAfter:      *probeAfter,
 				Injector:        injector,
-				Tracer:          tracer,
 				Spans:           spans,
 				Exemplars:       *exemplars,
 				CheckpointEvery: *ckptEvery,
@@ -246,7 +240,6 @@ func main() {
 			incidentDir:   *incidentDir,
 			slowVerdict:   time.Duration(*slowMs) * time.Millisecond,
 			metrics:       reg,
-			tracer:        tracer,
 			spans:         spans,
 			metricsAddr:   *metricsAddr,
 			hold:          *hold,
@@ -265,10 +258,10 @@ func main() {
 		check(err)
 		defer store.Close()
 		// Black-box recorder: if anything below panics or fails fatally,
-		// the trace ring is flushed next to the checkpoints first.
-		defer checkpoint.RecoverDump(*ckptDir, tracer)
+		// the kept traces are flushed next to the checkpoints first.
+		defer checkpoint.RecoverDump(*ckptDir, spans)
 		dir := *ckptDir
-		onFatal = func() { checkpoint.DumpTrace(dir, tracer) }
+		onFatal = func() { checkpoint.DumpTrace(dir, spans) }
 	}
 	e, err := monitor.New(r, monitor.Config{
 		Workers:         *workers,
@@ -278,7 +271,6 @@ func main() {
 		ProbeAfter:      *probeAfter,
 		Injector:        injector,
 		Metrics:         reg,
-		Tracer:          tracer,
 		Spans:           spans,
 		Exemplars:       *exemplars,
 		Checkpoint:      store,
@@ -311,7 +303,6 @@ func main() {
 		incidentDir: *incidentDir,
 		objectives:  slo.DefaultObjectives(time.Duration(*slowMs) * time.Millisecond),
 		reg:         reg,
-		tracer:      tracer,
 		spans:       spans,
 		drift: func() any {
 			g := guardPtr.Load()
@@ -366,15 +357,12 @@ func main() {
 	}()
 
 	if *metricsAddr != "" {
-		var mounts []obs.Mount
-		if spans != nil {
-			mounts = append(mounts, obs.Mount{Path: "/traces", Handler: spans.Handler()})
-		}
+		mounts := []obs.Mount{{Path: "/traces", Handler: spans.Handler()}}
 		if guard != nil {
 			mounts = append(mounts, obs.Mount{Path: "/drift", Handler: guard.Handler()})
 		}
 		mounts = append(mounts, sloW.mounts...)
-		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, e.Registry(), tracer, mounts...)
+		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, e.Registry(), mounts...)
 		check(err)
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -394,7 +382,7 @@ func main() {
 				}
 			}()
 		}
-		fmt.Fprintf(info, "observability endpoint on http://%s (/metrics, /events, /traces, /debug/pprof)\n", addr)
+		fmt.Fprintf(info, "observability endpoint on http://%s (/metrics, /traces, /debug/pprof)\n", addr)
 	}
 
 	start := time.Now()
@@ -481,7 +469,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		check(writeTrace(*traceOut, tracer))
+		check(writeTrace(*traceOut, spans))
 	}
 
 	if *jsonOut {
@@ -552,16 +540,16 @@ func traceSuffix(id string) string {
 	return "  trace=" + id
 }
 
-// writeTrace drains the event ring as JSON to path ("-" = stdout).
-func writeTrace(path string, tracer *obs.Tracer) error {
+// writeTrace writes the kept traces as JSON to path ("-" = stdout).
+func writeTrace(path string, spans *span.Recorder) error {
 	if path == "-" {
-		return tracer.WriteJSON(os.Stdout)
+		return spans.WriteJSON(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := tracer.WriteJSON(f)
+	werr := spans.WriteJSON(f)
 	cerr := f.Close()
 	if werr != nil {
 		return werr

@@ -25,9 +25,8 @@ type sloParams struct {
 	// no -slo-config overrides it.
 	objectives []slo.Objective
 
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	spans  *span.Recorder
+	reg   *obs.Registry
+	spans *span.Recorder
 	// drift/fleet supply the respective status documents at incident
 	// capture time; either may be nil (or return nil before the source
 	// exists — the closures are built before the guard/fleet are).
@@ -55,7 +54,7 @@ func (w *sloWiring) shutdown() {
 // buildSLO assembles the SLO engine and incident recorder from flags.
 // The recorder works without the engine (shard-death and rollback
 // hooks still capture bundles); the engine works without the recorder
-// (alerts surface on /slo, metrics and the event ring only).
+// (alerts surface on /slo, metrics and kept traces only).
 func buildSLO(p sloParams) (*sloWiring, error) {
 	w := &sloWiring{}
 	wantSLO := p.enabled || p.configPath != ""
@@ -69,7 +68,6 @@ func buildSLO(p sloParams) (*sloWiring, error) {
 			Now:      time.Now,
 			Registry: p.reg,
 			Spans:    p.spans,
-			Tracer:   p.tracer,
 			SLOStatus: func() slo.Status {
 				if w.eng != nil {
 					return w.eng.Status()
@@ -107,7 +105,6 @@ func buildSLO(p sloParams) (*sloWiring, error) {
 			FastBurn:   p.burnFast,
 			SlowBurn:   p.burnSlow,
 			Objectives: objs,
-			Tracer:     p.tracer,
 			Spans:      p.spans,
 			OnTransition: func(tr slo.Transition) {
 				fmt.Fprintf(os.Stderr, "slo: %s: %s → %s: %s\n",

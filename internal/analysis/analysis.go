@@ -32,9 +32,8 @@ import (
 )
 
 // Severity ranks a finding: errors gate CI, warnings inform. New
-// heuristic analyzers land at SeverityWarn first and ratchet to
-// SeverityError once the codebase is clean (see the baseline support
-// in cmd/rhmd-lint).
+// heuristic analyzers land at SeverityWarn first and move to
+// SeverityError once the codebase is clean.
 const (
 	SeverityError = "error"
 	SeverityWarn  = "warn"

@@ -1,7 +1,7 @@
 package analysis
 
 // poolhandoff generalizes the PR 5 span race: a value obtained from a
-// sync.Pool (or a pooled span trace from a Recorder/Tracer Start)
+// sync.Pool (or a pooled span trace from a Recorder Start)
 // is OWNED until it is handed to another goroutine via a channel send
 // or returned to the pool via Put. After the handoff the receiver may
 // already be mutating or recycling it, so any further use on the
@@ -139,7 +139,7 @@ func pooledIntro(pass *Pass, as *ast.AssignStmt) types.Object {
 		return nil
 	}
 	pooled := name == "Get" && typeFromPkg(pass.TypeOf(recv), "sync", "Pool")
-	span := name == "Start" && (typeNamed(pass.TypeOf(recv), "Recorder") || typeNamed(pass.TypeOf(recv), "Tracer"))
+	span := name == "Start" && typeNamed(pass.TypeOf(recv), "Recorder")
 	if !pooled && !span {
 		return nil
 	}

@@ -206,7 +206,7 @@ func traceIntro(pass *Pass, as *ast.AssignStmt) types.Object {
 	if !ok || name != "Start" {
 		return nil
 	}
-	if !typeNamed(pass.TypeOf(recv), "Recorder") && !typeNamed(pass.TypeOf(recv), "Tracer") {
+	if !typeNamed(pass.TypeOf(recv), "Recorder") {
 		return nil
 	}
 	id, ok := as.Lhs[0].(*ast.Ident)

@@ -5,22 +5,22 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"rhmd/internal/obs"
+	"rhmd/internal/obs/span"
 )
 
 // BlackBoxFile is the name of the crash trace dump inside a checkpoint
 // directory.
 const BlackBoxFile = "trace-crash.json"
 
-// DumpTrace flushes the surviving ring of tracer events into dir as
-// JSON — the black-box recorder for a panicking or fatally exiting
-// process. It is best-effort by design (it runs on the way down), but
-// the write itself is atomic so a crash during the dump cannot leave a
-// half-written recording over a previous good one. A nil tracer dumps
-// an empty array. It returns the path written.
-func DumpTrace(dir string, t *obs.Tracer) (string, error) {
+// DumpTrace flushes the recorder's kept traces into dir as the JSON
+// array /traces serves — the black-box recorder for a panicking or
+// fatally exiting process. It is best-effort by design (it runs on the
+// way down), but the write itself is atomic so a crash during the dump
+// cannot leave a half-written recording over a previous good one. A
+// nil recorder dumps an empty array. It returns the path written.
+func DumpTrace(dir string, rec *span.Recorder) (string, error) {
 	var buf bytes.Buffer
-	if err := t.WriteJSON(&buf); err != nil {
+	if err := rec.WriteJSON(&buf); err != nil {
 		return "", fmt.Errorf("checkpoint: encoding trace dump: %w", err)
 	}
 	path := filepath.Join(dir, BlackBoxFile)
@@ -36,14 +36,14 @@ func DumpTrace(dir string, t *obs.Tracer) (string, error) {
 // RecoverDump is the deferred form of DumpTrace: install it at the top
 // of a goroutine or main with
 //
-//	defer checkpoint.RecoverDump(dir, tracer)
+//	defer checkpoint.RecoverDump(dir, rec)
 //
-// and a panic unwinding through it flushes the trace ring to dir before
-// re-panicking with the original value. A normal return dumps nothing.
-func RecoverDump(dir string, t *obs.Tracer) {
+// and a panic unwinding through it flushes the kept traces to dir
+// before re-panicking with the original value. A normal return dumps
+// nothing.
+func RecoverDump(dir string, rec *span.Recorder) {
 	if r := recover(); r != nil {
-		t.Emit(obs.Event{Kind: obs.EvPanic, Detector: -1, Window: -1, Detail: fmt.Sprint(r)})
-		_, _ = DumpTrace(dir, t)
+		_, _ = DumpTrace(dir, rec)
 		panic(r)
 	}
 }

@@ -5,19 +5,27 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
-	"rhmd/internal/obs"
+	"rhmd/internal/obs/span"
 )
 
 // TestRecoverDumpFlushesParseableTrace simulates a panic unwinding
-// through the black-box recorder and checks the drained ring is valid,
-// complete JSON afterwards — the whole point of a flight recorder is
-// that it is readable after the crash.
+// through the black-box recorder and checks the dumped kept traces are
+// valid, complete JSON afterwards — the whole point of a flight
+// recorder is that it is readable after the crash — and that the
+// original panic value survives the re-panic.
 func TestRecoverDumpFlushesParseableTrace(t *testing.T) {
 	dir := t.TempDir()
-	tr := obs.NewTracer(16)
-	tr.Emit(obs.Event{Kind: obs.EvSubmit, Program: "victim", Detector: -1, Window: -1})
-	tr.Emit(obs.Event{Kind: obs.EvWindow, Program: "victim", Detector: 2, Window: 0})
+	now := time.Unix(1_000_000, 0)
+	rec, err := span.NewRecorder(span.Config{Now: func() time.Time { return now }, KeepEvery: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, stage := range []string{span.StageVerdict, span.StageCheckpoint} {
+		ids = append(ids, rec.Start("victim", stage).Finish())
+	}
 
 	func() {
 		defer func() {
@@ -28,7 +36,7 @@ func TestRecoverDumpFlushesParseableTrace(t *testing.T) {
 			}
 		}()
 		func() {
-			defer RecoverDump(dir, tr)
+			defer RecoverDump(dir, rec)
 			panic("poisoned trace")
 		}()
 	}()
@@ -37,16 +45,17 @@ func TestRecoverDumpFlushesParseableTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("black-box file missing: %v", err)
 	}
-	var events []obs.Event
-	if err := json.Unmarshal(data, &events); err != nil {
+	var kept []span.KeptTrace
+	if err := json.Unmarshal(data, &kept); err != nil {
 		t.Fatalf("black-box dump is not parseable JSON: %v", err)
 	}
-	if len(events) != 3 {
-		t.Fatalf("dump has %d events, want the 2 emitted plus the panic record", len(events))
+	if len(kept) != len(ids) {
+		t.Fatalf("dump has %d traces, want the %d kept", len(kept), len(ids))
 	}
-	last := events[len(events)-1]
-	if last.Kind != obs.EvPanic || last.Detail != "poisoned trace" {
-		t.Fatalf("panic record missing from dump tail: %+v", last)
+	for i, kt := range kept {
+		if kt.TraceID != ids[i] || kt.Program != "victim" {
+			t.Fatalf("dumped trace %d = %s/%q, want %s/victim", i, kt.TraceID, kt.Program, ids[i])
+		}
 	}
 }
 
@@ -54,15 +63,16 @@ func TestRecoverDumpFlushesParseableTrace(t *testing.T) {
 func TestRecoverDumpNoPanicIsNoOp(t *testing.T) {
 	dir := t.TempDir()
 	func() {
-		defer RecoverDump(dir, obs.NewTracer(4))
+		defer RecoverDump(dir, nil)
 	}()
 	if _, err := os.Stat(filepath.Join(dir, BlackBoxFile)); !os.IsNotExist(err) {
 		t.Fatalf("black-box file written on clean return (stat err %v)", err)
 	}
 }
 
-// TestDumpTraceNilTracer: the disabled-tracing path still produces a
-// valid (empty) recording rather than crashing the crash handler.
+// TestDumpTraceNilTracer: the disabled-tracing path (a nil recorder)
+// still produces a valid, empty recording rather than crashing the
+// crash handler.
 func TestDumpTraceNilTracer(t *testing.T) {
 	dir := t.TempDir()
 	path, err := DumpTrace(dir, nil)
@@ -73,8 +83,8 @@ func TestDumpTraceNilTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []obs.Event
-	if err := json.Unmarshal(data, &events); err != nil || len(events) != 0 {
-		t.Fatalf("nil-tracer dump %q (err %v), want empty array", data, err)
+	var kept []span.KeptTrace
+	if err := json.Unmarshal(data, &kept); err != nil || kept == nil || len(kept) != 0 {
+		t.Fatalf("nil-recorder dump %q (err %v), want empty array", data, err)
 	}
 }

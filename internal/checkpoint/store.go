@@ -68,7 +68,6 @@ type Store struct {
 	maxGen uint64 // highest generation ever seen on disk (valid or not)
 	wal    File   // open WAL for gen; nil until first Append/Save
 	ins    *instruments
-	tracer *obs.Tracer
 }
 
 // instruments is the store's registry-backed accounting, attached via
@@ -113,9 +112,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Instrument registers the store's metrics in reg and attaches the
-// tracer for checkpoint lifecycle events. Call once, before traffic.
-func (s *Store) Instrument(reg *obs.Registry, tracer *obs.Tracer) {
+// Instrument registers the store's metrics in reg. Call once, before
+// traffic.
+func (s *Store) Instrument(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ops := reg.CounterVec("rhmd_checkpoint_ops_total", "Checkpoint operations by kind.", "op")
@@ -130,7 +129,6 @@ func (s *Store) Instrument(reg *obs.Registry, tracer *obs.Tracer) {
 		generation: reg.Gauge("rhmd_checkpoint_generation", "Current snapshot generation."),
 		walEntries: reg.Gauge("rhmd_checkpoint_wal_entries", "Entries appended to the current generation's WAL."),
 	}
-	s.tracer = tracer
 }
 
 // Dir returns the checkpoint directory.
@@ -223,8 +221,6 @@ func (s *Store) Save(payload []byte) (uint64, error) {
 		s.ins.generation.Set(float64(next))
 		s.ins.walEntries.Set(0)
 	}
-	s.tracer.Emit(obs.Event{Kind: obs.EvCheckpointSave, Detector: -1, Window: -1,
-		Dur: time.Since(start), Detail: fmt.Sprintf("generation %d, %d bytes", next, len(payload))})
 	return next, nil
 }
 
@@ -350,8 +346,6 @@ func (s *Store) Restore() (*RestoreResult, error) {
 		if s.ins != nil {
 			s.ins.fallbacks.Inc()
 		}
-		s.tracer.Emit(obs.Event{Kind: obs.EvCheckpointFallback, Detector: -1, Window: -1,
-			Detail: fmt.Sprintf("snapshot generation %d failed validation", g)})
 	}
 	if !found {
 		// No valid snapshot. A generation-0 WAL (crash before the first
@@ -399,8 +393,6 @@ func (s *Store) Restore() (*RestoreResult, error) {
 			s.ins.snapBytes.Set(float64(len(res.Snapshot)))
 		}
 	}
-	s.tracer.Emit(obs.Event{Kind: obs.EvCheckpointRestore, Detector: -1, Window: -1,
-		Detail: fmt.Sprintf("generation %d, %d WAL entries, %d fallbacks", res.Gen, len(res.Entries), res.Fallbacks)})
 	return res, nil
 }
 

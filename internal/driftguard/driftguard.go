@@ -120,8 +120,6 @@ type Config struct {
 	// Metrics receives the rhmd_drift_* instruments (nil = a private
 	// registry).
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives drift/canary lifecycle events.
-	Tracer *obs.Tracer
 	// OnRollback, when non-nil, is called (off the guard lock) after a
 	// canary rollback lands — the incident flight recorder's trigger:
 	// a rollback means a retrained pool regressed in production, which
@@ -395,7 +393,6 @@ func (g *Guard) fireDriftLocked(reason string) {
 	// what the old pool was doing when we gave up on it.
 	g.baselineAcc, g.baselineAgr = g.accEWMA, g.agrEWMA
 	corpus := append([]*prog.Program(nil), g.replay...)
-	g.tracerEmit(obs.EvDrift, reason)
 
 	g.wg.Add(1)
 	go g.retrain(g.ctx, corpus, reason)
@@ -417,7 +414,6 @@ func (g *Guard) retrain(ctx context.Context, corpus []*prog.Program, reason stri
 		g.ins.state.Set(float64(Watching))
 		g.ins.retrainFailures.Inc()
 		g.mu.Unlock()
-		g.tracerEmit(obs.EvDrift, "retrain failed: "+detail)
 		g.event("retrain-failure", detail)
 	}
 
@@ -480,7 +476,6 @@ func (g *Guard) decideCanaryLocked() func() {
 			g.ins.state.Set(float64(Watching))
 			g.ins.retrainFailures.Inc()
 			d := detail + "; rollback swap failed: " + err.Error()
-			g.tracerEmit(obs.EvCanary, d)
 			return func() { g.event("rollback-failure", d) }
 		}
 		g.epoch = epoch
@@ -493,7 +488,6 @@ func (g *Guard) decideCanaryLocked() func() {
 		g.ins.agreement.Set(g.agrEWMA)
 		g.ins.state.Set(float64(Watching))
 		g.ins.rollbacks.Inc()
-		g.tracerEmit(obs.EvCanary, detail)
 		return func() {
 			g.event("rollback", detail)
 			if g.cfg.OnRollback != nil {
@@ -517,7 +511,6 @@ func (g *Guard) decideCanaryLocked() func() {
 	g.ins.agreement.Set(g.agrEWMA)
 	g.ins.state.Set(float64(Watching))
 	g.ins.commits.Inc()
-	g.tracerEmit(obs.EvCanary, detail)
 	return func() { g.event("commit", detail) }
 }
 
@@ -539,12 +532,6 @@ func (g *Guard) Close() {
 func (g *Guard) event(kind, detail string) {
 	if g.cfg.OnEvent != nil {
 		g.cfg.OnEvent(kind, detail)
-	}
-}
-
-func (g *Guard) tracerEmit(kind, detail string) {
-	if g.cfg.Tracer != nil {
-		g.cfg.Tracer.Emit(obs.Event{Kind: kind, Detector: -1, Window: -1, Detail: detail})
 	}
 }
 

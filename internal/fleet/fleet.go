@@ -30,8 +30,7 @@ type Config struct {
 	CheckpointDir string
 	// Engine is the per-shard engine template. Metrics and Checkpoint
 	// must be left unset (each shard generation gets a private registry
-	// and its own store); Tracer and Spans are shared across shards as
-	// given.
+	// and its own store); Spans is shared across shards as given.
 	Engine monitor.Config
 	// Script, when non-nil, is the deterministic kill-a-shard chaos
 	// scenario applied to generation 0 of each targeted shard (see

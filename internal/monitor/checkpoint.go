@@ -8,7 +8,6 @@ import (
 
 	"rhmd/internal/checkpoint"
 	"rhmd/internal/core"
-	"rhmd/internal/obs"
 	"rhmd/internal/obs/span"
 )
 
@@ -181,6 +180,8 @@ func (e *Engine) SnapshotState() *EngineState {
 // commits are excluded for the duration of the capture + WAL rotation.
 // Each flush is its own root span trace (stage "checkpoint"), so a
 // snapshot stall shows up on /traces next to the verdicts it delayed.
+// A failed flush is counted (rhmd_monitor_checkpoint_failures_total)
+// and flags that trace errored.
 func (e *Engine) Checkpoint() (gen uint64, err error) {
 	if e.ckpt == nil {
 		return 0, nil
@@ -395,8 +396,6 @@ func (e *Engine) commitVerdict(rep Report, tr *span.Trace, ws *span.Span) (durab
 			if ws != nil {
 				ws.Err = err.Error()
 			}
-			e.tracer.Emit(obs.Event{Kind: obs.EvCheckpointSave, Program: rep.Program, Detector: -1, Window: -1,
-				Detail: fmt.Sprintf("WAL append failed: %v", err)})
 			if e.cfg.StrictDurability {
 				// Withheld: the counters below would be resurrected by a
 				// restore the WAL knows nothing about, so the verdict is
@@ -443,8 +442,6 @@ func (e *Engine) commitTransition(g *poolGen, idx int, ok bool, latency time.Dur
 	}
 	if err != nil {
 		e.ins.ckptFailures.Inc()
-		e.tracer.Emit(obs.Event{Kind: obs.EvCheckpointSave, Detector: idx, Window: -1,
-			Detail: fmt.Sprintf("WAL append failed: %v", err)})
 	}
 }
 
@@ -462,10 +459,7 @@ func (e *Engine) checkpointLoop(ctx context.Context, every time.Duration) {
 		case <-e.done:
 			return
 		case <-tick.C:
-			if _, err := e.Checkpoint(); err != nil {
-				e.tracer.Emit(obs.Event{Kind: obs.EvCheckpointSave, Detector: -1, Window: -1,
-					Detail: fmt.Sprintf("periodic save failed: %v", err)})
-			}
+			_, _ = e.Checkpoint() // a failure is counted and flags its own trace
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rhmd/internal/core"
-	"rhmd/internal/obs"
 	"rhmd/internal/rng"
 )
 
@@ -64,10 +63,9 @@ type healthBoard struct {
 	quarantines uint64
 	restores    uint64
 
-	// ins/tracer mirror transitions into the observability layer; both
-	// are attached after construction and may be nil in unit tests.
-	ins    *instruments
-	tracer *obs.Tracer
+	// ins mirrors transitions into the observability layer; it is
+	// attached after construction and may be nil in unit tests.
+	ins *instruments
 }
 
 func newHealthBoard(r *core.RHMD, threshold int, probeAfter uint64) *healthBoard {
@@ -81,18 +79,17 @@ func newHealthBoard(r *core.RHMD, threshold int, probeAfter uint64) *healthBoard
 	return b
 }
 
-// attach wires the board to the engine's instruments and tracer and
-// publishes the initial weight/state gauges. Must be called before the
-// board sees traffic.
-func (b *healthBoard) attach(ins *instruments, tracer *obs.Tracer) {
+// attach wires the board to the engine's instruments and publishes the
+// initial weight/state gauges. Must be called before the board sees
+// traffic.
+func (b *healthBoard) attach(ins *instruments) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.ins = ins
-	b.tracer = tracer
 	b.publishLocked()
 }
 
-// retire detaches the board from the shared instruments and tracer.
+// retire detaches the board from the shared instruments.
 // SwapPool calls it on the outgoing generation right after publishing
 // the new one: verdicts still in flight against the old pool keep
 // completing (report/pick work fine detached), but their breaker
@@ -103,7 +100,6 @@ func (b *healthBoard) retire() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.ins = nil
-	b.tracer = nil
 }
 
 // publishLocked refreshes the per-detector weight/state gauges and the
@@ -182,7 +178,6 @@ func (b *healthBoard) pick(src *rng.Source) (idx int, probe bool, weight float64
 			if b.ins != nil {
 				b.ins.state[i].Set(float64(HalfOpen))
 			}
-			b.tracer.Emit(obs.Event{Kind: obs.EvProbe, Detector: i, Window: -1})
 			return i, true, 0
 		}
 	}
@@ -273,7 +268,6 @@ func (b *healthBoard) report(idx int, ok bool, latency time.Duration, exemplarID
 				b.ins.restores.Inc()
 			}
 			b.publishLocked()
-			b.tracer.Emit(obs.Event{Kind: obs.EvRestore, Detector: idx, Window: -1, Detail: "probe succeeded"})
 			return false, true
 		}
 		return false, false
@@ -286,7 +280,6 @@ func (b *healthBoard) report(idx int, ok bool, latency time.Duration, exemplarID
 		br.state = Open
 		br.openedAt = b.windows
 		b.publishLocked()
-		b.tracer.Emit(obs.Event{Kind: obs.EvQuarantine, Detector: idx, Window: -1, Detail: "probe failed"})
 	case Closed:
 		if br.consecFails >= b.threshold {
 			br.state = Open
@@ -297,7 +290,6 @@ func (b *healthBoard) report(idx int, ok bool, latency time.Duration, exemplarID
 				b.ins.quarantines.Inc()
 			}
 			b.publishLocked()
-			b.tracer.Emit(obs.Event{Kind: obs.EvQuarantine, Detector: idx, Window: -1, Detail: "failure threshold reached"})
 			return true, false
 		}
 	}

@@ -85,10 +85,6 @@ type Config struct {
 	// via Engine.Registry). One engine per registry: two engines sharing
 	// a registry would share — and double-count — the same instruments.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives structured lifecycle events
-	// (submit → extract → window → verdict, plus fault and breaker
-	// events). Nil disables tracing at zero cost.
-	Tracer *obs.Tracer
 	// Spans, when non-nil, records a per-verdict span tree for every
 	// submission — enqueue, queue wait, worker pickup, feature
 	// extraction, each switching draw (detector + renormalized weight),
@@ -254,7 +250,6 @@ type Engine struct {
 	wg      sync.WaitGroup
 	reg     *obs.Registry
 	ins     *instruments
-	tracer  *obs.Tracer
 	spans   *span.Recorder
 
 	// ckpt is the durability store (nil = volatile engine). ckptMu
@@ -297,22 +292,18 @@ func New(r *core.RHMD, cfg Config) (*Engine, error) {
 		results: make(chan Report, cfg.QueueDepth),
 		reg:     reg,
 		ins:     newInstruments(reg, r),
-		tracer:  cfg.Tracer,
 		spans:   cfg.Spans,
 		ckpt:    cfg.Checkpoint,
 		done:    make(chan struct{}),
 	}
-	// Surface the event ring's overwrite drops as a scrapeable counter
-	// alongside the engine's own instruments (nil-safe no-op).
-	e.tracer.Instrument(reg)
 	g := &poolGen{
 		rhmd:   r,
 		health: newHealthBoard(r, cfg.FailureThreshold, uint64(cfg.ProbeAfter)),
 	}
-	g.health.attach(e.ins, e.tracer)
+	g.health.attach(e.ins)
 	e.pool.Store(g)
 	if e.ckpt != nil {
-		e.ckpt.Instrument(reg, cfg.Tracer)
+		e.ckpt.Instrument(reg)
 	}
 	return e, nil
 }
@@ -346,10 +337,7 @@ func (e *Engine) Start(ctx context.Context) {
 		// then is the result stream closed, making "Results closed" ⇒
 		// "final checkpoint durable" for consumers.
 		if e.ckpt != nil {
-			if _, err := e.Checkpoint(); err != nil {
-				e.tracer.Emit(obs.Event{Kind: obs.EvCheckpointSave, Detector: -1, Window: -1,
-					Detail: fmt.Sprintf("final save failed: %v", err)})
-			}
+			_, _ = e.Checkpoint() // a failure is counted and flags its own trace
 		}
 		close(e.done)
 		close(e.results)
@@ -368,7 +356,6 @@ func (e *Engine) Submit(p *prog.Program) bool {
 	defer e.closeMu.RUnlock()
 	if e.closed.Load() {
 		e.ins.shed.Inc()
-		e.tracer.Emit(obs.Event{Kind: obs.EvShed, Program: p.Name, Detector: -1, Window: -1, Detail: "engine closed"})
 		e.finishShed(tr, "engine closed")
 		return false
 	}
@@ -385,12 +372,10 @@ func (e *Engine) Submit(p *prog.Program) bool {
 	select {
 	case e.queue <- submission{p: p, tr: tr, wait: wait, ts: time.Now()}:
 		e.ins.queueDepth.Inc()
-		e.tracer.Emit(obs.Event{Kind: obs.EvSubmit, Program: p.Name, Detector: -1, Window: -1})
 		return true
 	default:
 		tr.EndSpan(wait)
 		e.ins.shed.Inc()
-		e.tracer.Emit(obs.Event{Kind: obs.EvShed, Program: p.Name, Detector: -1, Window: -1, Detail: "queue full"})
 		e.finishShed(tr, "queue full")
 		return false
 	}
@@ -500,8 +485,6 @@ func (e *Engine) worker(ctx context.Context) {
 			// The crash happened mid-program (nothing else panics), so
 			// the in-flight slot this worker held is released.
 			e.ins.inflight.Dec()
-			e.tracer.Emit(obs.Event{Kind: obs.EvPanic, Detector: -1, Window: -1,
-				Detail: fmt.Sprintf("worker crashed: %v", r)})
 			if e.cfg.OnWorkerCrash != nil {
 				e.cfg.OnWorkerCrash(err)
 			}

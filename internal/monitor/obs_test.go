@@ -13,6 +13,7 @@ import (
 
 	"rhmd/internal/core"
 	"rhmd/internal/obs"
+	"rhmd/internal/obs/span"
 )
 
 // scrape GETs path from an httptest server mounted over the engine's
@@ -34,6 +35,19 @@ func scrape(t *testing.T, srv *httptest.Server, path string) (string, string) {
 	return string(body), resp.Header.Get("Content-Type")
 }
 
+// keptRecorder returns a recorder registered in reg whose kept ring is
+// sized so n verdicts never overwrite one another. keepEvery 1 keeps
+// every trace; -1 keeps only flagged ones.
+func keptRecorder(t *testing.T, reg *obs.Registry, n, keepEvery int) *span.Recorder {
+	t.Helper()
+	rec, err := span.NewRecorder(span.Config{Seed: 0xFEED, Now: time.Now, KeepEvery: keepEvery,
+		Capacity: 4 * n, Slow: time.Hour}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 // TestMetricsEndpointServesSwitchingDistribution is the PR's acceptance
 // scenario: a healthy engine serves a corpus while exposing /metrics
 // over HTTP; the scrape must be valid Prometheus text exposition whose
@@ -46,9 +60,9 @@ func TestMetricsEndpointServesSwitchingDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(1 << 14)
+	rec := keptRecorder(t, reg, len(f.programs), 1)
 	e, err := New(r, Config{Workers: 4, QueueDepth: len(f.programs), TraceLen: f.traceLen,
-		WindowDeadline: 2 * time.Second, Metrics: reg, Tracer: tracer})
+		WindowDeadline: 2 * time.Second, Metrics: reg, Spans: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +72,7 @@ func TestMetricsEndpointServesSwitchingDistribution(t *testing.T) {
 	runStream(t, e, f.programs)
 	st := e.Stats()
 
-	srv := httptest.NewServer(obs.NewMux(e.Registry(), tracer))
+	srv := httptest.NewServer(obs.NewMux(e.Registry(), obs.Mount{Path: "/traces", Handler: rec.Handler()}))
 	defer srv.Close()
 	body, ct := scrape(t, srv, "/metrics")
 	if !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
@@ -123,22 +137,28 @@ func TestMetricsEndpointServesSwitchingDistribution(t *testing.T) {
 		}
 	}
 
-	// The event ring drains over the same mux and saw the lifecycle.
-	tbody, tct := scrape(t, srv, "/events")
+	// The kept traces drain over the same mux: one per verdict, each
+	// covering the submit → extract → classify → vote lifecycle.
+	tbody, tct := scrape(t, srv, "/traces")
 	if !strings.HasPrefix(tct, "application/json") {
 		t.Fatalf("trace content type %q", tct)
 	}
-	var evs []obs.Event
-	if err := json.Unmarshal([]byte(tbody), &evs); err != nil {
+	var kept []span.KeptTrace
+	if err := json.Unmarshal([]byte(tbody), &kept); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]int{}
-	for _, ev := range evs {
-		kinds[ev.Kind]++
+	if uint64(len(kept)) != st.ProgramsProcessed {
+		t.Fatalf("%d kept traces for %d verdicts under keep-every-1", len(kept), st.ProgramsProcessed)
 	}
-	for _, k := range []string{obs.EvSubmit, obs.EvExtract, obs.EvVerdict} {
-		if kinds[k] == 0 {
-			t.Fatalf("no %q events in trace drain (kinds: %v)", k, kinds)
+	for _, kt := range kept {
+		stages := map[string]bool{}
+		for _, s := range kt.Spans {
+			stages[s.Stage] = true
+		}
+		for _, want := range []string{span.StageVerdict, span.StageEnqueue, span.StageFeatures, span.StageClassify, span.StageVote} {
+			if !stages[want] {
+				t.Fatalf("trace %s (%s) has no %q span (stages: %v)", kt.TraceID, kt.Program, want, stages)
+			}
 		}
 	}
 }
@@ -163,8 +183,10 @@ func parseSamples(t *testing.T, body, name string) map[string]uint64 {
 }
 
 // TestFaultEventsReachTracerAndMetrics: under injected faults the
-// breaker lifecycle shows up as quarantine/restore events in the ring
-// and as transition counters, weight gauges and state gauges on /metrics.
+// breaker lifecycle shows up as transition counters, weight gauges and
+// state gauges on /metrics, and the fault handling reaches the kept
+// verdict traces: with baseline keeps off, only flagged traces survive,
+// and they name the retries, errors and breaker activity.
 func TestFaultEventsReachTracerAndMetrics(t *testing.T) {
 	f := getFixture(t)
 	r, err := core.New(f.pool, 0xFEED)
@@ -172,11 +194,11 @@ func TestFaultEventsReachTracerAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(1 << 14)
+	rec := keptRecorder(t, reg, len(f.programs), -1)
 	deadline := 30 * time.Millisecond
 	e, err := New(r, Config{Workers: 1, QueueDepth: len(f.programs), TraceLen: f.traceLen,
 		WindowDeadline: deadline, ProbeAfter: 40,
-		Injector: acceptanceInjector(deadline, 4), Metrics: reg, Tracer: tracer})
+		Injector: acceptanceInjector(deadline, 4), Metrics: reg, Spans: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +229,33 @@ func TestFaultEventsReachTracerAndMetrics(t *testing.T) {
 		t.Fatal("quarantined detector 1 state gauge not open")
 	}
 
-	kinds := map[string]int{}
-	for _, ev := range tracer.Snapshot() {
-		kinds[ev.Kind]++
-	}
-	for _, k := range []string{obs.EvQuarantine, obs.EvProbe, obs.EvRestore, obs.EvRetry, obs.EvTimeout, obs.EvPanic, obs.EvDegraded} {
-		if kinds[k] == 0 {
-			t.Fatalf("no %q events in ring (kinds: %v)", k, kinds)
+	reasons := map[string]int{}
+	retried, errored := 0, 0
+	for _, kt := range rec.Snapshot() {
+		for _, why := range kt.Reasons {
+			reasons[why]++
 		}
+		for _, s := range kt.Spans {
+			if s.Stage != span.StageClassify {
+				continue
+			}
+			if s.Attempt > 0 {
+				retried++
+			}
+			if s.Err != "" {
+				errored++
+			}
+		}
+	}
+	for _, why := range []string{"retried", "errored", "breaker"} {
+		if reasons[why] == 0 {
+			t.Fatalf("no kept trace carries reason %q (reasons: %v)", why, reasons)
+		}
+	}
+	if reasons["baseline"] != 0 {
+		t.Fatalf("baseline keeps are off, yet %d traces carry it", reasons["baseline"])
+	}
+	if retried == 0 || errored == 0 {
+		t.Fatalf("classify spans: %d with retries, %d with errors; want both > 0", retried, errored)
 	}
 }

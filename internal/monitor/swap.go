@@ -6,7 +6,6 @@ import (
 
 	"rhmd/internal/checkpoint"
 	"rhmd/internal/core"
-	"rhmd/internal/obs"
 	"rhmd/internal/obs/span"
 )
 
@@ -125,7 +124,7 @@ func (e *Engine) SwapPool(r *core.RHMD) (epoch uint64, err error) {
 			return 0, fmt.Errorf("monitor: WAL-logging pool swap: %w", aerr)
 		}
 	}
-	nh.attach(e.ins, e.tracer)
+	nh.attach(e.ins)
 	e.pool.Store(&poolGen{epoch: epoch, rhmd: r, health: nh})
 	e.ckptMu.RUnlock()
 
@@ -136,8 +135,6 @@ func (e *Engine) SwapPool(r *core.RHMD) (epoch uint64, err error) {
 
 	e.ins.poolSwaps.Inc()
 	e.ins.poolGeneration.Set(float64(epoch))
-	e.tracer.Emit(obs.Event{Kind: obs.EvPoolSwap, Detector: -1, Window: -1,
-		Detail: fmt.Sprintf("epoch %d live, fingerprint %016x", epoch, fp)})
 	return epoch, nil
 }
 
@@ -152,7 +149,7 @@ func (e *Engine) installGen(epoch uint64, r *core.RHMD) error {
 		return err
 	}
 	nh := newHealthBoard(r, e.cfg.FailureThreshold, uint64(e.cfg.ProbeAfter))
-	nh.attach(e.ins, e.tracer)
+	nh.attach(e.ins)
 	e.pool.Store(&poolGen{epoch: epoch, rhmd: r, health: nh})
 	old.health.retire()
 	e.ins.poolGeneration.Set(float64(epoch))

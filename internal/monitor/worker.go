@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rhmd/internal/features"
-	"rhmd/internal/obs"
 	"rhmd/internal/obs/span"
 	"rhmd/internal/prog"
 )
@@ -39,7 +38,6 @@ func (wc workerCrash) String() string {
 // tracing is off) and wk the enclosing worker span; process hangs
 // feature-extraction, draw, classify and vote spans off them.
 func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, wk *span.Span) (rep Report) {
-	started := time.Now()
 	// One generation load per program: the whole verdict — scheduling,
 	// classification, breaker reporting — runs against this pool even if
 	// SwapPool publishes a newer generation mid-program. The report
@@ -56,7 +54,6 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 			}
 			e.ins.panics.Inc()
 			rep.Err = fmt.Errorf("monitor: tracing %q panicked: %v", p.Name, r)
-			e.tracer.Emit(obs.Event{Kind: obs.EvPanic, Program: p.Name, Detector: -1, Window: -1, Detail: fmt.Sprint(r)})
 		}
 	}()
 
@@ -114,13 +111,7 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 			feat.Err = err.Error()
 		}
 		rep.Err = fmt.Errorf("monitor: extracting %q: %w", p.Name, err)
-		e.tracer.Emit(obs.Event{Kind: obs.EvExtract, Program: p.Name, Detector: -1, Window: -1,
-			Dur: time.Since(started), Detail: err.Error()})
 		return rep
-	}
-	if e.tracer != nil {
-		e.tracer.Emit(obs.Event{Kind: obs.EvExtract, Program: p.Name, Detector: -1, Window: -1,
-			Dur: time.Since(started), Detail: fmt.Sprintf("%d windows", ws.Windows)})
 	}
 
 	for w := 0; w < ws.Windows; w++ {
@@ -150,14 +141,12 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 			if cs != nil && cs.Err == "" {
 				cs.Err = "no live detector"
 			}
-			e.tracer.Emit(obs.Event{Kind: obs.EvDropped, Program: p.Name, Detector: idx, Window: w})
 			continue
 		}
 		rep.Windows++
 		if degraded {
 			rep.Degraded++
 			tr.Flag(span.ReasonBreaker)
-			e.tracer.Emit(obs.Event{Kind: obs.EvDegraded, Program: p.Name, Detector: idx, Window: w})
 		}
 		if decision == 1 {
 			rep.Flagged++
@@ -166,15 +155,6 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 	vote := tr.StartSpan(span.StageVote, wk)
 	rep.Malware = float64(rep.Flagged) >= float64(rep.Windows)/2 && rep.Windows > 0
 	tr.EndSpan(vote)
-	if e.tracer != nil {
-		verdict := "benign"
-		if rep.Malware {
-			verdict = "malware"
-		}
-		e.tracer.Emit(obs.Event{Kind: obs.EvVerdict, Program: p.Name, Detector: -1, Window: -1,
-			Dur: time.Since(started), Detail: fmt.Sprintf("%s: %d/%d flagged, %d degraded, %d dropped",
-				verdict, rep.Flagged, rep.Windows, rep.Degraded, rep.Dropped)})
-	}
 	return rep
 }
 
@@ -238,7 +218,6 @@ func (e *Engine) classify(ctx context.Context, g *poolGen, p *prog.Program, ws *
 			if cs != nil {
 				cs.Attempt = attempt
 			}
-			e.tracer.Emit(obs.Event{Kind: obs.EvRetry, Program: p.Name, Detector: idx, Window: w, Attempt: attempt})
 			if err := e.cfg.Sleep(ctx, e.retryBackoff(fc, attempt)); err != nil {
 				return 0, err
 			}
@@ -272,8 +251,6 @@ func (e *Engine) classify(ctx context.Context, g *poolGen, p *prog.Program, ws *
 			}
 		case errors.Is(err, ErrDeadline):
 			e.ins.timeouts.Inc()
-			e.tracer.Emit(obs.Event{Kind: obs.EvTimeout, Program: p.Name, Detector: idx, Window: w, Attempt: attempt,
-				Dur: e.cfg.WindowDeadline})
 		}
 	}
 	tr.Flag(span.ReasonErrored)
@@ -323,8 +300,6 @@ func (e *Engine) classifyOnce(ctx context.Context, fc FaultContext, fault Fault,
 	defer func() {
 		if r := recover(); r != nil {
 			e.ins.panics.Inc()
-			e.tracer.Emit(obs.Event{Kind: obs.EvPanic, Program: fc.ProgName, Detector: fc.Detector,
-				Window: fc.Window, Attempt: fc.Attempt, Detail: fmt.Sprint(r)})
 			dec, err = 0, fmt.Errorf("monitor: detector %d panicked: %v", fc.Detector, r)
 		}
 	}()

@@ -6,9 +6,8 @@ import (
 )
 
 // The hot-path primitives must scale with parallelism: counters and
-// histogram observes are single atomic ops (plus a CAS for float sums),
-// and tracer emits are one atomic claim and one pointer store. Run with
-// -cpu to confirm no lock serializes the fleet of workers.
+// histogram observes are single atomic ops (plus a CAS for float sums).
+// Run with -cpu to confirm no lock serializes the fleet of workers.
 
 func BenchmarkCounterParallel(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "")
@@ -35,15 +34,6 @@ func BenchmarkHistogramParallel(b *testing.B) {
 		for pb.Next() {
 			h.Observe(v)
 			v *= 1.0001
-		}
-	})
-}
-
-func BenchmarkTracerEmitParallel(b *testing.B) {
-	tr := NewTracer(4096)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			tr.Emit(Event{Kind: EvWindow, Detector: 1, Window: 2})
 		}
 	})
 }

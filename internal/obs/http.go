@@ -26,16 +26,6 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Handler returns the event-ring handler (mounted on /events): a JSON
-// drain of the surviving ring-buffer events. Works on a nil tracer
-// (empty array).
-func (t *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = t.WriteJSON(w)
-	})
-}
-
 // Mount adds (or overrides) one path on the introspection mux — the
 // hook for handlers obs cannot know about, like the kept verdict
 // traces of internal/obs/span on /traces.
@@ -45,15 +35,13 @@ type Mount struct {
 }
 
 // NewMux assembles the introspection endpoint: /metrics (negotiated
-// Prometheus/OpenMetrics exposition), /events (JSON event-ring drain),
-// /traces (kept verdict traces; an empty set until a span recorder is
-// mounted over it), /healthz, and the standard net/http/pprof handlers
-// under /debug/pprof/ — all on one private mux so importing obs never
-// touches http.DefaultServeMux. Extra mounts override defaults by
-// path.
-func NewMux(reg *Registry, tr *Tracer, mounts ...Mount) *http.ServeMux {
+// Prometheus/OpenMetrics exposition), /traces (kept verdict traces; an
+// empty set until a span recorder is mounted over it), /healthz, and
+// the standard net/http/pprof handlers under /debug/pprof/ — all on one
+// private mux so importing obs never touches http.DefaultServeMux.
+// Extra mounts override defaults by path.
+func NewMux(reg *Registry, mounts ...Mount) *http.ServeMux {
 	handlers := map[string]http.Handler{
-		"/events": tr.Handler(),
 		"/traces": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
 			fmt.Fprintln(w, "[]")
@@ -122,12 +110,12 @@ func capRequestBody(h http.Handler, max int64) http.Handler {
 // ":0") plus a shutdown func. The server is plain HTTP: this is a
 // loopback/ops endpoint, not a public surface — but it is hardened
 // (see newServer) so a misbehaving scraper degrades only itself.
-func ListenAndServe(addr string, reg *Registry, tr *Tracer, mounts ...Mount) (string, func(context.Context) error, error) {
+func ListenAndServe(addr string, reg *Registry, mounts ...Mount) (string, func(context.Context) error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: listening on %s: %w", addr, err)
 	}
-	srv := newServer(NewMux(reg, tr, mounts...))
+	srv := newServer(NewMux(reg, mounts...))
 	//rhmd:ignore goroutineleak Serve's shutdown edge is the returned srv.Shutdown closure, which makes Serve return; the analyzer cannot see through the *http.Server
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Shutdown, nil

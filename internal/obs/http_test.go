@@ -15,10 +15,8 @@ import (
 func TestListenAndServe(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("lns_total", "listen-and-serve smoke").Add(7)
-	tr := NewTracer(8)
-	tr.Emit(Event{Kind: EvSubmit, Program: "p", Detector: -1, Window: -1})
 
-	addr, shutdown, err := ListenAndServe("127.0.0.1:0", r, tr)
+	addr, shutdown, err := ListenAndServe("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +28,6 @@ func TestListenAndServe(t *testing.T) {
 
 	for path, want := range map[string]string{
 		"/metrics": "lns_total 7",
-		"/events":  `"kind": "submit"`,
 		"/traces":  "[]",
 		"/healthz": "ok",
 	} {
@@ -47,12 +44,21 @@ func TestListenAndServe(t *testing.T) {
 			t.Fatalf("GET %s: status %d, body %q (want substring %q)", path, resp.StatusCode, body, want)
 		}
 	}
+	// Kept traces are the only event stream; no second drain is mounted.
+	resp, err := http.Get("http://" + addr + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /events: status %d, want 404", resp.StatusCode)
+	}
 }
 
 // TestListenAndServeBadAddr surfaces listen failures instead of
 // crashing the CLI later.
 func TestListenAndServeBadAddr(t *testing.T) {
-	if _, _, err := ListenAndServe("256.0.0.1:bogus", NewRegistry(), nil); err == nil {
+	if _, _, err := ListenAndServe("256.0.0.1:bogus", NewRegistry()); err == nil {
 		t.Fatal("expected error for unlistenable address")
 	}
 }
@@ -76,7 +82,7 @@ func TestServerHardening(t *testing.T) {
 func TestRequestBodyCap(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("cap_total", "body-cap test").Inc()
-	h := capRequestBody(NewMux(reg, nil), maxRequestBody)
+	h := capRequestBody(NewMux(reg), maxRequestBody)
 
 	big := httptest.NewRequest("POST", "/metrics", strings.NewReader("x"))
 	big.ContentLength = maxRequestBody + 1

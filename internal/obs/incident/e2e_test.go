@@ -46,7 +46,6 @@ func TestBurnRateTrajectory(t *testing.T) {
 	reg := obs.NewRegistry()
 	hist := reg.Histogram("rhmd_monitor_verdict_latency_seconds",
 		"Verdict latency.", []float64{0.005, 0.05, 0.5})
-	tracer := obs.NewTracer(64)
 	spans, err := span.NewRecorder(span.Config{Now: clock, KeepEvery: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,6 @@ func TestBurnRateTrajectory(t *testing.T) {
 		Now:      clock,
 		Registry: reg,
 		Spans:    spans,
-		Tracer:   tracer,
 		SLOStatus: func() slo.Status {
 			return eng.Status()
 		},
@@ -79,8 +77,7 @@ func TestBurnRateTrajectory(t *testing.T) {
 		Objectives: []slo.Objective{
 			slo.LatencyObjective(0.99, 50*time.Millisecond),
 		},
-		Tracer: tracer,
-		Spans:  spans,
+		Spans: spans,
 		OnTransition: func(tr slo.Transition) {
 			transitions = append(transitions, tr)
 			hook(tr)

@@ -138,8 +138,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Spans supplies the kept-trace ring.
 	Spans *span.Recorder
-	// Tracer receives one EvIncident event per capture.
-	Tracer *obs.Tracer
 
 	// SLOStatus, Drift and Fleet supply the respective status
 	// documents at capture time. Drift and Fleet return any
@@ -267,10 +265,6 @@ func (r *Recorder) Trigger(cause Cause) (string, error) {
 	r.lastByKind[cause.Kind] = now
 	if r.ins != nil {
 		r.ins.captures.With(cause.Kind).Inc()
-	}
-	if r.cfg.Tracer != nil {
-		r.cfg.Tracer.Emit(obs.Event{Kind: obs.EvIncident, Detector: -1, Window: -1, At: now,
-			Detail: fmt.Sprintf("%s: captured %s (%s)", cause.Kind, b.ID, cause.Detail)})
 	}
 	return filepath.Join(r.cfg.Dir, b.ID+".json"), nil
 }

@@ -1,9 +1,9 @@
 // Package obs is the reproduction's observability layer: a
-// dependency-free (stdlib-only) metrics registry, a ring-buffered
-// structured event tracer, and an HTTP endpoint that exposes both —
-// Prometheus/OpenMetrics exposition on /metrics (negotiated from the
-// Accept header), JSON event drains on /events, kept verdict traces
-// (internal/obs/span) on /traces, and net/http/pprof on /debug/pprof/.
+// dependency-free (stdlib-only) metrics registry and an HTTP endpoint
+// that exposes it — Prometheus/OpenMetrics exposition on /metrics
+// (negotiated from the Accept header), kept verdict traces
+// (internal/obs/span, the one event stream) on /traces, and
+// net/http/pprof on /debug/pprof/.
 //
 // The registry is built for hot paths: every instrument is a handful of
 // atomics, label lookups happen once at registration time (callers hold

@@ -61,7 +61,7 @@ func TestEmptyFamilyOmitted(t *testing.T) {
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total", "h").Inc()
-	srv := httptest.NewServer(NewMux(r, nil))
+	srv := httptest.NewServer(NewMux(r))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")

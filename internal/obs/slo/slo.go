@@ -178,8 +178,6 @@ type Config struct {
 	SlowBurn float64
 	// Objectives are the SLIs under evaluation.
 	Objectives []Objective
-	// Tracer, when non-nil, receives an EvSLO event per transition.
-	Tracer *obs.Tracer
 	// Spans, when non-nil, records each transition as an always-kept
 	// root trace (stage "slo-alert"), mirroring SwapPool's pattern.
 	Spans *span.Recorder
@@ -507,14 +505,10 @@ func transitionReason(from, to AlertState, gateFast, gateSlow float64, cfg Confi
 	}
 }
 
-// emitTransition mirrors one transition into the tracer, the span
-// recorder and the subscriber hook. Called after e.mu is released, so
-// hooks may read Status; they must not call back into Tick.
+// emitTransition mirrors one transition into the span recorder and the
+// subscriber hook. Called after e.mu is released, so hooks may read
+// Status; they must not call back into Tick.
 func (e *Engine) emitTransition(tr Transition) {
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.Emit(obs.Event{Kind: obs.EvSLO, Detector: -1, Window: -1, At: tr.At,
-			Detail: fmt.Sprintf("%s: %s → %s: %s", tr.Objective, tr.FromState, tr.ToState, tr.Reason)})
-	}
 	// Each transition is its own always-kept root trace, like a pool
 	// swap: transitions are rare and are the first thing an operator
 	// pulls up next to the kept verdict traces of the alert window.

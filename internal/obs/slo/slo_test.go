@@ -185,8 +185,7 @@ func TestHistogramSeries(t *testing.T) {
 
 // TestTransitionTelemetry drives one objective through page and back
 // and checks every emission surface: the OnTransition hook, the span
-// recorder's always-kept alert trace, the tracer event ring, and the
-// transitions counter.
+// recorder's always-kept alert trace, and the transitions counter.
 func TestTransitionTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock, advance := fixedClock(testBase)
@@ -194,7 +193,6 @@ func TestTransitionTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewTracer(16)
 	bad := reg.Counter("rhmd_bad_total", "bad")
 	tot := reg.Counter("rhmd_all_total", "all")
 
@@ -206,7 +204,6 @@ func TestTransitionTelemetry(t *testing.T) {
 		FastBurn: 2, SlowBurn: 1.5,
 		Objectives: []slo.Objective{slo.EventRatio("avail", "availability", 0.5,
 			slo.CounterSeries("rhmd_bad_total"), slo.CounterSeries("rhmd_all_total"))},
-		Tracer:       tracer,
 		Spans:        spans,
 		OnTransition: func(tr slo.Transition) { hooked = append(hooked, tr) },
 	})
@@ -255,16 +252,6 @@ func TestTransitionTelemetry(t *testing.T) {
 	}
 	if len(tr.Spans) > 0 && tr.Spans[0].Err == "" {
 		t.Errorf("page trace root carries no reason")
-	}
-
-	var sloEvents int
-	for _, ev := range tracer.Snapshot() {
-		if ev.Kind == obs.EvSLO {
-			sloEvents++
-		}
-	}
-	if sloEvents != 2 {
-		t.Errorf("tracer saw %d slo-alert events, want 2", sloEvents)
 	}
 
 	snap := reg.Snapshot()

@@ -2,10 +2,27 @@ package span
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
 )
+
+// WriteJSON writes the kept traces as the unfiltered JSON array /traces
+// serves (oldest kept first) — the one record format behind /traces,
+// -trace-out and the checkpoint black box. A nil recorder writes [].
+func (r *Recorder) WriteJSON(w io.Writer) error {
+	return writeTraces(w, r.Snapshot())
+}
+
+func writeTraces(w io.Writer, kept []*KeptTrace) error {
+	if kept == nil {
+		kept = []*KeptTrace{}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(kept)
+}
 
 // Handler serves the kept-trace ring as a JSON array (oldest kept
 // first), with query filters that make it a small trace explorer:
@@ -15,7 +32,7 @@ import (
 //	?detector=3        only traces that touched this detector index
 //	?limit=20          newest N matches
 //
-// Works on a nil recorder (empty array), mirroring the event tracer.
+// Works on a nil recorder (empty array).
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
@@ -66,9 +83,7 @@ func (r *Recorder) Handler() http.Handler {
 			out = out[len(out)-limit:]
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
+		_ = writeTraces(w, out)
 	})
 }
 

@@ -157,3 +157,28 @@ func TestTracesHandlerNilRecorder(t *testing.T) {
 		t.Fatalf("nil recorder: %d %q, want 200 []", rr.Code, rr.Body.String())
 	}
 }
+
+// TestWriteJSONMatchesUnfilteredHandler: the file writers (-trace-out,
+// the checkpoint black box) and an unfiltered /traces scrape produce
+// the same bytes, and a nil recorder writes an empty array.
+func TestWriteJSONMatchesUnfilteredHandler(t *testing.T) {
+	r := tracesHandlerFixture(t)
+	var b strings.Builder
+	if err := r.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	rr := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/traces", nil))
+	if b.String() != rr.Body.String() {
+		t.Fatalf("WriteJSON and /traces disagree:\n%s\n---\n%s", b.String(), rr.Body.String())
+	}
+
+	var nilRec *Recorder
+	b.Reset()
+	if err := nilRec.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.TrimSpace(b.String()) != "[]" {
+		t.Fatalf("nil recorder wrote %q, want []", b.String())
+	}
+}

@@ -339,9 +339,9 @@ type SpanRecord struct {
 	Err      string        `json:"err,omitempty"`
 }
 
-// Snapshot returns the surviving kept traces in keep order. Like the
-// event tracer's snapshot it is a consistent set of fully written
-// records, not a stop-the-world freeze. Nil-safe (returns nil).
+// Snapshot returns the surviving kept traces in keep order: a
+// consistent set of fully written records, not a stop-the-world
+// freeze. Nil-safe (returns nil).
 func (r *Recorder) Snapshot() []*KeptTrace {
 	if r == nil {
 		return nil

@@ -15,12 +15,17 @@
 // and every timestamp comes from the clock injected in Config.Now, so
 // the engine that owns the recorder decides what "now" means.
 //
-// Hot-path discipline mirrors the event tracer: span records come from
-// a sync.Pool, recording a span is pointer writes plus one injected
-// clock read, the keep/drop decision is flag checks and one atomic
-// add, and kept trees go into a lock-free overwrite-oldest ring of
-// immutable snapshots. Dropped trees return their records to the pool
-// and count one atomic.
+// Kept traces are the serving layer's one event stream: /traces, the
+// monitor's -trace-out file and the checkpoint black box all carry the
+// same JSON records (Recorder.WriteJSON), and checkpoints, pool swaps
+// and SLO alert transitions record their own root traces beside the
+// verdicts.
+//
+// Hot-path discipline: span records come from a sync.Pool, recording a
+// span is pointer writes plus one injected clock read, the keep/drop
+// decision is flag checks and one atomic add, and kept trees go into a
+// lock-free overwrite-oldest ring of immutable snapshots. Dropped trees
+// return their records to the pool and count one atomic.
 package span
 
 import (

@@ -126,7 +126,7 @@ func TestTailSamplerPolicy(t *testing.T) {
 }
 
 // TestKeptRingOverwrite: the kept ring keeps the newest Capacity
-// traces, oldest overwritten first — the event tracer's discipline.
+// traces, oldest overwritten first.
 func TestKeptRingOverwrite(t *testing.T) {
 	r := newTestRecorder(t, Config{Capacity: 2, KeepEvery: 1})
 	for i := 0; i < 5; i++ {

@@ -1,8 +1,10 @@
 #!/bin/sh
 # trace_smoke.sh — end-to-end smoke for verdict span tracing: boot
-# rhmd-monitor with -trace-verdicts on an ephemeral port, scrape
-# /traces during the -hold window, and fail unless the kept set is
-# non-empty and shaped like span trees. Run via `make trace-smoke`.
+# rhmd-monitor on an ephemeral port (-metrics-addr alone turns the span
+# recorder on) with -trace-out, scrape /traces during the -hold window,
+# and fail unless the kept set is non-empty and shaped like span trees,
+# the -trace-out file holds the same trace IDs, and /events is gone.
+# Run via `make trace-smoke`.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -12,10 +14,11 @@ go build -o "$workdir/rhmd-monitor" ./cmd/rhmd-monitor
 
 # Tiny corpus, keep-everything sampling, exemplars on, and a generous
 # hold so the endpoint is still up when we scrape. -slow-ms 0 is not
-# needed: -keep-every 1 already keeps every verdict.
+# needed: -keep-every 1 already keeps every verdict. The kept set is
+# written to -trace-out after the drain, before the hold starts.
 "$workdir/rhmd-monitor" \
   -benign 2 -malware 2 -len 20000 \
-  -trace-verdicts -keep-every 1 -exemplars \
+  -keep-every 1 -exemplars -trace-out "$workdir/kept.json" \
   -metrics-addr 127.0.0.1:0 -hold 120s \
   >"$workdir/out.log" 2>"$workdir/err.log" &
 monpid=$!
@@ -56,5 +59,23 @@ if [ -z "$kept" ] || [ "$kept" -eq 0 ]; then
   exit 1
 fi
 
-count="$(grep -c '"trace_id"' "$traces")"
-echo "trace-smoke: OK ($count kept traces on /traces, kept counter $kept)"
+# Nothing is kept after the drain, so the -trace-out file and /traces
+# hold the same trace IDs.
+ids() { sed -n 's/.*"trace_id": *"\([0-9a-f]*\)".*/\1/p' "$1" | sort; }
+ids "$traces" >"$workdir/served.ids"
+ids "$workdir/kept.json" >"$workdir/written.ids"
+if [ ! -s "$workdir/served.ids" ] || ! cmp -s "$workdir/served.ids" "$workdir/written.ids"; then
+  echo "trace-smoke: -trace-out and /traces disagree on the kept trace IDs" >&2
+  diff "$workdir/written.ids" "$workdir/served.ids" >&2 || true
+  exit 1
+fi
+
+# The kept traces are the only event stream: no /events drain is mounted.
+events="$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/events")"
+if [ "$events" != 404 ]; then
+  echo "trace-smoke: GET /events returned $events, want 404" >&2
+  exit 1
+fi
+
+count="$(wc -l <"$workdir/served.ids" | tr -d ' ')"
+echo "trace-smoke: OK ($count kept traces on /traces and in -trace-out, kept counter $kept, /events 404)"
