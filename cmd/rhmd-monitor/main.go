@@ -124,12 +124,8 @@ func main() {
 	check(err)
 	train, stream := groups[0], groups[1]
 
-	data := map[int]*dataset.MultiWindowData{}
-	for _, p := range ps {
-		mw, err := dataset.ExtractWindows(train, p, *traceLen)
-		check(err)
-		data[p] = mw
-	}
+	data, err := dataset.ExtractWindows(train, ps, *traceLen)
+	check(err)
 	specs := core.PoolSpecs(features.AllKinds(), ps, "lr")
 	pool, err := core.TrainPool(specs, data, *seed+2)
 	check(err)

@@ -55,12 +55,8 @@ func main() {
 				ps = append(ps, v)
 			}
 		}
-		data := map[int]*dataset.MultiWindowData{}
-		for _, p := range ps {
-			mw, err := dataset.ExtractWindows(train, p, *traceLen)
-			check(err)
-			data[p] = mw
-		}
+		data, err := dataset.ExtractWindows(train, ps, *traceLen)
+		check(err)
 		specs := core.PoolSpecs(features.AllKinds(), ps, "lr")
 		pool, err := core.TrainPool(specs, data, *seed+2)
 		check(err)
@@ -110,18 +106,18 @@ func main() {
 		kind, err := features.ParseKind(*feature)
 		check(err)
 		spec := hmd.Spec{Kind: kind, Period: *period, Algo: *algo}
-		trainW, err := dataset.ExtractWindows(train, *period, *traceLen)
+		trainW, err := dataset.ExtractWindows(train, []int{*period}, *traceLen)
 		check(err)
-		d, err = hmd.Train(spec, trainW.Get(kind), *seed+2)
+		d, err = hmd.Train(spec, trainW[*period].Get(kind), *seed+2)
 		check(err)
 	}
 	if *saveTo != "" {
 		check(hmd.SaveFile(*saveTo, d))
 		fmt.Printf("saved detector to %s\n", *saveTo)
 	}
-	testW, err := dataset.ExtractWindows(test, d.Spec.Period, *traceLen)
+	testW, err := dataset.ExtractWindows(test, []int{d.Spec.Period}, *traceLen)
 	check(err)
-	ev, err := d.Evaluate(testW.Get(d.Spec.Kind))
+	ev, err := d.Evaluate(testW[d.Spec.Period].Get(d.Spec.Kind))
 	check(err)
 	fmt.Printf("detector %s: held-out AUC %.3f, best accuracy %.3f\n", d.Spec, ev.AUC, ev.Accuracy)
 	fmt.Printf("at trained threshold %.3f: sensitivity %.3f, specificity %.3f (%s)\n",

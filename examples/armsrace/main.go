@@ -38,12 +38,12 @@ func main() {
 	victimTrain, atkTrain, atkTest := groups[0], groups[1], groups[2]
 
 	const period = 2000
-	trainW, err := dataset.ExtractWindows(victimTrain, period, cfg.TraceLen)
+	data, err := dataset.ExtractWindows(victimTrain, []int{period}, cfg.TraceLen)
 	if err != nil {
 		log.Fatal(err)
 	}
 	vspec := hmd.Spec{Kind: features.Instructions, Period: period, Algo: "lr"}
-	victim, err := hmd.Train(vspec, trainW.Get(features.Instructions), 1)
+	victim, err := hmd.Train(vspec, data[period].Get(features.Instructions), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +82,6 @@ func main() {
 		res.StaticOverhead*100, res.DynamicOverhead*100)
 
 	// --- Step 3: the same attack against a resilient RHMD. ---
-	data := map[int]*dataset.MultiWindowData{period: trainW}
 	pool, err := core.TrainPool(core.PoolSpecs(features.AllKinds(), []int{period}, "lr"), data, 4)
 	if err != nil {
 		log.Fatal(err)

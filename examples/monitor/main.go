@@ -33,13 +33,9 @@ func main() {
 	}
 	train, live := groups[0], groups[1]
 	periods := []int{2000, 1000}
-	data := map[int]*dataset.MultiWindowData{}
-	for _, p := range periods {
-		mw, err := dataset.ExtractWindows(train, p, cfg.TraceLen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		data[p] = mw
+	data, err := dataset.ExtractWindows(train, periods, cfg.TraceLen)
+	if err != nil {
+		log.Fatal(err)
 	}
 	specs := core.PoolSpecs(features.AllKinds(), periods, "lr")
 	pool, err := core.TrainPool(specs, data, 1)

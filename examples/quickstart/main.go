@@ -38,7 +38,7 @@ func main() {
 	// 2. Trace the training programs and extract per-window features at
 	//    a 2,000-instruction collection period.
 	const period = 2000
-	trainWindows, err := dataset.ExtractWindows(train, period, cfg.TraceLen)
+	trainWindows, err := dataset.ExtractWindows(train, []int{period}, cfg.TraceLen)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 	// 3. Train the paper's hardware-friendly detector: logistic
 	//    regression over the instruction-mix feature.
 	spec := hmd.Spec{Kind: features.Instructions, Period: period, Algo: "lr"}
-	detector, err := hmd.Train(spec, trainWindows.Get(features.Instructions), 1)
+	detector, err := hmd.Train(spec, trainWindows[period].Get(features.Instructions), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func main() {
 		spec, detector.Threshold, len(detector.FeatureIdx))
 
 	// 4. Evaluate on held-out windows (the paper's Figure 2 metrics).
-	testWindows, err := dataset.ExtractWindows(test, period, cfg.TraceLen)
+	testWindows, err := dataset.ExtractWindows(test, []int{period}, cfg.TraceLen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev, err := detector.Evaluate(testWindows.Get(features.Instructions))
+	ev, err := detector.Evaluate(testWindows[period].Get(features.Instructions))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,13 +35,9 @@ func main() {
 
 	// Train the pool: {instructions, memory, architectural} × {2000, 1000}.
 	periods := []int{2000, 1000}
-	data := map[int]*dataset.MultiWindowData{}
-	for _, p := range periods {
-		mw, err := dataset.ExtractWindows(train, p, cfg.TraceLen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		data[p] = mw
+	data, err := dataset.ExtractWindows(train, periods, cfg.TraceLen)
+	if err != nil {
+		log.Fatal(err)
 	}
 	specs := core.PoolSpecs(features.AllKinds(), periods, "lr")
 	pool, err := core.TrainPool(specs, data, 1)

@@ -37,10 +37,11 @@ func getFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mw, err := dataset.ExtractWindows(groups[0], 2000, cfg.TraceLen)
+	mws, err := dataset.ExtractWindows(groups[0], []int{2000}, cfg.TraceLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mw := mws[2000]
 	victim, err := hmd.Train(hmd.Spec{Kind: features.Instructions, Period: 2000, Algo: "lr"}, mw.Get(features.Instructions), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -212,10 +213,11 @@ func balanced(programs []*prog.Program, perClass int) []*prog.Program {
 
 func TestEffectiveWeightsDTFails(t *testing.T) {
 	f := getFixture(t)
-	mw, err := dataset.ExtractWindows(balanced(f.victimTrain, 6), 2000, f.traceLen)
+	mws, err := dataset.ExtractWindows(balanced(f.victimTrain, 6), []int{2000}, f.traceLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mw := mws[2000]
 	dt, err := hmd.Train(hmd.Spec{Kind: features.Instructions, Period: 2000, Algo: "dt"}, mw.Get(features.Instructions), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -271,10 +273,11 @@ func TestBuildPlanStrategies(t *testing.T) {
 
 func TestBuildPlanArchitecturalRejected(t *testing.T) {
 	f := getFixture(t)
-	mw, err := dataset.ExtractWindows(balanced(f.victimTrain, 6), 2000, f.traceLen)
+	mws, err := dataset.ExtractWindows(balanced(f.victimTrain, 6), []int{2000}, f.traceLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mw := mws[2000]
 	arch, err := hmd.Train(hmd.Spec{Kind: features.Architectural, Period: 2000, Algo: "lr"}, mw.Get(features.Architectural), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -286,10 +289,11 @@ func TestBuildPlanArchitecturalRejected(t *testing.T) {
 
 func TestBuildPlanMemory(t *testing.T) {
 	f := getFixture(t)
-	mw, err := dataset.ExtractWindows(balanced(f.victimTrain, 20), 2000, f.traceLen)
+	mws, err := dataset.ExtractWindows(balanced(f.victimTrain, 20), []int{2000}, f.traceLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mw := mws[2000]
 	mem, err := hmd.Train(hmd.Spec{Kind: features.Memory, Period: 2000, Algo: "lr"}, mw.Get(features.Memory), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -466,10 +470,11 @@ var _ = ml.Agreement // keep import if test edits drop direct uses
 
 func TestIterativePlan(t *testing.T) {
 	f := getFixture(t)
-	mw, err := dataset.ExtractWindows(balanced(f.victimTrain, 20), 2000, f.traceLen)
+	mws, err := dataset.ExtractWindows(balanced(f.victimTrain, 20), []int{2000}, f.traceLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mw := mws[2000]
 	mem, err := hmd.Train(hmd.Spec{Kind: features.Memory, Period: 2000, Algo: "lr"}, mw.Get(features.Memory), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -516,10 +521,11 @@ func TestIterativePlan(t *testing.T) {
 
 func TestIterativePlanEvadesBothFeatures(t *testing.T) {
 	f := getFixture(t)
-	mw, err := dataset.ExtractWindows(balanced(f.victimTrain, 24), 2000, f.traceLen)
+	mws, err := dataset.ExtractWindows(balanced(f.victimTrain, 24), []int{2000}, f.traceLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mw := mws[2000]
 	mem, err := hmd.Train(hmd.Spec{Kind: features.Memory, Period: 2000, Algo: "lr"}, mw.Get(features.Memory), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -47,10 +47,11 @@ func TrainCombinedSurrogate(labels *Labels, kinds []features.Kind, period int, a
 	if err != nil {
 		return nil, err
 	}
-	mw, err := dataset.ExtractWindows(labels.Programs, period, labels.TraceLen)
+	mws, err := dataset.ExtractWindows(labels.Programs, []int{period}, labels.TraceLen)
 	if err != nil {
 		return nil, err
 	}
+	mw := mws[period]
 	X := concatRows(mw, kinds)
 	ref := mw.Get(kinds[0])
 

@@ -90,11 +90,11 @@ func labelWindows(bounds [][2]int, victim []hmd.WindowDecision) []int {
 // well the hypothesis (feature kind, period, algorithm) matches the
 // victim.
 func TrainSurrogate(labels *Labels, spec hmd.Spec, seed uint64) (*hmd.Detector, error) {
-	mw, err := dataset.ExtractWindows(labels.Programs, spec.Period, labels.TraceLen)
+	mws, err := dataset.ExtractWindows(labels.Programs, []int{spec.Period}, labels.TraceLen)
 	if err != nil {
 		return nil, err
 	}
-	return TrainSurrogateFrom(labels, mw, spec, seed)
+	return TrainSurrogateFrom(labels, mws[spec.Period], spec, seed)
 }
 
 // TrainSurrogateFrom is TrainSurrogate over pre-extracted attacker

@@ -19,6 +19,7 @@ import (
 	"rhmd/internal/features"
 	"rhmd/internal/hmd"
 	"rhmd/internal/obs"
+	"rhmd/internal/par"
 	"rhmd/internal/prog"
 	"rhmd/internal/rng"
 )
@@ -220,24 +221,27 @@ func PoolSpecs(kinds []features.Kind, periods []int, algo string) []hmd.Spec {
 	return out
 }
 
-// TrainPool trains one base detector per spec. data must hold window
-// datasets for every period used by the specs (keyed by period).
-// Detector i is trained with an independent seed derived from seed.
+// TrainPool trains one base detector per spec, concurrently. data must
+// hold window datasets for every period used by the specs (keyed by
+// period). Detector i is trained with an independent seed derived from
+// seed. On failure the error is the first failing spec's, in spec order.
 func TrainPool(specs []hmd.Spec, data map[int]*dataset.MultiWindowData, seed uint64) ([]*hmd.Detector, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no specs to train")
 	}
 	out := make([]*hmd.Detector, len(specs))
-	for i, spec := range specs {
+	err := par.Each(len(specs), func(i int) error {
+		spec := specs[i]
 		mw, ok := data[spec.Period]
 		if !ok {
-			return nil, fmt.Errorf("core: no window data for period %d (spec %s)", spec.Period, spec)
+			return fmt.Errorf("core: no window data for period %d (spec %s)", spec.Period, spec)
 		}
 		d, err := hmd.Train(spec, mw.Get(spec.Kind), seed+uint64(i)*0x9e3779b97f4a7c15)
-		if err != nil {
-			return nil, err
-		}
 		out[i] = d
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -41,13 +41,9 @@ func getFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := map[int]*dataset.MultiWindowData{}
-	for _, period := range []int{1000, 2000} {
-		mw, err := dataset.ExtractWindows(groups[0], period, cfg.TraceLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[period] = mw
+	data, err := dataset.ExtractWindows(groups[0], []int{1000, 2000}, cfg.TraceLen)
+	if err != nil {
+		t.Fatal(err)
 	}
 	specs := PoolSpecs(features.AllKinds(), []int{2000}, "lr")
 	pool, err := TrainPool(specs, data, 1)
@@ -171,6 +167,47 @@ func TestTrainPoolErrors(t *testing.T) {
 	specs := PoolSpecs(features.AllKinds(), []int{999}, "lr")
 	if _, err := TrainPool(specs, f.data, 1); err == nil {
 		t.Fatal("missing period data accepted")
+	}
+	// Detectors train concurrently, but the error is the first failing
+	// spec's in spec order, as a sequential loop would report it.
+	mixed := []hmd.Spec{
+		{Kind: features.Memory, Period: 2000, Algo: "lr"},
+		{Kind: features.Memory, Period: 2000, Algo: "bogus"},
+		{Kind: features.Memory, Period: 999, Algo: "lr"},
+	}
+	if _, err := TrainPool(mixed, f.data, 1); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("error %v, want spec 1's unknown algorithm", err)
+	}
+	mixed[1].Algo = "lr"
+	if _, err := TrainPool(mixed, f.data, 1); err == nil || !strings.Contains(err.Error(), "period 999") {
+		t.Fatalf("error %v, want spec 2's missing period", err)
+	}
+}
+
+// TestTrainPoolSeeds: detector i of a concurrently trained pool is the
+// detector hmd.Train fits alone with seed+i·0x9e3779b97f4a7c15.
+func TestTrainPoolSeeds(t *testing.T) {
+	f := getFixture(t)
+	specs := PoolSpecs(features.AllKinds(), []int{1000, 2000}, "lr")
+	pool, err := TrainPool(specs, f.data, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		d, err := hmd.Train(spec, f.data[spec.Period].Get(spec.Kind), 11+uint64(i)*0x9e3779b97f4a7c15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if err := hmd.Save(&a, pool[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := hmd.Save(&b, d); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("detector %d (%s) differs from a lone hmd.Train", i, spec)
+		}
 	}
 }
 

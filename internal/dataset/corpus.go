@@ -8,10 +8,10 @@ package dataset
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"slices"
 
 	"rhmd/internal/features"
+	"rhmd/internal/par"
 	"rhmd/internal/prog"
 	"rhmd/internal/rng"
 )
@@ -59,26 +59,43 @@ type Corpus struct {
 }
 
 // Build synthesizes the corpus. Program generation is deterministic in
-// Config.Seed.
+// Config.Seed: every program's generation stream and trace seed are
+// drawn from the corpus stream in program order, then the programs are
+// generated in parallel.
 func Build(cfg Config) (*Corpus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	type job struct {
+		fam  *prog.Profile
+		name string
+		gen  *rng.Source
+		seed uint64
+	}
 	r := rng.NewKeyed(cfg.Seed, "corpus")
-	var programs []*prog.Program
+	var jobs []job
 	for _, fam := range prog.AllFamilies() {
 		n := cfg.BenignPerFamily
 		if fam.Malware {
 			n = cfg.MalwarePerFamily
 		}
 		for i := 0; i < n; i++ {
-			name := fmt.Sprintf("%s-%03d", fam.Family, i)
-			p, err := prog.Generate(fam, r.Split(), name, r.Uint64())
-			if err != nil {
-				return nil, fmt.Errorf("dataset: generating %s: %w", name, err)
-			}
-			programs = append(programs, p)
+			gen := r.Split()
+			jobs = append(jobs, job{fam, fmt.Sprintf("%s-%03d", fam.Family, i), gen, r.Uint64()})
 		}
+	}
+	programs := make([]*prog.Program, len(jobs))
+	err := par.Each(len(jobs), func(i int) error {
+		j := jobs[i]
+		p, err := prog.Generate(j.fam, j.gen, j.name, j.seed)
+		if err != nil {
+			return fmt.Errorf("dataset: generating %s: %w", j.name, err)
+		}
+		programs[i] = p
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Corpus{Programs: programs, Config: cfg}, nil
 }
@@ -214,53 +231,59 @@ type MultiWindowData struct {
 // Get returns the dataset for one feature kind.
 func (m *MultiWindowData) Get(k features.Kind) *WindowData { return m.Kinds[k] }
 
-// ExtractWindows traces every program and assembles per-window datasets
-// for all three feature kinds at the given period. Programs are traced
-// in parallel; the row order is deterministic (program order, then
-// window order).
-func ExtractWindows(programs []*prog.Program, period, traceLen int) (*MultiWindowData, error) {
+// ExtractWindows traces every program once and assembles, for each
+// collection period, per-window datasets for all three feature kinds,
+// keyed by period. Programs are traced in parallel; the row order is
+// deterministic (program order, then window order). A period listed
+// twice is extracted once.
+func ExtractWindows(programs []*prog.Program, periods []int, traceLen int) (map[int]*MultiWindowData, error) {
 	if len(programs) == 0 {
 		return nil, fmt.Errorf("dataset: no programs to extract from")
 	}
-	sets := make([]*features.WindowSet, len(programs))
-	errs := make([]error, len(programs))
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range programs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sets[i], errs[i] = features.Extract(programs[i], period, traceLen)
-		}(i)
+	if len(periods) == 0 {
+		return nil, fmt.Errorf("dataset: no periods to extract at")
 	}
-	wg.Wait()
-	for i, err := range errs {
+	var distinct []int
+	for _, p := range periods {
+		if !slices.Contains(distinct, p) {
+			distinct = append(distinct, p)
+		}
+	}
+	sets := make([][]*features.WindowSet, len(programs))
+	err := par.Each(len(programs), func(i int) error {
+		ws, err := features.ExtractPeriods(programs[i], distinct, traceLen)
 		if err != nil {
-			return nil, fmt.Errorf("dataset: extracting %s: %w", programs[i].Name, err)
+			return fmt.Errorf("dataset: extracting %s: %w", programs[i].Name, err)
 		}
+		sets[i] = ws
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	out := &MultiWindowData{Period: period}
-	for _, k := range features.AllKinds() {
-		out.Kinds[k] = &WindowData{Kind: k, Period: period}
-	}
-	for i, ws := range sets {
-		label := 0
-		if programs[i].Label == prog.Malware {
-			label = 1
-		}
+	out := make(map[int]*MultiWindowData, len(distinct))
+	for j, period := range distinct {
+		mw := &MultiWindowData{Period: period}
 		for _, k := range features.AllKinds() {
-			wd := out.Kinds[k]
-			rows := ws.Rows(k)
-			wd.X = append(wd.X, rows...)
-			for range rows {
-				wd.Y = append(wd.Y, label)
-				wd.ProgIdx = append(wd.ProgIdx, i)
+			mw.Kinds[k] = &WindowData{Kind: k, Period: period}
+		}
+		for i, ps := range sets {
+			label := 0
+			if programs[i].Label == prog.Malware {
+				label = 1
+			}
+			for _, k := range features.AllKinds() {
+				wd := mw.Kinds[k]
+				rows := ps[j].Rows(k)
+				wd.X = append(wd.X, rows...)
+				for range rows {
+					wd.Y = append(wd.Y, label)
+					wd.ProgIdx = append(wd.ProgIdx, i)
+				}
 			}
 		}
+		out[period] = mw
 	}
 	return out, nil
 }

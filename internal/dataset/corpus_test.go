@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"rhmd/internal/features"
@@ -122,10 +124,11 @@ func TestSplitDisjoint(t *testing.T) {
 func TestExtractWindows(t *testing.T) {
 	c, _ := Build(smallConfig(5))
 	progs := c.Programs[:6]
-	mw, err := ExtractWindows(progs, 2000, 20_000)
+	mws, err := ExtractWindows(progs, []int{2000}, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mw := mws[2000]
 	wantRows := 6 * 10 // 20K/2K windows each
 	for _, k := range features.AllKinds() {
 		wd := mw.Get(k)
@@ -150,16 +153,16 @@ func TestExtractWindows(t *testing.T) {
 func TestExtractWindowsParallelDeterministic(t *testing.T) {
 	c, _ := Build(smallConfig(6))
 	progs := c.Programs[:8]
-	a, err := ExtractWindows(progs, 2000, 10_000)
+	a, err := ExtractWindows(progs, []int{2000}, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExtractWindows(progs, 2000, 10_000)
+	b, err := ExtractWindows(progs, []int{2000}, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range features.AllKinds() {
-		xa, xb := a.Get(k).X, b.Get(k).X
+		xa, xb := a[2000].Get(k).X, b[2000].Get(k).X
 		for i := range xa {
 			for j := range xa[i] {
 				if xa[i][j] != xb[i][j] {
@@ -171,22 +174,76 @@ func TestExtractWindowsParallelDeterministic(t *testing.T) {
 }
 
 func TestExtractWindowsErrors(t *testing.T) {
-	if _, err := ExtractWindows(nil, 1000, 10000); err == nil {
+	if _, err := ExtractWindows(nil, []int{1000}, 10000); err == nil {
 		t.Fatal("empty program list accepted")
 	}
 	c, _ := Build(smallConfig(7))
-	if _, err := ExtractWindows(c.Programs[:1], 0, 10000); err == nil {
+	if _, err := ExtractWindows(c.Programs[:1], []int{0}, 10000); err == nil {
 		t.Fatal("zero period accepted")
+	}
+	if _, err := ExtractWindows(c.Programs[:1], nil, 10000); err == nil {
+		t.Fatal("empty period list accepted")
+	}
+}
+
+// TestExtractWindowsFirstError: programs are traced in parallel, but the
+// error is the first failing program's in input order, as a sequential
+// loop would report it.
+func TestExtractWindowsFirstError(t *testing.T) {
+	c, _ := Build(smallConfig(7))
+	progs := []*prog.Program{c.Programs[0], {Name: "broken-1"}, c.Programs[1], {Name: "broken-3"}}
+	_, err := ExtractWindows(progs, []int{1000, 2000}, 10_000)
+	if err == nil || !strings.Contains(err.Error(), "broken-1") {
+		t.Fatalf("error %v, want the one for broken-1", err)
+	}
+}
+
+// TestExtractWindowsPeriodsMatchSeparate: one pass at several periods
+// yields, bit for bit, what one pass per period yields; a repeated
+// period is extracted once.
+func TestExtractWindowsPeriodsMatchSeparate(t *testing.T) {
+	c, _ := Build(smallConfig(10))
+	progs := c.Programs[:5]
+	periods := []int{2000, 700, 1000, 2000}
+	all, err := ExtractWindows(progs, periods, 12_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 3 {
+		t.Fatalf("%d periods extracted, want 3", len(all))
+	}
+	for _, period := range periods {
+		one, err := ExtractWindows(progs, []int{period}, 12_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := all[period], one[period]
+		if a.Period != period {
+			t.Fatalf("period %d data carries period %d", period, a.Period)
+		}
+		for _, k := range features.AllKinds() {
+			wa, wb := a.Get(k), b.Get(k)
+			if wa.Period != period || wa.Kind != k || wa.Len() != wb.Len() || !slices.Equal(wa.Y, wb.Y) || !slices.Equal(wa.ProgIdx, wb.ProgIdx) {
+				t.Fatalf("period %d %v: shape or labels differ from a single-period pass", period, k)
+			}
+			for i := range wa.X {
+				for j := range wa.X[i] {
+					if math.Float64bits(wa.X[i][j]) != math.Float64bits(wb.X[i][j]) {
+						t.Fatalf("period %d %v row %d col %d differs from a single-period pass", period, k, i, j)
+					}
+				}
+			}
+		}
 	}
 }
 
 func TestByProgram(t *testing.T) {
 	c, _ := Build(smallConfig(8))
-	mw, err := ExtractWindows(c.Programs[:3], 2000, 10_000)
+	mws, err := ExtractWindows(c.Programs[:3], []int{2000}, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := mw.Get(features.Instructions)
+	wd := mws[2000].Get(features.Instructions)
 	groups := wd.ByProgram()
 	if len(groups) != 3 {
 		t.Fatalf("ByProgram found %d programs", len(groups))

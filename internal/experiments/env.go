@@ -118,7 +118,9 @@ func (e *Env) group(name string) ([]*prog.Program, error) {
 }
 
 // Windows returns (and caches) the window data of a split group at a
-// period.
+// period. Every RHMD pool is trained at both Period and PeriodSmall, so
+// a request for either extracts and caches both in one pass over the
+// group.
 func (e *Env) Windows(group string, period int) (*dataset.MultiWindowData, error) {
 	key := fmt.Sprintf("%s/%d", group, period)
 	e.mu.Lock()
@@ -131,14 +133,23 @@ func (e *Env) Windows(group string, period int) (*dataset.MultiWindowData, error
 	if err != nil {
 		return nil, err
 	}
-	mw, err := dataset.ExtractWindows(programs, period, e.Cfg.TraceLen)
+	periods := []int{period}
+	if period == e.Cfg.Period || period == e.Cfg.PeriodSmall {
+		periods = []int{e.Cfg.PeriodSmall, e.Cfg.Period}
+	}
+	mws, err := dataset.ExtractWindows(programs, periods, e.Cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
-	e.windows[key] = mw
-	e.mu.Unlock()
-	return mw, nil
+	defer e.mu.Unlock()
+	for _, p := range periods {
+		// A concurrent caller may have cached it first; keep one copy.
+		if k := fmt.Sprintf("%s/%d", group, p); e.windows[k] == nil {
+			e.windows[k] = mws[p]
+		}
+	}
+	return e.windows[key], nil
 }
 
 // Victim returns (and caches) a detector trained on the victim split.

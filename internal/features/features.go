@@ -142,10 +142,65 @@ type WindowSet struct {
 // Rows returns the feature matrix for one kind.
 func (w *WindowSet) Rows(k Kind) [][]float64 { return w.Vectors[k] }
 
-// extractor implements trace.Sink, accumulating all three feature
-// families per window over a shared µarch pipeline. nextLen yields the
-// length of each successive window, allowing both fixed-period and
-// scheduled (randomized-period) extraction.
+// counts are the raw event tallies of one stretch of a trace. Each
+// tally is a whole number held in a float64, so the tallies of
+// consecutive stretches add up exactly.
+type counts struct {
+	ops     [isa.NumOps]float64
+	mem     [MemBins]float64
+	memRefs float64
+	arch    [ArchDim]float64
+}
+
+// add folds o's tallies into c.
+func (c *counts) add(o *counts) {
+	for i := range c.ops {
+		c.ops[i] += o.ops[i]
+	}
+	for i := range c.mem {
+		c.mem[i] += o.mem[i]
+	}
+	c.memRefs += o.memRefs
+	for i := range c.arch {
+		c.arch[i] += o.arch[i]
+	}
+}
+
+// appendRow normalizes the tallies of the window [start, end) into one
+// feature row per kind: instruction frequencies and architectural
+// events by window length, memory bins by the number of references (a
+// distribution).
+func (w *WindowSet) appendRow(c *counts, start, end int) {
+	n := float64(end - start)
+
+	iv := make([]float64, isa.NumOps)
+	for i := range iv {
+		iv[i] = c.ops[i] / n
+	}
+	mv := make([]float64, MemBins)
+	if c.memRefs > 0 {
+		for i := range mv {
+			mv[i] = c.mem[i] / c.memRefs
+		}
+	}
+	av := make([]float64, ArchDim)
+	for i := range av {
+		av[i] = c.arch[i] / n
+	}
+
+	w.Vectors[Instructions] = append(w.Vectors[Instructions], iv)
+	w.Vectors[Memory] = append(w.Vectors[Memory], mv)
+	w.Vectors[Architectural] = append(w.Vectors[Architectural], av)
+	w.Bounds = append(w.Bounds, [2]int{start, end})
+	w.Windows++
+}
+
+// extractor implements trace.Sink. It runs the shared µarch pipeline
+// once per event and tallies the event into the open block; nextLen
+// yields the length of each successive block. Without periods every
+// block is one window of out (scheduled extraction). With periods,
+// blocks end at every period's window boundaries and each block is
+// folded into every period's open window, so one pass serves them all.
 type extractor struct {
 	nextLen func() int
 	pipe    *uarch.Pipeline
@@ -154,26 +209,31 @@ type extractor struct {
 	start    int
 	total    int
 	count    int
-	opCounts [isa.NumOps]float64
-	memHist  [MemBins]float64
-	memRefs  float64
-	arch     [ArchDim]float64
+	block    counts
 	lastAddr uint64
 	haveAddr bool
 
-	out WindowSet
+	out     WindowSet
+	periods []*periodWindows
+}
+
+// periodWindows assembles one collection period's windows from blocks.
+type periodWindows struct {
+	start int    // trace position where the open window began
+	sum   counts // tallies of the blocks folded into the open window
+	set   WindowSet
 }
 
 // Event implements trace.Sink.
 func (x *extractor) Event(e *trace.Event) {
 	o := x.pipe.Process(e)
 
-	x.opCounts[e.Op]++
+	x.block.ops[e.Op]++
 
 	if o.IsMem {
-		x.memRefs++
+		x.block.memRefs++
 		if x.haveAddr {
-			x.memHist[deltaBin(x.lastAddr, e.Addr)]++
+			x.block.mem[deltaBin(x.lastAddr, e.Addr)]++
 		}
 		x.lastAddr = e.Addr
 		x.haveAddr = true
@@ -181,40 +241,40 @@ func (x *extractor) Event(e *trace.Event) {
 
 	switch {
 	case o.IsBranch:
-		x.arch[ArchBranches]++
+		x.block.arch[ArchBranches]++
 		if o.Taken {
-			x.arch[ArchTakenBranches]++
+			x.block.arch[ArchTakenBranches]++
 		}
 		if o.Mispredict {
-			x.arch[ArchMispredicts]++
+			x.block.arch[ArchMispredicts]++
 		}
 	}
 	if o.IsMem {
 		if o.L1Miss {
-			x.arch[ArchL1Misses]++
+			x.block.arch[ArchL1Misses]++
 		}
 		if o.L2Miss {
-			x.arch[ArchL2Misses]++
+			x.block.arch[ArchL2Misses]++
 		}
 		if o.Unaligned {
-			x.arch[ArchUnaligned]++
+			x.block.arch[ArchUnaligned]++
 		}
 	}
 	if e.Op.IsLoad() {
-		x.arch[ArchLoads]++
+		x.block.arch[ArchLoads]++
 	}
 	if e.Op.IsStore() {
-		x.arch[ArchStores]++
+		x.block.arch[ArchStores]++
 	}
 	switch e.Op.Class() {
 	case isa.ClassCall:
-		x.arch[ArchCalls]++
+		x.block.arch[ArchCalls]++
 	case isa.ClassRet:
-		x.arch[ArchReturns]++
+		x.block.arch[ArchReturns]++
 	case isa.ClassSystem:
-		x.arch[ArchSyscalls]++
+		x.block.arch[ArchSyscalls]++
 	case isa.ClassStack:
-		x.arch[ArchStackOps]++
+		x.block.arch[ArchStackOps]++
 	}
 
 	x.count++
@@ -243,41 +303,37 @@ func deltaBin(prev, cur uint64) int {
 	return b
 }
 
-// flush normalizes the window accumulators into feature rows and resets
-// them. Instruction frequencies are normalized by window length, memory
-// bins by the number of references (a distribution), architectural
-// events by window length.
+// flush closes the block: it becomes a window of out, or is folded into
+// every period's open window, closing those that reach their period.
 func (x *extractor) flush() {
-	n := float64(x.count)
-
-	iv := make([]float64, isa.NumOps)
-	for i := range iv {
-		iv[i] = x.opCounts[i] / n
+	if x.periods == nil {
+		x.out.appendRow(&x.block, x.start, x.total)
 	}
-	mv := make([]float64, MemBins)
-	if x.memRefs > 0 {
-		for i := range mv {
-			mv[i] = x.memHist[i] / x.memRefs
+	for _, w := range x.periods {
+		w.sum.add(&x.block)
+		if x.total-w.start == w.set.Period {
+			w.set.appendRow(&w.sum, w.start, x.total)
+			w.sum = counts{}
+			w.start = x.total
 		}
 	}
-	av := make([]float64, ArchDim)
-	for i := range av {
-		av[i] = x.arch[i] / n
-	}
-
-	x.out.Vectors[Instructions] = append(x.out.Vectors[Instructions], iv)
-	x.out.Vectors[Memory] = append(x.out.Vectors[Memory], mv)
-	x.out.Vectors[Architectural] = append(x.out.Vectors[Architectural], av)
-	x.out.Bounds = append(x.out.Bounds, [2]int{x.start, x.total})
-	x.out.Windows++
 
 	x.start = x.total
 	x.count = 0
 	x.curLen = x.nextLen()
-	x.opCounts = [isa.NumOps]float64{}
-	x.memHist = [MemBins]float64{}
-	x.memRefs = 0
-	x.arch = [ArchDim]float64{}
+	x.block = counts{}
+}
+
+// nextBoundary is the block length that reaches the nearest end of an
+// open period window.
+func (x *extractor) nextBoundary() int {
+	next := -1
+	for _, w := range x.periods {
+		if n := w.start + w.set.Period - x.total; next < 0 || n < next {
+			next = n
+		}
+	}
+	return next
 }
 
 // Extract traces p for maxInstr committed instructions and returns the
@@ -285,25 +341,44 @@ func (x *extractor) flush() {
 // trailing windows are discarded, as a hardware implementation flushing
 // at period boundaries would.
 func Extract(p *prog.Program, period, maxInstr int) (*WindowSet, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("features: period must be positive, got %d", period)
+	sets, err := ExtractPeriods(p, []int{period}, maxInstr)
+	if err != nil {
+		return nil, err
 	}
-	if maxInstr < period {
-		return nil, fmt.Errorf("features: trace budget %d below period %d", maxInstr, period)
+	return sets[0], nil
+}
+
+// ExtractPeriods is Extract at several collection periods from one
+// trace and one µarch pipeline: sets[i] holds the windows at
+// periods[i], bit for bit what a trace at that period alone yields.
+func ExtractPeriods(p *prog.Program, periods []int, maxInstr int) ([]*WindowSet, error) {
+	if len(periods) == 0 {
+		return nil, fmt.Errorf("features: no periods to extract")
 	}
-	x := &extractor{
-		nextLen: func() int { return period },
-		curLen:  period,
-		pipe:    uarch.NewDefaultPipeline(),
+	wins := make([]*periodWindows, len(periods))
+	for i, period := range periods {
+		if period <= 0 {
+			return nil, fmt.Errorf("features: period must be positive, got %d", period)
+		}
+		if maxInstr < period {
+			return nil, fmt.Errorf("features: trace budget %d below period %d", maxInstr, period)
+		}
+		wins[i] = &periodWindows{set: WindowSet{Period: period}}
 	}
-	x.out.Period = period
+	x := &extractor{pipe: uarch.NewDefaultPipeline(), periods: wins}
+	x.nextLen = x.nextBoundary
+	x.curLen = x.nextBoundary()
 	if _, err := trace.Exec(p, trace.Config{MaxInstructions: maxInstr}, x); err != nil {
 		return nil, err
 	}
-	if x.out.Windows == 0 {
-		return nil, fmt.Errorf("features: trace of %q produced no complete windows", p.Name)
+	sets := make([]*WindowSet, len(periods))
+	for i, w := range x.periods {
+		if w.set.Windows == 0 {
+			return nil, fmt.Errorf("features: trace of %q produced no complete windows", p.Name)
+		}
+		sets[i] = &w.set
 	}
-	return &x.out, nil
+	return sets, nil
 }
 
 // ExtractScheduled traces p with a caller-supplied window schedule: next

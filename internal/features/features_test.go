@@ -135,6 +135,49 @@ func TestExtractErrors(t *testing.T) {
 	}
 }
 
+// TestExtractPeriodsMatchesExtract: one trace at several periods —
+// including periods that do not divide each other and a budget that
+// ends mid-window — yields exactly the bounds and feature bits of one
+// Extract per period.
+func TestExtractPeriodsMatchesExtract(t *testing.T) {
+	p := genProgram(t, 4, 61)
+	periods := []int{1500, 700, 2000, 1000, 700}
+	sets, err := ExtractPeriods(p, periods, 20_500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, period := range periods {
+		want, err := Extract(p, period, 20_500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sets[i]
+		if got.Period != period || got.Windows != want.Windows || len(got.Bounds) != len(want.Bounds) {
+			t.Fatalf("period %d: %d windows (period %d), want %d", period, got.Windows, got.Period, want.Windows)
+		}
+		for w := range want.Bounds {
+			if got.Bounds[w] != want.Bounds[w] {
+				t.Fatalf("period %d window %d bounds %v, want %v", period, w, got.Bounds[w], want.Bounds[w])
+			}
+		}
+		for k := range want.Vectors {
+			for w := range want.Vectors[k] {
+				for j, v := range want.Vectors[k][w] {
+					if math.Float64bits(got.Vectors[k][w][j]) != math.Float64bits(v) {
+						t.Fatalf("period %d kind %d window %d col %d differs", period, k, w, j)
+					}
+				}
+			}
+		}
+	}
+	if _, err := ExtractPeriods(p, nil, 1000); err == nil {
+		t.Fatal("empty period list accepted")
+	}
+	if _, err := ExtractPeriods(p, []int{1000, 0}, 1000); err == nil {
+		t.Fatal("zero period accepted")
+	}
+}
+
 func TestFamiliesProduceDifferentMixes(t *testing.T) {
 	// compute (ALU/FP heavy) and keylogger (system heavy) must be far
 	// apart in instruction-mix space.

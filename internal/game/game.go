@@ -89,11 +89,11 @@ func split(programs []*prog.Program) (benign, malware []*prog.Program) {
 
 // windowsOf extracts one kind's window dataset for a program list.
 func windowsOf(programs []*prog.Program, kind features.Kind, period, traceLen int) (*dataset.WindowData, error) {
-	mw, err := dataset.ExtractWindows(programs, period, traceLen)
+	mws, err := dataset.ExtractWindows(programs, []int{period}, traceLen)
 	if err != nil {
 		return nil, err
 	}
-	return mw.Get(kind), nil
+	return mws[period].Get(kind), nil
 }
 
 // concat merges window datasets (labels and rows only; ProgIdx loses

@@ -7,6 +7,7 @@ import (
 	"rhmd/internal/core"
 	"rhmd/internal/dataset"
 	"rhmd/internal/hmd"
+	"rhmd/internal/par"
 	"rhmd/internal/prog"
 )
 
@@ -52,31 +53,38 @@ func RetrainPool(base *core.RHMD, corpus []*prog.Program, traceLen int, cfg Conf
 			traceLen, maxPeriod)
 	}
 
-	// One window extraction per distinct period; detectors of the same
-	// period share it regardless of feature kind (MultiWindowData holds
-	// every kind).
-	data := map[int]*dataset.MultiWindowData{}
-	for _, d := range base.Detectors {
-		if _, ok := data[d.Spec.Period]; ok {
-			continue
-		}
-		mw, err := dataset.ExtractWindows(corpus, d.Spec.Period, traceLen)
-		if err != nil {
-			return nil, fmt.Errorf("game: extracting replay windows at period %d: %w", d.Spec.Period, err)
-		}
-		data[d.Spec.Period] = mw
+	// One pass over the corpus extracts every period the pool uses;
+	// detectors of the same period share it regardless of feature kind
+	// (MultiWindowData holds every kind).
+	periods := make([]int, len(base.Detectors))
+	for i, d := range base.Detectors {
+		periods[i] = d.Spec.Period
+	}
+	data, err := dataset.ExtractWindows(corpus, periods, traceLen)
+	if err != nil {
+		return nil, fmt.Errorf("game: extracting replay windows: %w", err)
 	}
 
-	// Per-detector training seeds come off the injected stream, so the
-	// whole round is a pure function of (base, corpus, cfg).
+	// Per-detector training seeds come off the injected stream in
+	// detector order, so the whole round is a pure function of (base,
+	// corpus, cfg); the detectors then train concurrently.
 	r := cfg.stream("game-retrain-pool")
+	seeds := make([]uint64, len(base.Detectors))
+	for i := range seeds {
+		seeds[i] = r.Uint64()
+	}
 	newDets := make([]*hmd.Detector, len(base.Detectors))
-	for i, d := range base.Detectors {
-		nd, err := hmd.Train(d.Spec, data[d.Spec.Period].Get(d.Spec.Kind), r.Uint64())
+	err = par.Each(len(base.Detectors), func(i int) error {
+		d := base.Detectors[i]
+		nd, err := hmd.Train(d.Spec, data[d.Spec.Period].Get(d.Spec.Kind), seeds[i])
 		if err != nil {
-			return nil, fmt.Errorf("game: retraining detector %d (%s): %w", i, d.Spec, err)
+			return fmt.Errorf("game: retraining detector %d (%s): %w", i, d.Spec, err)
 		}
 		newDets[i] = nd
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	pool, err := core.NewWeighted(newDets, base.Probs, base.Key)

@@ -1,12 +1,14 @@
 package game
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"rhmd/internal/core"
 	"rhmd/internal/dataset"
 	"rhmd/internal/features"
+	"rhmd/internal/hmd"
 	"rhmd/internal/prog"
 	"rhmd/internal/rng"
 )
@@ -16,12 +18,12 @@ import (
 func basePool(t testing.TB) *core.RHMD {
 	t.Helper()
 	f := getFixture(t)
-	mw, err := dataset.ExtractWindows(f.train, 2000, f.traceLen)
+	data, err := dataset.ExtractWindows(f.train, []int{2000}, f.traceLen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := core.PoolSpecs(features.AllKinds(), []int{2000}, "lr")
-	pool, err := core.TrainPool(specs, map[int]*dataset.MultiWindowData{2000: mw}, 3)
+	pool, err := core.TrainPool(specs, data, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,5 +142,28 @@ func TestRetrainPoolValidation(t *testing.T) {
 	}
 	if _, err := RetrainPool(base, f.test, 1999, Config{}); err == nil {
 		t.Fatal("RetrainPool accepted a trace shorter than the largest period")
+	}
+}
+
+// TestRetrainPoolFirstError: detectors retrain concurrently, but a
+// failing round reports the first failing detector in pool order.
+func TestRetrainPoolFirstError(t *testing.T) {
+	f := getFixture(t)
+	base := basePool(t)
+	dets := make([]*hmd.Detector, base.Size())
+	for i, d := range base.Detectors {
+		c := *d
+		if i > 0 {
+			c.Spec.Algo = "bogus"
+		}
+		dets[i] = &c
+	}
+	broken, err := core.New(dets, base.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RetrainPool(broken, f.test, f.traceLen, Config{Seed: 9})
+	if err == nil || !strings.Contains(err.Error(), "retraining detector 1 ") {
+		t.Fatalf("error %v, want detector 1's", err)
 	}
 }

@@ -23,12 +23,12 @@ func env(t testing.TB) (*dataset.Corpus, *dataset.MultiWindowData) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mw, err := dataset.ExtractWindows(c.Programs, 2000, cfg.TraceLen)
+		mws, err := dataset.ExtractWindows(c.Programs, []int{2000}, cfg.TraceLen)
 		if err != nil {
 			t.Fatal(err)
 		}
 		testEnv.corpus = c
-		testEnv.wins = mw
+		testEnv.wins = mws[2000]
 	}
 	return testEnv.corpus, testEnv.wins
 }
@@ -60,20 +60,20 @@ func TestDetectorGeneralizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainW, err := dataset.ExtractWindows(groups[0], 2000, 60_000)
+	trainW, err := dataset.ExtractWindows(groups[0], []int{2000}, 60_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	testW, err := dataset.ExtractWindows(groups[1], 2000, 60_000)
+	testW, err := dataset.ExtractWindows(groups[1], []int{2000}, 60_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := Spec{Kind: features.Instructions, Period: 2000, Algo: "lr"}
-	d, err := Train(spec, trainW.Get(features.Instructions), 1)
+	d, err := Train(spec, trainW[2000].Get(features.Instructions), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := d.Evaluate(testW.Get(features.Instructions))
+	ev, err := d.Evaluate(testW[2000].Get(features.Instructions))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -138,29 +140,57 @@ func AUC(scores []float64, y []int) float64 {
 // point on the ROC which maximizes the accuracy ... the HMD
 // classification threshold will be typically set to perform at or near
 // this optimal point" (§4).
+//
+// The candidates are every midpoint between adjacent distinct scores
+// plus one threshold below and one above them all, tried in ascending
+// order; the first with the highest accuracy wins. One sort of the
+// scores serves every candidate: the windows scoring ≥ t are a suffix
+// of it, found by binary search.
 func BestThreshold(scores []float64, y []int) (threshold, accuracy float64) {
-	if len(scores) == 0 {
+	n := len(scores)
+	if n == 0 {
 		return 0.5, 0
 	}
-	cands := append([]float64{}, scores...)
-	sort.Float64s(cands)
+	type scored struct {
+		s   float64
+		pos bool
+	}
+	rows := make([]scored, n)
+	for i, s := range scores {
+		rows[i] = scored{s, y[i] == 1}
+	}
+	// cmp.Compare orders exactly as sort.Float64s does (NaNs first), so
+	// ties keep the order the candidates have always been drawn in.
+	slices.SortFunc(rows, func(a, b scored) int { return cmp.Compare(a.s, b.s) })
+	// posFrom[k] counts the positives among rows[k:].
+	posFrom := make([]int, n+1)
+	for k := n - 1; k >= 0; k-- {
+		posFrom[k] = posFrom[k+1]
+		if rows[k].pos {
+			posFrom[k]++
+		}
+	}
+	neg := n - posFrom[0]
 	best := 0.5
 	bestAcc := -1.0
 	try := func(t float64) {
-		c := ConfusionAt(scores, y, t)
-		if a := c.Accuracy(); a > bestAcc {
+		// NaN scores sort first and are never ≥ t; a NaN t admits none.
+		k := sort.Search(n, func(i int) bool { return rows[i].s >= t })
+		tp := posFrom[k]
+		fp := n - k - tp
+		if a := float64(tp+neg-fp) / float64(n); a > bestAcc {
 			bestAcc, best = a, t
 		}
 	}
-	try(cands[0] - 1e-9)
-	for i := 0; i < len(cands); i++ {
-		if i+1 < len(cands) && cands[i] == cands[i+1] {
+	try(rows[0].s - 1e-9)
+	for i := 0; i < n; i++ {
+		if i+1 < n && rows[i].s == rows[i+1].s {
 			continue
 		}
-		if i+1 < len(cands) {
-			try((cands[i] + cands[i+1]) / 2)
+		if i+1 < n {
+			try((rows[i].s + rows[i+1].s) / 2)
 		} else {
-			try(cands[i] + 1e-9)
+			try(rows[i].s + 1e-9)
 		}
 	}
 	return best, bestAcc

@@ -165,7 +165,13 @@ func TestRestoreAfterStartRejected(t *testing.T) {
 	dir := t.TempDir()
 	e := durableEngine(t, dir, 0xCCCC, nil)
 	e.Start(context.Background())
-	defer e.Close()
+	// Drain before returning: the final snapshot is written into dir,
+	// and t.TempDir's cleanup must not race it.
+	defer func() {
+		e.Close()
+		for range e.Results() {
+		}
+	}()
 	if _, err := e.Restore(); err == nil {
 		t.Fatal("Restore after Start must be rejected")
 	}

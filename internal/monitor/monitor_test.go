@@ -37,13 +37,9 @@ func getFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	periods := []int{1000, 2000}
-	data := map[int]*dataset.MultiWindowData{}
-	for _, p := range periods {
-		mw, err := dataset.ExtractWindows(groups[0], p, cfg.TraceLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[p] = mw
+	data, err := dataset.ExtractWindows(groups[0], periods, cfg.TraceLen)
+	if err != nil {
+		t.Fatal(err)
 	}
 	specs := core.PoolSpecs(features.AllKinds(), periods, "lr")
 	pool, err := core.TrainPool(specs, data, 1)
