@@ -49,12 +49,15 @@ benchjson:
 	$(GO) run ./cmd/rhmd-benchrunner -scenario steady -out results -baseline BENCH_baseline.json
 	$(GO) run ./cmd/rhmd-benchrunner -scenario burst,hotkey,breaker-storm -out results
 
-# End-to-end smoke for verdict span tracing: boot rhmd-monitor with
-# -metrics-addr (which alone turns the span recorder on) and -trace-out,
-# scrape /traces, and fail unless the kept set is non-empty, the
-# sampler's kept counter agrees, and the -trace-out file holds the same
-# trace IDs. CI runs this in the bench job so the tracing pipeline stays
-# wired, not just unit-tested.
+# End-to-end smoke for verdict span tracing and the fleet's metrics:
+# boot rhmd-monitor with -metrics-addr (which alone turns the span
+# recorder on) and -trace-out, scrape /traces, /metrics and /fleet, and
+# fail unless the kept set is non-empty, the sampler's kept counter
+# agrees, the -trace-out file holds the same trace IDs, and every shard
+# has verdict latencies on /metrics and a row on /fleet. It runs once at
+# one shard and once with -shards 2 over a checkpoint root. CI runs
+# this in the bench job so the pipeline stays wired, not just
+# unit-tested.
 trace-smoke:
 	./scripts/trace_smoke.sh
 

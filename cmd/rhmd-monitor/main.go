@@ -1,7 +1,8 @@
 // Command rhmd-monitor runs the online monitoring engine: it trains an
-// RHMD pool, streams a generated corpus through internal/monitor under
-// optionally injected faults, and prints a survival report — per-
-// detector health, quarantine/restore activity, and end-to-end window
+// RHMD pool, streams a generated corpus through a fleet of
+// internal/monitor engine shards under optionally injected faults, and
+// prints a survival report — per-shard supervision state, per-detector
+// health, quarantine/restore activity, and end-to-end window
 // accounting.
 //
 // Usage:
@@ -12,21 +13,22 @@
 //	rhmd-monitor -metrics-addr :9090 -snapshot-every 2s
 //	rhmd-monitor -trace-out traces.json -json       # machine-readable
 //	rhmd-monitor -slow-ms 20 -exemplars -metrics-addr :9090
-//	rhmd-monitor -shards 3 -shard-checkpoint-dir /var/rhmd   # sharded fleet
-//	rhmd-monitor -shards 3 -chaos 0:crash-at-byte:4096       # kill-a-shard drill
+//	rhmd-monitor -shards 3 -checkpoint-dir /var/rhmd    # durable 3-shard fleet
+//	rhmd-monitor -shards 3 -chaos 0:crash-at-byte:4096  # kill-a-shard drill
 //
-// With -shards > 1 the monitor runs as a fleet: N independent engine
-// shards behind a consistent-hash router keyed on program name, each
-// with its own queue, workers, breakers and (with
-// -shard-checkpoint-dir) its own snapshot+WAL directory. A supervisor
-// restarts dead shards from their own checkpoints while siblings keep
-// serving; -chaos scripts deterministic shard deaths, and the fleet
-// health JSON is served on /fleet next to /metrics.
+// The monitor always serves through internal/fleet: -shards N (default
+// 1) independent engine shards behind a consistent-hash router keyed on
+// program name, each with its own queue, workers, breakers and (with
+// -checkpoint-dir) its own snapshot+WAL directory, shard i under
+// <dir>/shard-i. A supervisor restarts dead shards from their own
+// checkpoints while siblings keep serving; -chaos scripts
+// deterministic shard deaths.
 //
 // With -metrics-addr set, the monitor serves live introspection while it
 // runs: Prometheus/OpenMetrics metrics on /metrics (format negotiated
-// from the Accept header), kept per-verdict span traces on /traces, and
-// net/http/pprof on /debug/pprof/.
+// from the Accept header; every shard engine's series carries a shard
+// label), the fleet health JSON on /fleet, kept per-verdict span traces
+// on /traces, and net/http/pprof on /debug/pprof/.
 //
 // Kept span traces are the monitor's one event stream. Whenever
 // something reads them (-metrics-addr, -trace-out, -checkpoint-dir's
@@ -57,6 +59,7 @@ import (
 	"rhmd/internal/dataset"
 	"rhmd/internal/driftguard"
 	"rhmd/internal/features"
+	"rhmd/internal/fleet"
 	"rhmd/internal/monitor"
 	"rhmd/internal/obs"
 	"rhmd/internal/obs/incident"
@@ -79,16 +82,15 @@ func main() {
 	until := flag.String("until", "", "recovery points as det:N pairs, e.g. 4:30 (detector heals after N faulted windows)")
 	rate := flag.Float64("rate", 1.0, "total fault rate per faulty detector, split across its modes")
 	verbose := flag.Bool("v", false, "print one line per monitored program")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address while running (e.g. :9090)")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /fleet, /traces and /debug/pprof on this address while running (e.g. :9090)")
 	traceOut := flag.String("trace-out", "", "write the kept verdict traces (the JSON array /traces serves) to this file after the run (- for stdout)")
 	snapshotEvery := flag.Duration("snapshot-every", 0, "log a one-line stats snapshot to stderr at this interval (0 = off)")
 	jsonOut := flag.Bool("json", false, "print the survival report as JSON instead of text")
-	ckptDir := flag.String("checkpoint-dir", "", "durable checkpoint directory: verdicts are write-ahead-logged, snapshots taken periodically, and a previous run's state is restored on start")
+	ckptDir := flag.String("checkpoint-dir", "", "durable checkpoint root: shard i write-ahead-logs its verdicts and snapshots under <dir>/shard-i, withholds any verdict it could not log, and restores a previous run's state on start")
 	ckptEvery := flag.Duration("checkpoint-every", 2*time.Second, "periodic snapshot interval (with -checkpoint-dir)")
-	shards := flag.Int("shards", 1, "shard the monitor into N independent failure domains behind a consistent-hash router (1 = the plain single engine)")
-	shardCkptDir := flag.String("shard-checkpoint-dir", "", "fleet durability root: shard i checkpoints under <dir>/shard-i and restarts restore from it (requires -shards > 1)")
-	chaosScript := flag.String("chaos", "", "deterministic kill-a-shard script, e.g. '0:crash-at-byte:4096,1:wedge:25,2:panic:10' (requires -shards > 1)")
-	wedgeTimeout := flag.Duration("wedge-timeout", 2*time.Second, "how long a shard may hold a backlog with zero window progress before the supervisor restarts it (with -shards > 1)")
+	shards := flag.Int("shards", 1, "shard the monitor into N independent failure domains behind a consistent-hash router")
+	chaosScript := flag.String("chaos", "", "deterministic kill-a-shard script, e.g. '0:crash-at-byte:4096,1:wedge:25,2:panic:10'")
+	wedgeTimeout := flag.Duration("wedge-timeout", 2*time.Second, "how long a shard may hold a backlog with zero window progress before the supervisor restarts it")
 	slowMs := flag.Int("slow-ms", 50, "verdicts slower than this are always kept by the tail sampler")
 	keepEvery := flag.Int("keep-every", 128, "keep every N-th verdict trace as a healthy baseline; 1 keeps all, -1 disables the baseline")
 	exemplars := flag.Bool("exemplars", false, "attach kept-trace IDs to latency histograms as OpenMetrics exemplars")
@@ -136,9 +138,9 @@ func main() {
 	injector, err := parseInjector(*inject, *until, *rate, *deadline, *seed, len(pool))
 	check(err)
 
-	// The engine's registry is built here (instead of engine-private) so
-	// the span recorder's kept/dropped counters land beside the engine's
-	// own instruments on the same /metrics scrape.
+	// The fleet registry is built here so the span recorder's
+	// kept/dropped counters land beside the shard engines' instruments
+	// on the same /metrics scrape.
 	reg := obs.NewRegistry()
 	// Build provenance and process start/uptime land on the same scrape
 	// as the engine instruments, so a dashboard can pin every latency
@@ -155,8 +157,8 @@ func main() {
 		}, reg)
 		check(err)
 	}
-	// Live drift guard: the evade/retrain loop over whichever serving
-	// surface (engine or fleet) runs below. The archive is opened first
+	// Live drift guard: the evade/retrain loop over the fleet below,
+	// swapping every shard's pool. The archive is opened first
 	// so checkpoint restore can resolve pool-swap WAL entries, and the
 	// base pool is archived up front — every generation that ever
 	// serves must be re-materializable after a crash.
@@ -185,111 +187,29 @@ func main() {
 		},
 	}
 
-	// Fleet mode: N independent engine shards behind a consistent-hash
-	// router, with shard supervision and per-shard durability. The
-	// single-engine path below stays exactly as it was for -shards 1.
 	script, err := monitor.ParseShardScript(*chaosScript)
 	check(err)
-	if *shards <= 1 {
-		if *shardCkptDir != "" {
-			check(fmt.Errorf("-shard-checkpoint-dir needs -shards > 1; the single engine checkpoints under -checkpoint-dir"))
-		}
-		if script != nil {
-			check(fmt.Errorf("-chaos needs -shards > 1 (shard fault scripts target fleet shards)"))
-		}
-	} else {
-		if *ckptDir != "" {
-			check(fmt.Errorf("-checkpoint-dir is the single-engine store; with -shards > 1 use -shard-checkpoint-dir (shard i stores under shard-<i>/)"))
-		}
-		if script != nil {
-			for _, sf := range script.Faults {
-				if sf.Shard < 0 || sf.Shard >= *shards {
-					check(fmt.Errorf("-chaos targets shard %d, but -shards is %d", sf.Shard, *shards))
-				}
+	if script != nil {
+		for _, sf := range script.Faults {
+			if sf.Shard < 0 || sf.Shard >= *shards {
+				check(fmt.Errorf("-chaos targets shard %d, but -shards is %d", sf.Shard, *shards))
 			}
 		}
-		check(runFleet(fleetOptions{
-			rhmd:    r,
-			stream:  stream,
-			shards:  *shards,
-			ckptDir: *shardCkptDir,
-			script:  script,
-			wedge:   *wedgeTimeout,
-			engine: monitor.Config{
-				Workers:         *workers,
-				QueueDepth:      *queue,
-				TraceLen:        *traceLen,
-				WindowDeadline:  *deadline,
-				ProbeAfter:      *probeAfter,
-				Injector:        injector,
-				Spans:           spans,
-				Exemplars:       *exemplars,
-				CheckpointEvery: *ckptEvery,
-				ResolvePool:     resolvePool,
-			},
-			drift:         *drift,
-			driftCfg:      driftCfg,
-			sloOn:         *sloOn,
-			sloConfig:     *sloConfig,
-			burnFast:      *burnFast,
-			burnSlow:      *burnSlow,
-			incidentDir:   *incidentDir,
-			slowVerdict:   time.Duration(*slowMs) * time.Millisecond,
-			metrics:       reg,
-			spans:         spans,
-			metricsAddr:   *metricsAddr,
-			hold:          *hold,
-			snapshotEvery: *snapshotEvery,
-			verbose:       *verbose,
-			jsonOut:       *jsonOut,
-			traceOut:      *traceOut,
-			info:          info,
-		}))
-		return
 	}
-
-	var store *checkpoint.Store
 	if *ckptDir != "" {
-		store, err = checkpoint.Open(*ckptDir, checkpoint.Options{})
-		check(err)
-		defer store.Close()
 		// Black-box recorder: if anything below panics or fails fatally,
 		// the kept traces are flushed next to the checkpoints first.
 		defer checkpoint.RecoverDump(*ckptDir, spans)
 		dir := *ckptDir
 		onFatal = func() { checkpoint.DumpTrace(dir, spans) }
 	}
-	e, err := monitor.New(r, monitor.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		TraceLen:        *traceLen,
-		WindowDeadline:  *deadline,
-		ProbeAfter:      *probeAfter,
-		Injector:        injector,
-		Metrics:         reg,
-		Spans:           spans,
-		Exemplars:       *exemplars,
-		Checkpoint:      store,
-		CheckpointEvery: *ckptEvery,
-		ResolvePool:     resolvePool,
-	})
-	check(err)
 
-	if store != nil {
-		restored, err := e.Restore()
-		check(err)
-		if restored != nil {
-			st := e.Stats()
-			fmt.Fprintf(info, "restored checkpoint gen %d (%d WAL entries replayed, %d corrupt generations skipped): %d programs, %d windows, pool epoch %d\n",
-				restored.Gen, restored.Replayed, restored.Fallbacks,
-				st.ProgramsProcessed+st.ProgramsFailed, st.Windows, st.PoolEpoch)
-		}
-	}
-
-	// SLO engine + incident flight recorder (both flag-gated). Built
-	// before the drift guard so its rollback hook can target the
-	// recorder; the guard is handed to the recorder through an atomic
-	// pointer because captures run on other goroutines.
+	// SLO engine + incident recorder first (both flag-gated): the fleet
+	// config wants the shard-death hook and the drift config the
+	// rollback hook, so both reference the recorder before their owners
+	// exist. The fleet and guard flow back to the recorder through
+	// atomic pointers (captures run on supervisor/alert goroutines).
+	var flPtr atomic.Pointer[fleet.Fleet]
 	var guardPtr atomic.Pointer[driftguard.Guard]
 	sloW, err := buildSLO(sloParams{
 		enabled:     *sloOn,
@@ -297,7 +217,7 @@ func main() {
 		burnFast:    *burnFast,
 		burnSlow:    *burnSlow,
 		incidentDir: *incidentDir,
-		objectives:  slo.DefaultObjectives(time.Duration(*slowMs) * time.Millisecond),
+		objectives:  slo.FleetObjectives(time.Duration(*slowMs)*time.Millisecond, *shards, 0),
 		reg:         reg,
 		spans:       spans,
 		drift: func() any {
@@ -308,15 +228,55 @@ func main() {
 			st := g.Status()
 			return &st
 		},
+		fleet: func() any {
+			f := flPtr.Load()
+			if f == nil {
+				return nil
+			}
+			return f.Stats()
+		},
 	})
 	check(err)
-	defer sloW.shutdown()
-	if sloW.rec != nil {
-		rec := sloW.rec
-		driftCfg.OnRollback = func(detail string) {
-			if _, err := rec.Trigger(incident.Cause{Kind: "drift-rollback", Detail: detail}); err != nil && err != incident.ErrSuppressed {
+
+	fcfg := fleet.Config{
+		Shards:        *shards,
+		CheckpointDir: *ckptDir,
+		Engine: monitor.Config{
+			Workers:         *workers,
+			QueueDepth:      *queue,
+			TraceLen:        *traceLen,
+			WindowDeadline:  *deadline,
+			ProbeAfter:      *probeAfter,
+			Injector:        injector,
+			Spans:           spans,
+			Exemplars:       *exemplars,
+			CheckpointEvery: *ckptEvery,
+			ResolvePool:     resolvePool,
+		},
+		Script:       script,
+		WedgeTimeout: *wedgeTimeout,
+		Metrics:      reg,
+	}
+	if rec := sloW.rec; rec != nil {
+		trigger := func(kind, detail string) {
+			if _, err := rec.Trigger(incident.Cause{Kind: kind, Detail: detail}); err != nil && err != incident.ErrSuppressed {
 				fmt.Fprintf(os.Stderr, "incident: %v\n", err)
 			}
+		}
+		fcfg.OnShardDeath = func(shard int, reason string) {
+			trigger("shard-death", fmt.Sprintf("shard %d: %s", shard, reason))
+		}
+		driftCfg.OnRollback = func(detail string) { trigger("drift-rollback", detail) }
+	}
+	fl, err := fleet.New(r, fcfg)
+	check(err)
+	flPtr.Store(fl)
+	boot := fl.Stats()
+	fmt.Fprintf(info, "fleet: %d shards, durable=%v\n", boot.Shards, *ckptDir != "")
+	if *ckptDir != "" {
+		for _, sh := range boot.Health {
+			fmt.Fprintf(info, "shard %d: restored checkpoint: %d verdicts, %d windows, pool epoch %d\n",
+				sh.Shard, sh.RestoredVerdicts, sh.Stats.Windows, sh.Stats.PoolEpoch)
 		}
 	}
 	if sloW.eng != nil {
@@ -326,8 +286,10 @@ func main() {
 
 	var guard *driftguard.Guard
 	if *drift {
-		driftCfg.Swapper = e
-		guard, err = driftguard.New(e.Pool(), driftCfg)
+		// The guard starts from the serving generation, which a restore
+		// may have advanced past the construction pool.
+		driftCfg.Swapper = fl
+		guard, err = driftguard.New(fl.Pool(), driftCfg)
 		check(err)
 		guardPtr.Store(guard)
 		fmt.Fprintf(info, "drift-guard: watching (accuracy floor %.2f, agreement floor %.2f, warm-up %d, canary %d)\n",
@@ -335,17 +297,17 @@ func main() {
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM stops submissions and
-	// drains the queue (the engine flushes a final checkpoint generation
-	// after the drain); a second signal cancels the worker context and
-	// aborts in-flight programs.
-	workerCtx, hardStop := context.WithCancel(context.Background())
+	// drains the shards (each durable shard flushes a final checkpoint
+	// generation after its drain); a second signal cancels the worker
+	// context and aborts in-flight programs.
+	ctx, hardStop := context.WithCancel(context.Background())
 	defer hardStop()
 	stopping := make(chan struct{})
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigCh
-		fmt.Fprintln(os.Stderr, "shutdown: draining queue (signal again to abort in-flight work)")
+		fmt.Fprintln(os.Stderr, "shutdown: draining shards (signal again to abort in-flight work)")
 		close(stopping)
 		<-sigCh
 		fmt.Fprintln(os.Stderr, "shutdown: aborting")
@@ -353,17 +315,20 @@ func main() {
 	}()
 
 	if *metricsAddr != "" {
-		mounts := []obs.Mount{{Path: "/traces", Handler: spans.Handler()}}
+		mounts := []obs.Mount{
+			{Path: "/fleet", Handler: fl.HealthHandler()},
+			{Path: "/traces", Handler: spans.Handler()},
+		}
 		if guard != nil {
 			mounts = append(mounts, obs.Mount{Path: "/drift", Handler: guard.Handler()})
 		}
 		mounts = append(mounts, sloW.mounts...)
-		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, e.Registry(), mounts...)
+		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, fl.Registry(), mounts...)
 		check(err)
 		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			shutdown(ctx)
+			shutdown(sctx)
 		}()
 		if *hold > 0 {
 			// Registered after the shutdown defer, so it runs first: the
@@ -378,11 +343,12 @@ func main() {
 				}
 			}()
 		}
-		fmt.Fprintf(info, "observability endpoint on http://%s (/metrics, /traces, /debug/pprof)\n", addr)
+		fmt.Fprintf(info, "observability endpoint on http://%s (/metrics, /fleet, /traces, /debug/pprof)\n", addr)
 	}
 
 	start := time.Now()
-	e.Start(workerCtx)
+	sloW.start()
+	fl.Start(ctx)
 
 	if *snapshotEvery > 0 {
 		stop := make(chan struct{})
@@ -395,20 +361,24 @@ func main() {
 				case <-stop:
 					return
 				case <-tick.C:
-					st := e.Stats()
-					fmt.Fprintf(os.Stderr, "[%s] programs=%d windows=%d degraded=%d dropped=%d pool=%d/%d\n",
-						time.Since(start).Round(time.Millisecond), st.ProgramsProcessed, st.Windows,
-						st.Degraded, st.DroppedWindows, st.LivePool(), len(st.Detectors))
+					for _, sh := range fl.Stats().Health {
+						st := sh.Stats
+						fmt.Fprintf(os.Stderr, "[%s] shard %d %s gen=%d programs=%d windows=%d degraded=%d dropped=%d pool=%d/%d rerouted=%d restarts=%d\n",
+							time.Since(start).Round(time.Millisecond), sh.Shard, sh.State, sh.Gen,
+							st.ProgramsProcessed, st.Windows, st.Degraded, st.DroppedWindows,
+							st.LivePool(), len(st.Detectors), sh.Rerouted, sh.Restarts)
+					}
 				}
 			}
 		}()
 	}
 	go func() {
-		defer e.Close()
+		defer fl.Close()
 		for _, p := range stream {
-			for !e.Submit(p) {
-				// Backpressure: the monitor shed this submission; a real
-				// host would drop or defer, the demo politely retries.
+			for !fl.Submit(p) {
+				// Shed: the target shard's queue is full, or its whole key
+				// range is mid-restart; a real host would drop or defer,
+				// the demo politely retries.
 				select {
 				case <-stopping:
 					return
@@ -427,7 +397,7 @@ func main() {
 	}()
 
 	correct, total := 0, 0
-	for rep := range e.Results() {
+	for rep := range fl.Results() {
 		if guard != nil {
 			guard.Observe(rep)
 		}
@@ -435,7 +405,8 @@ func main() {
 			if *jsonOut {
 				printVerdictJSON(rep)
 			} else {
-				fmt.Fprintf(info, "  %-18s ERROR: %v%s\n", rep.Program, rep.Err, traceSuffix(rep.TraceID))
+				fmt.Fprintf(info, "  [s%dg%d] %-18s ERROR: %v%s\n",
+					rep.Shard, rep.ShardGen, rep.Program, rep.Err, traceSuffix(rep.TraceID))
 			}
 			continue
 		}
@@ -453,8 +424,9 @@ func main() {
 			if rep.Malware {
 				verdict = "MALWARE"
 			}
-			fmt.Fprintf(info, "  %-18s %s  %3d/%3d windows flagged, %d degraded, %d dropped%s\n",
-				rep.Program, verdict, rep.Flagged, rep.Windows, rep.Degraded, rep.Dropped, traceSuffix(rep.TraceID))
+			fmt.Fprintf(info, "  [s%dg%d] %-18s %s  %3d/%3d windows flagged, %d degraded, %d dropped%s\n",
+				rep.Shard, rep.ShardGen, rep.Program, verdict, rep.Flagged, rep.Windows,
+				rep.Degraded, rep.Dropped, traceSuffix(rep.TraceID))
 		}
 	}
 	elapsed := time.Since(start)
@@ -463,20 +435,22 @@ func main() {
 		// before the report so its outcome is counted.
 		guard.Wait()
 	}
+	sloW.finish()
 
 	if *traceOut != "" {
 		check(writeTrace(*traceOut, spans))
 	}
 
+	st := fl.Stats()
 	if *jsonOut {
 		report := struct {
 			Programs  int                `json:"programs"`
 			Correct   int                `json:"correct"`
 			Accuracy  float64            `json:"accuracy"`
 			ElapsedNs time.Duration      `json:"elapsed_ns"`
-			Stats     monitor.Stats      `json:"stats"`
+			Fleet     fleet.FleetStats   `json:"fleet"`
 			Drift     *driftguard.Status `json:"drift,omitempty"`
-		}{Programs: total, Correct: correct, ElapsedNs: elapsed, Stats: e.Stats()}
+		}{Programs: total, Correct: correct, ElapsedNs: elapsed, Fleet: st}
 		if total > 0 {
 			report.Accuracy = float64(correct) / float64(total)
 		}
@@ -490,8 +464,19 @@ func main() {
 		return
 	}
 
-	fmt.Printf("\nsurvival report (%d programs in %v)\n", total, elapsed.Round(time.Millisecond))
-	fmt.Print(e.Stats())
+	fmt.Printf("\nsurvival report (%d programs in %v, %d/%d shards serving, %d shed)\n",
+		total, elapsed.Round(time.Millisecond), st.Serving, st.Shards, st.Shed)
+	for _, sh := range st.Health {
+		line := fmt.Sprintf("shard %d: %s gen=%d restarts=%d delivered=%d rerouted=%d",
+			sh.Shard, sh.State, sh.Gen, sh.Restarts, sh.Delivered, sh.Rerouted)
+		if sh.RestoredVerdicts > 0 {
+			line += fmt.Sprintf(" restored=%d", sh.RestoredVerdicts)
+		}
+		if sh.LastRestart != "" {
+			line += fmt.Sprintf(" last-restart=%s", sh.LastRestart)
+		}
+		fmt.Printf("%s pool-epoch=%d\n%s", line, sh.Stats.PoolEpoch, sh.Stats)
+	}
 	if guard != nil {
 		fmt.Println(guard.Status())
 	}

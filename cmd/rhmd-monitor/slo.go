@@ -11,9 +11,8 @@ import (
 	"rhmd/internal/obs/span"
 )
 
-// sloParams is the SLO/incident wiring input shared by the
-// single-engine and fleet serving paths: which flags were set, which
-// telemetry sources exist, and the path's default objective set.
+// sloParams is the SLO/incident wiring input: which flags were set,
+// which telemetry sources exist, and the default objective set.
 type sloParams struct {
 	enabled     bool    // -slo
 	configPath  string  // -slo-config (implies enabled)
@@ -21,8 +20,8 @@ type sloParams struct {
 	burnSlow    float64 // -burn-slow
 	incidentDir string  // -incident-dir
 
-	// objectives is the path's default set (engine vs fleet), used when
-	// no -slo-config overrides it.
+	// objectives is the default set, used when no -slo-config overrides
+	// it.
 	objectives []slo.Objective
 
 	reg   *obs.Registry
@@ -36,7 +35,7 @@ type sloParams struct {
 
 // sloWiring is the built result: the running SLO engine and incident
 // recorder (either may be nil when its flags are off), their HTTP
-// mounts, and a shutdown hook for the engine's ticker goroutine.
+// mounts, and a stop hook for the engine's ticker goroutine.
 type sloWiring struct {
 	eng    *slo.Engine
 	rec    *incident.Recorder
@@ -44,10 +43,13 @@ type sloWiring struct {
 	stop   func()
 }
 
-// shutdown stops the SLO ticker loop (no-op when the engine is off).
-func (w *sloWiring) shutdown() {
+// finish stops the SLO ticker loop after the drain and takes one last
+// sample, so /slo (served through any -hold) evaluates the whole run.
+// A no-op when the engine is off.
+func (w *sloWiring) finish() {
 	if w.stop != nil {
 		w.stop()
+		w.eng.Tick()
 	}
 }
 
@@ -119,16 +121,29 @@ func buildSLO(p sloParams) (*sloWiring, error) {
 		}
 		w.eng = eng
 		w.mounts = append(w.mounts, obs.Mount{Path: "/slo", Handler: eng.Handler()})
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			eng.Run(stop)
-		}()
-		w.stop = func() {
-			close(stop)
-			<-done
-		}
 	}
 	return w, nil
+}
+
+// start marks the run's baseline: the incident recorder's healthy
+// mark and the SLO loop's first sample. Call it once the fleet has
+// restored its checkpoints and before traffic, so restored totals
+// count as history, not as this run's burn or incident diff.
+func (w *sloWiring) start() {
+	if w.rec != nil {
+		w.rec.MarkHealthy()
+	}
+	if w.eng == nil {
+		return
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.eng.Run(stop)
+	}()
+	w.stop = func() {
+		close(stop)
+		<-done
+	}
 }

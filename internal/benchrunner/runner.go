@@ -289,9 +289,8 @@ func Run(spec scenario.Spec, opts Options) (*Report, error) {
 		rep.BytesPerOp = (msAfter.TotalAlloc - msBefore.TotalAlloc) / rep.Counters.Processed
 	}
 	rep.Latency.Exact = exactPercentiles(received)
-	// The engine path owns its registry, so the verdict-latency
-	// histogram is in the diff; fleet shards keep private per-generation
-	// registries and contribute no histogram here.
+	// Engines and fleet shards alike register the verdict-latency
+	// histogram in reg; the diff merges every shard's.
 	if hv := after.Diff(before).Histogram("rhmd_monitor_verdict_latency_seconds"); hv != nil && hv.Count > 0 {
 		rep.Latency.Histogram = &Percentiles{
 			P50ms:   1000 * hv.Quantile(0.50),

@@ -78,9 +78,10 @@ func TestRunFleetReport(t *testing.T) {
 	if rep.Latency.Exact == nil || rep.Latency.Exact.Samples != 12 {
 		t.Fatalf("exact latency: %+v", rep.Latency.Exact)
 	}
-	// Shard registries are private per generation: no histogram block.
-	if rep.Latency.Histogram != nil {
-		t.Fatalf("unexpected histogram block on fleet path: %+v", rep.Latency.Histogram)
+	// Shard engines register in the fleet registry: the histogram block
+	// covers every shard's verdicts.
+	if hist := rep.Latency.Histogram; hist == nil || hist.Samples != 12 || hist.P50ms <= 0 {
+		t.Fatalf("fleet histogram latency: %+v", hist)
 	}
 }
 

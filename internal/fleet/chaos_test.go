@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,60 +32,6 @@ func chaosIncidentRecorder(t *testing.T, reg *obs.Registry) (*incident.Recorder,
 	return rec, dir
 }
 
-// stateWatcher polls the fleet health endpoint — the same JSON an
-// operator scrapes — recording every state it observes for one shard
-// and signalling the first observation of an outage.
-type stateWatcher struct {
-	mu     sync.Mutex
-	seen   map[ShardState]bool
-	outage chan struct{}
-	once   sync.Once
-	stop   chan struct{}
-	done   chan struct{}
-}
-
-func watchShard(fl *Fleet, shard int) *stateWatcher {
-	w := &stateWatcher{
-		seen:   map[ShardState]bool{},
-		outage: make(chan struct{}),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go func() {
-		defer close(w.done)
-		for {
-			select {
-			case <-w.stop:
-				return
-			default:
-			}
-			if st, _, err := healthSnapshot(fl); err == nil && shard < len(st.Health) {
-				s := st.Health[shard].State
-				w.mu.Lock()
-				w.seen[s] = true
-				w.mu.Unlock()
-				if s != Serving {
-					w.once.Do(func() { close(w.outage) })
-				}
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	return w
-}
-
-func (w *stateWatcher) finish() map[ShardState]bool {
-	close(w.stop)
-	<-w.done
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := map[ShardState]bool{}
-	for k, v := range w.seen {
-		out[k] = v
-	}
-	return out
-}
-
 // shardHealth fetches one shard's row from the health endpoint.
 func shardHealth(t *testing.T, fl *Fleet, shard int) ShardHealth {
 	t.Helper()
@@ -101,11 +46,14 @@ func shardHealth(t *testing.T, fl *Fleet, shard int) ShardHealth {
 // scenario: shard 0's checkpoint disk dies mid-run (FailingFS byte
 // budget), the supervisor declares it dead on checkpoint failures,
 // and the shard restarts from its own snapshot+WAL while the siblings
-// keep serving. Proven through the health endpoint and the consumed
-// result stream:
+// keep serving. The test learns of the outage from the fleet itself,
+// in OnShardDeath, which runs while the shard is out of rotation and
+// before its teardown. Proven through the health endpoint and the
+// consumed result stream:
 //
-//   - the endpoint reports the degraded/restarting interval and the
-//     return to serving;
+//   - inside the outage the endpoint does not report the shard
+//     serving, and submissions homed on it are rerouted and counted;
+//   - the shard returns to serving after exactly one restart;
 //   - every gen-0 verdict the consumer acked is covered by the restored
 //     verdict count (zero acked-verdict loss, via strict durability);
 //   - probe submissions homed on surviving shards complete during/
@@ -126,12 +74,30 @@ func TestChaosKillShardCrashAtByte(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec, incDir := chaosIncidentRecorder(t, reg)
 	var deaths atomic.Int64
+	// What the first death hook saw of the outage, published to the
+	// test goroutine by closing outage.
+	outage := make(chan struct{})
+	var inOutage ShardState
+	var reroutedInOutage uint64
+	var fl *Fleet
 	fl, err := New(f.rhmd, Config{
 		Shards: 3, CheckpointDir: t.TempDir(), Script: script,
 		SupervisorEvery: 5 * time.Millisecond, WedgeTimeout: 5 * time.Second,
 		Engine: engineTemplate(f), Metrics: reg,
 		OnShardDeath: func(shard int, reason string) {
-			deaths.Add(1)
+			if deaths.Add(1) == 1 {
+				defer close(outage)
+				st, _, err := healthSnapshot(fl)
+				if err != nil {
+					t.Errorf("decoding fleet health inside the outage: %v", err)
+					return
+				}
+				inOutage = st.Health[shard].State
+				for _, p := range homedPrograms(f, fl, shard, 3, "outage") {
+					fl.Submit(p) // a sibling may shed it; the reroute counts either way
+				}
+				reroutedInOutage = fl.Stats().Health[shard].Rerouted - st.Health[shard].Rerouted
+			}
 			_, err := rec.Trigger(incident.Cause{Kind: "shard-death",
 				Detail: fmt.Sprintf("shard %d: %s", shard, reason)})
 			if err != nil && !errors.Is(err, incident.ErrSuppressed) {
@@ -144,13 +110,18 @@ func TestChaosKillShardCrashAtByte(t *testing.T) {
 	}
 	fl.Start(context.Background())
 	h := startHarness(f, fl)
-	w := watchShard(fl, target)
 
 	// Wait for the scripted disk death to surface as an outage.
 	select {
-	case <-w.outage:
+	case <-outage:
 	case <-time.After(60 * time.Second):
 		t.Fatal("shard never left serving: scripted disk death not detected")
+	}
+	if inOutage == Serving {
+		t.Fatal("health endpoint reported the dead shard serving during its outage")
+	}
+	if reroutedInOutage < 3 {
+		t.Errorf("3 submissions homed on the dead shard during its outage, %d rerouted", reroutedInOutage)
 	}
 
 	// Surviving shards must keep serving during the kill: submissions
@@ -186,22 +157,18 @@ func TestChaosKillShardCrashAtByte(t *testing.T) {
 		return true
 	})
 
-	// The dead shard must come back: restarted at least once, serving,
+	// The dead shard must come back: restarted exactly once, serving,
 	// on a fresh generation, for the scripted reason.
 	waitFor(t, 60*time.Second, "shard restart to complete", func() bool {
 		sh := shardHealth(t, fl, target)
 		return sh.Restarts >= 1 && sh.State == Serving
 	})
-	seen := w.finish()
 	counts, shardGen := h.finish()
 
-	if !seen[Degraded] && !seen[Restarting] {
-		t.Fatalf("health endpoint never reported the outage; states seen: %v", seen)
-	}
-	if !seen[Serving] {
-		t.Fatalf("health endpoint never reported recovery; states seen: %v", seen)
-	}
 	final := shardHealth(t, fl, target)
+	if final.Restarts != 1 {
+		t.Fatalf("dead shard restarted %d times, want 1 (its failure limit counts from each generation's start)", final.Restarts)
+	}
 	if final.LastRestart != "checkpoint-failures" {
 		t.Fatalf("restart reason %q, want checkpoint-failures", final.LastRestart)
 	}
@@ -222,11 +189,6 @@ func TestChaosKillShardCrashAtByte(t *testing.T) {
 	}
 	requireUnique(t, counts)
 
-	// Degraded-mode accounting: the dead shard's key range went to
-	// siblings, explicitly counted against the home shard.
-	if final.Rerouted == 0 {
-		t.Error("no rerouted submissions counted for the dead shard during its outage")
-	}
 	for i := 0; i < 3; i++ {
 		if i != target {
 			if sh := shardHealth(t, fl, i); sh.Restarts != 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +30,9 @@ type Config struct {
 	// harness proves. Empty means volatile shards.
 	CheckpointDir string
 	// Engine is the per-shard engine template. Metrics and Checkpoint
-	// must be left unset (each shard generation gets a private registry
-	// and its own store); Spans is shared across shards as given.
+	// must be left unset (each shard registers in its own view of
+	// Metrics and each generation gets its own store); Spans is shared
+	// across shards as given.
 	Engine monitor.Config
 	// Script, when non-nil, is the deterministic kill-a-shard chaos
 	// scenario applied to generation 0 of each targeted shard (see
@@ -51,15 +53,19 @@ type Config struct {
 	// Vnodes is the virtual-node count per shard on the routing ring
 	// (default 64).
 	Vnodes int
-	// Metrics is the fleet-level registry (shard states, restarts,
-	// reroutes, sheds). Nil selects a fresh private registry. Per-shard
-	// engine metrics live in per-generation private registries; the
-	// fleet health endpoint aggregates them as JSON.
+	// Metrics is the fleet registry (nil = a fresh private one). It
+	// carries the fleet's own families (shard states, restarts,
+	// reroutes, sheds) and every shard engine's and checkpoint store's
+	// instruments under a shard="i" label: shard i registers through
+	// Metrics.WithLabel("shard", "i") for its whole life, so its series
+	// stay continuous across restarts.
 	Metrics *obs.Registry
 	// OnShardDeath, when non-nil, is called from the restart goroutine
-	// as a shard leaves serving (before the rebuild begins) — the
-	// incident flight recorder's trigger. It must not block for long:
-	// the dead shard stays down until it returns.
+	// once a dead shard has left serving (its key range already
+	// reroutes) and before its generation is torn down — the incident
+	// flight recorder's trigger, which sees the dead generation intact.
+	// It must not block for long: the dead shard stays down until it
+	// returns.
 	OnShardDeath func(shard int, reason string)
 }
 
@@ -124,7 +130,7 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: fleet needs a non-empty RHMD pool")
 	}
 	if cfg.Engine.Metrics != nil {
-		return nil, fmt.Errorf("fleet: Engine.Metrics must be unset (each shard generation gets a private registry)")
+		return nil, fmt.Errorf("fleet: Engine.Metrics must be unset (each shard registers in its view of Config.Metrics)")
 	}
 	if cfg.Engine.Checkpoint != nil {
 		return nil, fmt.Errorf("fleet: Engine.Checkpoint must be unset (use CheckpointDir for per-shard stores)")
@@ -147,7 +153,7 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 	}
 	f.ins = newFleetInstruments(reg, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{idx: i}
+		sh := &shard{idx: i, reg: reg.WithLabel("shard", strconv.Itoa(i))}
 		if cfg.CheckpointDir != "" {
 			sh.dir = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("shard-%d", i))
 		}
@@ -178,16 +184,18 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// newGeneration builds one engine life for a shard: a private metrics
-// registry, the shard's own checkpoint store (with the chaos
-// filesystem when scripted), the scripted fault injector, strict
+// newGeneration builds one engine life for a shard: instruments in the
+// shard's registry view, the shard's own checkpoint store (with the
+// chaos filesystem when scripted), the scripted fault injector, strict
 // durability whenever the shard is durable, and a crash callback wired
 // to the supervisor. Durable generations restore the shard's
-// snapshot+WAL before returning, recording the recovered verdict count
-// as the shard's zero-acked-loss baseline.
+// snapshot+WAL before returning, recording the verdict count the
+// checkpoint holds as the shard's zero-acked-loss baseline. The
+// generation's checkpoint-failure count starts at the shard's
+// cumulative count so far.
 func (f *Fleet) newGeneration(sh *shard, gen uint64) (*monitor.Engine, *checkpoint.Store, *chaosInjector, error) {
 	cfg := f.cfg.Engine
-	cfg.Metrics = obs.NewRegistry()
+	cfg.Metrics = sh.reg
 	chaos := f.chaosFor(sh.idx, gen, f.cfg.Engine.Injector)
 	if chaos != nil {
 		cfg.Injector = chaos
@@ -213,10 +221,9 @@ func (f *Fleet) newGeneration(sh *shard, gen uint64) (*monitor.Engine, *checkpoi
 	}
 	eng, err := monitor.New(f.rhmd, cfg)
 	if err == nil && store != nil {
-		_, err = eng.Restore()
-		if err == nil {
-			st := eng.Stats()
-			sh.restored.Store(st.ProgramsProcessed + st.ProgramsFailed)
+		var ri *monitor.RestoreInfo
+		if ri, err = eng.Restore(); err == nil && ri != nil {
+			sh.restored.Store(ri.Verdicts)
 		}
 	}
 	if err != nil {
@@ -225,11 +232,12 @@ func (f *Fleet) newGeneration(sh *shard, gen uint64) (*monitor.Engine, *checkpoi
 		}
 		return nil, nil, nil, fmt.Errorf("fleet: building shard %d gen %d: %w", sh.idx, gen, err)
 	}
+	sh.ckptBase.Store(eng.Stats().CheckpointFailures)
 	return eng, store, chaos, nil
 }
 
-// Registry returns the fleet-level observability registry — mount it
-// on an obs.NewMux to expose fleet /metrics.
+// Registry returns the fleet registry, shard engines included — mount
+// it on an obs.NewMux to expose the fleet's /metrics.
 func (f *Fleet) Registry() *obs.Registry { return f.reg }
 
 // Home returns the key's home shard on the routing ring, ignoring
@@ -390,7 +398,7 @@ func (f *Fleet) supervise() {
 				}
 				eng := sh.eng.Load()
 				st := eng.Stats()
-				if sh.dir != "" && st.CheckpointFailures >= f.cfg.CheckpointFailureLimit {
+				if sh.dir != "" && st.CheckpointFailures-sh.ckptBase.Load() >= f.cfg.CheckpointFailureLimit {
 					f.kill(sh, "checkpoint-failures")
 					continue
 				}
@@ -420,10 +428,11 @@ func (f *Fleet) kill(sh *shard, reason string) {
 
 // restart is the supervisor's recovery sequence for one dead shard:
 //
-//	serving → degraded:   reroute begins; intake stops; the old
-//	                      generation is cancelled (cancellation, not the
-//	                      window deadline, is what unblocks wedged
-//	                      workers) and its pump drained.
+//	serving → degraded:   reroute begins; intake stops; OnShardDeath
+//	                      fires; the old generation is cancelled
+//	                      (cancellation, not the window deadline, is
+//	                      what unblocks wedged workers) and its pump
+//	                      drained.
 //	degraded → restarting: the old store is closed; a fresh engine
 //	                      generation is rebuilt from the shard's own
 //	                      snapshot+WAL (retried up to RestartRetries).
@@ -435,13 +444,6 @@ func (f *Fleet) kill(sh *shard, reason string) {
 // only, and if every rebuild attempt fails the shard parks degraded
 // with its keys left rerouted.
 func (f *Fleet) restart(sh *shard, reason string) {
-	// Fire the death hook first, while the shard's terminal state is
-	// still intact: the incident recorder wants the scene of the crime,
-	// not the rebuilt shard. Already on the restart goroutine, so the
-	// supervisor loop is never blocked by the hook's I/O.
-	if f.cfg.OnShardDeath != nil {
-		f.cfg.OnShardDeath(sh.idx, reason)
-	}
 	f.mu.Lock()
 	oldGen := sh.gen.Load()
 	eng := sh.eng.Load()
@@ -453,6 +455,14 @@ func (f *Fleet) restart(sh *shard, reason string) {
 	f.setState(sh, Degraded)
 	f.mu.Unlock()
 
+	// Fire the death hook out of rotation but before teardown, while the
+	// dead generation is intact: the incident recorder wants the scene
+	// of the crime, not the rebuilt shard. Already on the restart
+	// goroutine, so the supervisor loop is never blocked by the hook's
+	// I/O.
+	if f.cfg.OnShardDeath != nil {
+		f.cfg.OnShardDeath(sh.idx, reason)
+	}
 	eng.Close()
 	if cancel != nil {
 		cancel()

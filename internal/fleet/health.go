@@ -11,9 +11,8 @@ import (
 
 // fleetInstruments is the fleet-level registry accounting: shard
 // lifecycle and routing, pre-bound per shard so the Submit hot path
-// touches only atomics. Per-shard engine detail lives in each
-// generation's private registry and is aggregated by Stats/the health
-// endpoint instead.
+// touches only atomics. Shard engines register their own families in
+// the same registry, through per-shard views (see Config.Metrics).
 type fleetInstruments struct {
 	state       []*obs.Gauge   // ShardState as 0=serving 1=degraded 2=restarting
 	restarts    []*obs.Counter // completed recoveries
@@ -66,9 +65,10 @@ type ShardHealth struct {
 	// Rerouted counts submissions this shard lost to siblings while it
 	// was down.
 	Rerouted uint64 `json:"rerouted"`
-	// RestoredVerdicts is the cumulative verdict count the latest
-	// generation recovered from the shard's snapshot+WAL — the
-	// zero-acked-loss baseline the chaos harness checks against.
+	// RestoredVerdicts is the verdict count the latest generation's
+	// checkpoint (snapshot+WAL) held, read from monitor.RestoreInfo and
+	// never from live counters — the zero-acked-loss baseline the chaos
+	// harness checks against.
 	RestoredVerdicts uint64 `json:"restored_verdicts"`
 	// LastRestart is why the supervisor last declared this shard dead
 	// ("worker-crash", "wedged-queue", "checkpoint-failures", or a

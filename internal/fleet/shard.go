@@ -7,6 +7,7 @@ import (
 
 	"rhmd/internal/checkpoint"
 	"rhmd/internal/monitor"
+	"rhmd/internal/obs"
 )
 
 // ShardState is one shard's position in the supervisor state machine:
@@ -67,7 +68,8 @@ func (s *ShardState) UnmarshalText(text []byte) error {
 // concurrently.
 type shard struct {
 	idx int
-	dir string // checkpoint directory ("" = volatile shard)
+	dir string        // checkpoint directory ("" = volatile shard)
+	reg *obs.Registry // the fleet registry's shard="idx" view, every generation's
 
 	state atomic.Int32  // ShardState
 	gen   atomic.Uint64 // engine generation (0 = first life)
@@ -77,11 +79,15 @@ type shard struct {
 	// generations; the supervisor reads it as the progress signal for
 	// wedge detection (backlog + no delivery progress = wedged).
 	delivered atomic.Uint64
-	// restarts counts completed recoveries; restored is the cumulative
-	// verdict count the latest restart recovered from snapshot+WAL (the
+	// restarts counts completed recoveries; restored is the verdict
+	// count the current generation's checkpoint held (the
 	// zero-acked-loss baseline).
 	restarts atomic.Uint64
 	restored atomic.Uint64
+	// ckptBase is the shard's cumulative checkpoint-failure count when
+	// the current generation was built: the supervisor's failure limit
+	// counts from it.
+	ckptBase atomic.Uint64
 	// restartPending dedups death signals: the supervisor may see the
 	// same dying shard via crash callback, checkpoint failures and wedge
 	// detection at once, but only one restart runs.

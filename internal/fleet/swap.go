@@ -64,6 +64,13 @@ func (f *Fleet) SwapPool(r *core.RHMD) (uint64, error) {
 // serving shard converges to).
 func (f *Fleet) PoolEpoch() uint64 { return f.poolEpoch.Load() }
 
+// Pool returns the fleet's target pool generation, the one every
+// serving shard converges to. After New it is the most advanced
+// generation any shard restored (see alignPools), so a drift guard
+// over the fleet starts from what serves, as one over an engine starts
+// from Engine.Pool.
+func (f *Fleet) Pool() *core.RHMD { return f.pool.Load() }
+
 // catchUp drives one shard engine forward to the fleet target epoch,
 // re-applying the current pool once per missed epoch (intermediate pool
 // bytes are not replayed — only the final generation matters, and each

@@ -8,6 +8,7 @@ import (
 
 	"rhmd/internal/checkpoint"
 	"rhmd/internal/core"
+	"rhmd/internal/obs"
 	"rhmd/internal/obs/span"
 )
 
@@ -33,6 +34,9 @@ import (
 //     sampler exactly as snapshot + replay; only sub-verdict detail
 //     (per-detector latency histograms, retry counters since the last
 //     snapshot) is approximate, restored to the snapshot's values.
+//     Counters are raised to the checkpointed totals, not added to: a
+//     successor engine on a registry that still carries its
+//     predecessor's series (a restarted fleet shard) continues them.
 //
 // Exactness comes from ckptMu: verdict commits and breaker transitions
 // take it shared (increment counters + append WAL as one unit), the
@@ -130,6 +134,11 @@ type RestoreInfo struct {
 	Fallbacks int
 	// TornWAL reports a crash mid-append was detected (and cut).
 	TornWAL bool
+	// Verdicts is the number of verdicts (processed plus failed) the
+	// checkpoint holds: snapshot plus replayed WAL, independent of any
+	// live counter. A fleet reports it as a restarted shard's
+	// zero-acked-loss baseline.
+	Verdicts uint64
 }
 
 func (ri *RestoreInfo) String() string {
@@ -230,6 +239,7 @@ func (e *Engine) Restore() (*RestoreInfo, error) {
 		return nil, err
 	}
 
+	var tot CounterState
 	if res.Snapshot != nil {
 		var st EngineState
 		if err := json.Unmarshal(res.Snapshot, &st); err != nil {
@@ -238,19 +248,39 @@ func (e *Engine) Restore() (*RestoreInfo, error) {
 		if err := e.applySnapshot(&st); err != nil {
 			return nil, err
 		}
+		tot = st.Counters
 	}
 	for _, entry := range res.Entries {
-		if err := e.applyEntry(entry); err != nil {
+		if err := e.applyEntry(entry, &tot); err != nil {
 			return nil, err
 		}
 	}
+	raise(e.ins.programs, tot.Programs)
+	raise(e.ins.shed, tot.Shed)
+	raise(e.ins.failed, tot.Failed)
+	raise(e.ins.windows, tot.Windows)
+	raise(e.ins.flagged, tot.Flagged)
+	raise(e.ins.degraded, tot.Degraded)
+	raise(e.ins.dropped, tot.Dropped)
+	raise(e.ins.retries, tot.Retries)
+	raise(e.ins.timeouts, tot.Timeouts)
+	raise(e.ins.panics, tot.Panics)
 	e.pool.Load().health.republish()
-	return &RestoreInfo{Gen: res.Gen, Replayed: len(res.Entries), Fallbacks: res.Fallbacks, TornWAL: res.TornWAL}, nil
+	return &RestoreInfo{Gen: res.Gen, Replayed: len(res.Entries), Fallbacks: res.Fallbacks, TornWAL: res.TornWAL,
+		Verdicts: tot.Programs + tot.Failed}, nil
 }
 
-// applySnapshot loads a decoded snapshot into the (zero-state) engine,
-// first re-materializing the pool generation the snapshot belongs to
-// when it is not the one the engine was constructed with.
+// raise lifts c to total; a counter already past it stays put.
+func raise(c *obs.Counter, total uint64) {
+	if v := c.Value(); total > v {
+		c.Add(total - v)
+	}
+}
+
+// applySnapshot loads a decoded snapshot's pool generation and breaker
+// board into the fresh engine, first re-materializing the pool
+// generation the snapshot belongs to when it is not the one the engine
+// was constructed with. Restore applies the counters.
 func (e *Engine) applySnapshot(st *EngineState) error {
 	if st.Version < 1 || st.Version > engineStateVersion {
 		return fmt.Errorf("monitor: checkpoint state version %d (want 1..%d)", st.Version, engineStateVersion)
@@ -287,22 +317,12 @@ func (e *Engine) applySnapshot(st *EngineState) error {
 	if len(st.Breakers) != g.rhmd.Size() {
 		return fmt.Errorf("monitor: checkpoint has %d breakers for a pool of %d", len(st.Breakers), g.rhmd.Size())
 	}
-	c := st.Counters
-	e.ins.programs.Add(c.Programs)
-	e.ins.shed.Add(c.Shed)
-	e.ins.failed.Add(c.Failed)
-	e.ins.windows.Add(c.Windows)
-	e.ins.flagged.Add(c.Flagged)
-	e.ins.degraded.Add(c.Degraded)
-	e.ins.dropped.Add(c.Dropped)
-	e.ins.retries.Add(c.Retries)
-	e.ins.timeouts.Add(c.Timeouts)
-	e.ins.panics.Add(c.Panics)
 	return g.health.restoreState(st.Breakers, st.WindowClock, st.Quarantines, st.Restores)
 }
 
-// applyEntry replays one WAL record on top of the snapshot state.
-func (e *Engine) applyEntry(entry checkpoint.Entry) error {
+// applyEntry replays one WAL record on top of the snapshot state,
+// adding a verdict's accounting to tot.
+func (e *Engine) applyEntry(entry checkpoint.Entry, tot *CounterState) error {
 	g := e.pool.Load()
 	switch entry.Kind {
 	case checkpoint.KindVerdict:
@@ -311,14 +331,14 @@ func (e *Engine) applyEntry(entry checkpoint.Entry) error {
 			return fmt.Errorf("monitor: decoding WAL verdict: %w", err)
 		}
 		if v.Failed {
-			e.ins.failed.Inc()
+			tot.Failed++
 		} else {
-			e.ins.programs.Inc()
+			tot.Programs++
 		}
-		e.ins.windows.Add(uint64(v.Windows))
-		e.ins.flagged.Add(uint64(v.Flagged))
-		e.ins.degraded.Add(uint64(v.Degraded))
-		e.ins.dropped.Add(uint64(v.Dropped))
+		tot.Windows += uint64(v.Windows)
+		tot.Flagged += uint64(v.Flagged)
+		tot.Degraded += uint64(v.Degraded)
+		tot.Dropped += uint64(v.Dropped)
 		g.health.advanceClock(uint64(v.Windows + v.Dropped))
 	case checkpoint.KindBreaker:
 		var b walBreaker

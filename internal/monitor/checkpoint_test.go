@@ -12,6 +12,7 @@ import (
 
 	"rhmd/internal/checkpoint"
 	"rhmd/internal/core"
+	"rhmd/internal/obs"
 )
 
 // durableEngine builds an engine over the shared fixture pool with a
@@ -233,5 +234,57 @@ func TestCorruptNewestGenerationFallsBack(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `rhmd_checkpoint_ops_total{op="corruption_fallback"} 1`) {
 		t.Fatalf("corruption fallback not visible in /metrics:\n%s", buf.String())
+	}
+}
+
+// TestRestoreOnAheadRegistry: a successor engine that takes over its
+// predecessor's registry, as a restarted fleet shard does, continues
+// the series instead of adding the checkpoint on top. Counters already
+// past the checkpointed totals do not move, and RestoreInfo reports
+// the checkpoint's own verdict count.
+func TestRestoreOnAheadRegistry(t *testing.T) {
+	f := getFixture(t)
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	r, err := core.New(f.pool, 0xA4EAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *Engine {
+		t.Helper()
+		store, err := checkpoint.Open(dir, checkpoint.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = store.Close() })
+		e, err := New(r, Config{Workers: 2, QueueDepth: 16, TraceLen: f.traceLen,
+			WindowDeadline: 2 * time.Second, Metrics: reg, Checkpoint: store,
+			CheckpointEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e1 := build()
+	const n = 4
+	if got := len(runStream(t, e1, f.programs[:n])); got != n {
+		t.Fatalf("%d reports for %d programs", got, n)
+	}
+	// Counted on the shared registry after the final checkpoint: the
+	// registry is now ahead of what the store holds.
+	e1.ins.programs.Add(3)
+	e1.ins.windows.Add(5)
+	want := e1.Stats()
+
+	e2 := build()
+	info, err := e2.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info == nil || info.Verdicts != n {
+		t.Fatalf("restore info %+v, want %d checkpointed verdicts", info, n)
+	}
+	if got := e2.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restore moved counters of an ahead registry:\n got: %+v\nwant: %+v", got, want)
 	}
 }

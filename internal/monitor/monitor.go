@@ -82,8 +82,13 @@ type Config struct {
 	Injector FaultInjector
 	// Metrics is the observability registry the engine's instruments
 	// register in (nil = a fresh private registry; reachable either way
-	// via Engine.Registry). One engine per registry: two engines sharing
-	// a registry would share — and double-count — the same instruments.
+	// via Engine.Registry). One live engine per registry: two engines
+	// serving at once would share — and double-count — the same
+	// instruments. A successor engine may take over its predecessor's
+	// registry (a fleet restarts each shard on the same
+	// obs.Registry.WithLabel view): its gauges start from its own
+	// state, and Restore raises counters to the checkpointed totals
+	// instead of adding them, so every series stays continuous.
 	Metrics *obs.Registry
 	// Spans, when non-nil, records a per-verdict span tree for every
 	// submission — enqueue, queue wait, worker pickup, feature
@@ -302,6 +307,12 @@ func New(r *core.RHMD, cfg Config) (*Engine, error) {
 	}
 	g.health.attach(e.ins)
 	e.pool.Store(g)
+	// A predecessor on this registry may have been cancelled with
+	// programs still queued or in flight; this engine's occupancy starts
+	// empty, on the constructed pool.
+	e.ins.queueDepth.Set(0)
+	e.ins.inflight.Set(0)
+	e.ins.poolGeneration.Set(0)
 	if e.ckpt != nil {
 		e.ckpt.Instrument(reg)
 	}

@@ -259,3 +259,37 @@ func TestFaultEventsReachTracerAndMetrics(t *testing.T) {
 		t.Fatalf("classify spans: %d with retries, %d with errors; want both > 0", retried, errored)
 	}
 }
+
+// TestSuccessorEngineStartsEmpty: an engine built on a registry whose
+// previous engine was abandoned with programs still queued (a fleet
+// shard's cancelled generation) starts with an empty queue gauge, so a
+// supervisor never reads the dead generation's backlog as its own.
+func TestSuccessorEngineStartsEmpty(t *testing.T) {
+	f := getFixture(t)
+	r, err := core.New(f.pool, 0x5CCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 1, QueueDepth: 4, TraceLen: f.traceLen, Metrics: obs.NewRegistry()}
+	e1, err := New(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range f.programs[:3] {
+		if !e1.Submit(p) {
+			t.Fatalf("submit of %q shed with roomy queue", p.Name)
+		}
+	}
+	if got := e1.Stats().QueueDepth; got != 3 {
+		t.Fatalf("unstarted engine queue depth %d, want 3", got)
+	}
+	e1.Close()
+
+	e2, err := New(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e2.Stats(); st.QueueDepth != 0 || st.Inflight != 0 {
+		t.Fatalf("successor engine starts with queue depth %d, in flight %d; want 0, 0", st.QueueDepth, st.Inflight)
+	}
+}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"time"
 )
 
@@ -27,16 +28,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) *GaugeFunc {
 		panic(fmt.Sprintf("obs: GaugeFunc %q registered with nil callback", name))
 	}
 	f := r.register(name, help, gaugeKind, nil, nil)
+	key := strings.Join(r.values, "\x00")
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if m, ok := f.children[""]; ok {
+	if m, ok := f.children[key]; ok {
 		if g, ok := m.(*GaugeFunc); ok {
 			return g
 		}
 		panic(fmt.Sprintf("obs: metric %q re-registered as gauge func (was stored gauge)", name))
 	}
 	g := &GaugeFunc{fn: fn}
-	f.children[""] = g
+	f.children[key] = g
 	return g
 }
 

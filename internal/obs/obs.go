@@ -230,12 +230,19 @@ type family struct {
 }
 
 // child returns (creating if needed) the instrument for one label-value
-// tuple.
-func (f *family) child(values []string) any {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
+// tuple: a view's prefix values (see Registry.WithLabel) followed by the
+// caller's.
+func (f *family) child(pre, values []string) any {
+	if len(pre)+len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels)-len(pre), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	all := values
+	if len(pre) > 0 {
+		// The full slice expression makes append copy, so concurrent
+		// With calls on one vec never share a backing array.
+		all = append(pre[:len(pre):len(pre)], values...)
+	}
+	key := strings.Join(all, "\x00")
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if m, ok := f.children[key]; ok {
@@ -254,33 +261,42 @@ func (f *family) child(values []string) any {
 	return m
 }
 
-// delete removes the instrument for one label-value tuple, reporting
-// whether it existed. A caller holding the child pointer can keep
-// using it; it just stops being exposed, snapshotted or resolvable.
-func (f *family) delete(values []string) bool {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
-	}
-	key := strings.Join(values, "\x00")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.children[key]; !ok {
-		return false
-	}
-	delete(f.children, key)
-	return true
-}
-
 // Registry owns a namespace of metric families. The zero value is not
 // usable; construct with NewRegistry or use Default.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+
+	// root, labels and values are set on a view (see WithLabel): it
+	// registers into root's namespace with labels/values prepended.
+	root   *Registry
+	labels []string
+	values []string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
+}
+
+// WithLabel returns a view of r that prepends the label name=value to
+// every family registered through it, so several components that
+// register the same family names (the shards of a fleet) can share one
+// registry without colliding. Views nest, and two views with the same
+// labels resolve the same children. A view shares r's namespace: its
+// Snapshot and exposition cover the whole registry, and one name
+// registered both through a view and without its label is a label-set
+// conflict like any other.
+func (r *Registry) WithLabel(name, value string) *Registry {
+	v := &Registry{
+		root:   r,
+		labels: append(append([]string(nil), r.labels...), name),
+		values: append(append([]string(nil), r.values...), value),
+	}
+	if r.root != nil {
+		v.root = r.root
+	}
+	return v
 }
 
 var defaultRegistry = NewRegistry()
@@ -296,6 +312,9 @@ var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // identical metadata is deliberate and returns the existing family, so
 // repeated calls (e.g. one per experiment run) are cheap and idempotent.
 func (r *Registry) register(name, help string, kind metricKind, labels []string, buckets []float64) *family {
+	if r.root != nil {
+		return r.root.register(name, help, kind, append(append([]string(nil), r.labels...), labels...), buckets)
+	}
 	if !nameRE.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -327,14 +346,29 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string,
 	return f
 }
 
+// sorted returns every family of the namespace, sorted by name.
+func (r *Registry) sorted() []*family {
+	if r.root != nil {
+		r = r.root
+	}
+	r.mu.RLock()
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
+	}
+	r.mu.RUnlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	return fams
+}
+
 // Counter registers (or resolves) a scalar counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.register(name, help, counterKind, nil, nil).child(nil).(*Counter)
+	return r.register(name, help, counterKind, nil, nil).child(r.values, nil).(*Counter)
 }
 
 // Gauge registers (or resolves) a scalar gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, gaugeKind, nil, nil).child(nil).(*Gauge)
+	return r.register(name, help, gaugeKind, nil, nil).child(r.values, nil).(*Gauge)
 }
 
 // Histogram registers (or resolves) a scalar histogram with the given
@@ -343,34 +377,43 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if buckets == nil {
 		buckets = DefLatencyBuckets()
 	}
-	return r.register(name, help, histogramKind, nil, buckets).child(nil).(*Histogram)
+	return r.register(name, help, histogramKind, nil, buckets).child(r.values, nil).(*Histogram)
 }
 
 // CounterVec is a counter family with labeled children.
-type CounterVec struct{ fam *family }
+type CounterVec struct {
+	fam *family
+	pre []string // label values of the registering view
+}
 
 // CounterVec registers (or resolves) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.register(name, help, counterKind, labels, nil)}
+	return &CounterVec{r.register(name, help, counterKind, labels, nil), r.values}
 }
 
 // With resolves the child for one label-value tuple. Resolve once and
 // keep the child; With takes the family lock.
-func (v *CounterVec) With(values ...string) *Counter { return v.fam.child(values).(*Counter) }
+func (v *CounterVec) With(values ...string) *Counter { return v.fam.child(v.pre, values).(*Counter) }
 
 // GaugeVec is a gauge family with labeled children.
-type GaugeVec struct{ fam *family }
+type GaugeVec struct {
+	fam *family
+	pre []string
+}
 
 // GaugeVec registers (or resolves) a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, gaugeKind, labels, nil)}
+	return &GaugeVec{r.register(name, help, gaugeKind, labels, nil), r.values}
 }
 
 // With resolves the child for one label-value tuple.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.fam.child(values).(*Gauge) }
+func (v *GaugeVec) With(values ...string) *Gauge { return v.fam.child(v.pre, values).(*Gauge) }
 
 // HistogramVec is a histogram family with labeled children.
-type HistogramVec struct{ fam *family }
+type HistogramVec struct {
+	fam *family
+	pre []string
+}
 
 // HistogramVec registers (or resolves) a labeled histogram family with
 // the given bucket upper bounds (nil = DefLatencyBuckets).
@@ -378,54 +421,10 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	if buckets == nil {
 		buckets = DefLatencyBuckets()
 	}
-	return &HistogramVec{r.register(name, help, histogramKind, labels, buckets)}
+	return &HistogramVec{r.register(name, help, histogramKind, labels, buckets), r.values}
 }
 
 // With resolves the child for one label-value tuple.
-func (v *HistogramVec) With(values ...string) *Histogram { return v.fam.child(values).(*Histogram) }
-
-// Delete removes the child for one label-value tuple, reporting whether
-// it existed. The family stays registered (With recreates a fresh,
-// zeroed child); a retained child pointer keeps working but is no
-// longer exposed. Deleting a counter child makes the family's summed
-// value go backwards — prune only children whose series is genuinely
-// retired (e.g. a replaced pool generation's), never ones a dashboard
-// treats as monotone.
-func (v *CounterVec) Delete(values ...string) bool { return v.fam.delete(values) }
-
-// Delete removes the child for one label-value tuple; see
-// CounterVec.Delete for semantics.
-func (v *GaugeVec) Delete(values ...string) bool { return v.fam.delete(values) }
-
-// Delete removes the child for one label-value tuple; see
-// CounterVec.Delete for semantics.
-func (v *HistogramVec) Delete(values ...string) bool { return v.fam.delete(values) }
-
-// Prune removes every child of the named family whose label-value tuple
-// fails keep, returning how many were removed. Scalar instruments
-// (no labels) are presented to keep as an empty tuple. Unknown names
-// prune nothing. Like Delete, Prune is for retiring series that no
-// longer describe anything live — a scrape between Prune and the next
-// publish simply misses the retired children.
-func (r *Registry) Prune(name string, keep func(values []string) bool) int {
-	r.mu.RLock()
-	f, ok := r.families[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	removed := 0
-	for key := range f.children {
-		var values []string
-		if key != "" || len(f.labels) > 0 {
-			values = strings.Split(key, "\x00")
-		}
-		if !keep(values) {
-			delete(f.children, key)
-			removed++
-		}
-	}
-	return removed
+func (v *HistogramVec) With(values ...string) *Histogram {
+	return v.fam.child(v.pre, values).(*Histogram)
 }

@@ -33,16 +33,8 @@ const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"
 // WriteOpenMetrics renders every registered family in OpenMetrics
 // text format, histogram exemplars included, ending with `# EOF`.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
 	bw := bufio.NewWriter(w)
-	for _, f := range fams {
+	for _, f := range r.sorted() {
 		if err := f.writeOpenMetrics(bw); err != nil {
 			return err
 		}

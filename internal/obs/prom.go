@@ -15,16 +15,8 @@ import (
 // sorted by label values, histograms expanded into cumulative
 // `_bucket{le=...}` series plus `_sum` and `_count`.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
 	bw := bufio.NewWriter(w)
-	for _, f := range fams {
+	for _, f := range r.sorted() {
 		if err := f.write(bw); err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,4 +160,68 @@ func TestObserveSince(t *testing.T) {
 	if h.Count() != 2 || h.Sum() <= 0 || h.Sum() > 1 {
 		t.Fatalf("count %d sum %v", h.Count(), h.Sum())
 	}
+}
+
+// TestWithLabelViews: views prepend their label to every family
+// registered through them, resolve one child per label tuple, and the
+// whole namespace is exposed and snapshotted through the root.
+func TestWithLabelViews(t *testing.T) {
+	r := NewRegistry()
+	s0, s1 := r.WithLabel("shard", "0"), r.WithLabel("shard", "1")
+	for i, v := range []*Registry{s0, s1} {
+		v.CounterVec("p_total", "h", "outcome").With("shed").Add(uint64(i + 1))
+		v.CounterVec("p_total", "h", "outcome").With("ok").Add(10)
+		v.Counter("c_total", "h").Add(uint64(i + 5))
+		v.Histogram("l_seconds", "h", []float64{1}).Observe(0.5)
+		v.GaugeFunc("f", "h", func() float64 { return float64(i) })
+	}
+	if s0.Counter("c_total", "h") != r.WithLabel("shard", "0").Counter("c_total", "h") {
+		t.Fatal("two views with one label tuple resolved distinct children")
+	}
+
+	var buf strings.Builder
+	if err := s1.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`p_total{shard="0",outcome="shed"} 1`,
+		`p_total{shard="1",outcome="shed"} 2`,
+		`c_total{shard="1"} 6`,
+		`l_seconds_count{shard="0"} 1`,
+		`f{shard="1"} 1`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
+
+	snap := s0.Snapshot()
+	if got := snap.CounterWith("p_total", "shed"); got != 3 {
+		t.Errorf("CounterWith(shed) = %d, want 3 summed over shards", got)
+	}
+	if got := snap.CounterWith("p_total", "1", "shed"); got != 2 {
+		t.Errorf("CounterWith(1, shed) = %d, want 2", got)
+	}
+	if got := snap.CounterWith("p_total"); got != 23 {
+		t.Errorf("CounterWith with no values = %d, want the family sum 23", got)
+	}
+	if got := snap.Counter("c_total"); got != 11 {
+		t.Errorf("Counter(c_total) = %d, want 11", got)
+	}
+	if h := snap.Histogram("l_seconds"); h == nil || h.Count != 2 {
+		t.Errorf("merged histogram %+v, want count 2", h)
+	}
+
+	nested := s0.WithLabel("gen", "7")
+	nested.Counter("n_total", "h").Inc()
+	if got := r.Snapshot().CounterWith("n_total", "0", "7"); got != 1 {
+		t.Errorf("nested view child = %d, want 1", got)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a view's family without its label did not panic")
+		}
+	}()
+	r.CounterVec("p_total", "h", "outcome")
 }

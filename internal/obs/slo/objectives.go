@@ -22,7 +22,9 @@ func CounterSeries(name string) func(obs.Snapshot) float64 {
 	return func(s obs.Snapshot) float64 { return float64(s.Counter(name)) }
 }
 
-// CounterWithSeries reads one labeled child of a counter family.
+// CounterWithSeries reads the children of a counter family whose
+// trailing label values match, summed over any leading labels (a
+// fleet's shard; see obs.Snapshot.CounterWith).
 func CounterWithSeries(name string, values ...string) func(obs.Snapshot) float64 {
 	return func(s obs.Snapshot) float64 { return float64(s.CounterWith(name, values...)) }
 }
@@ -116,7 +118,8 @@ func GaugeSumSeries(name string) func(obs.Snapshot) float64 {
 
 // LatencyObjective builds the verdict-latency SLI: the fraction of
 // verdicts completing within threshold must be ≥ target. Reads the
-// monitor's scalar verdict-latency histogram.
+// monitor's verdict-latency histogram, merged over its children (every
+// shard of a fleet).
 func LatencyObjective(target float64, threshold time.Duration) Objective {
 	const hist = "rhmd_monitor_verdict_latency_seconds"
 	return EventRatio("verdict-latency",

@@ -312,9 +312,13 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Run ticks the engine at Config.Interval until stop closes. The CLI's
-// serving loop; tests drive Tick directly.
+// Run samples once at once, then ticks the engine at Config.Interval
+// until stop closes. The start sample anchors every window at the
+// run's beginning, so one more Tick after a run shorter than an
+// Interval still evaluates all of it. The CLI's serving loop; tests
+// drive Tick directly.
 func (e *Engine) Run(stop <-chan struct{}) {
+	e.Tick()
 	tick := time.NewTicker(e.cfg.Interval)
 	defer tick.Stop()
 	for {

@@ -351,3 +351,47 @@ func TestHandler(t *testing.T) {
 		t.Fatalf("POST /slo = %d, want 405", rr.Code)
 	}
 }
+
+// TestRunSamplesAtStart: Run takes its first sample when it starts, not
+// one Interval later, so a run shorter than an Interval is evaluated by
+// the Tick that follows it.
+func TestRunSamplesAtStart(t *testing.T) {
+	reg := obs.NewRegistry()
+	sloReg := obs.NewRegistry()
+	clock, advance := fixedClock(testBase)
+	eng, err := slo.New(slo.Config{
+		Source:     reg,
+		Metrics:    sloReg,
+		Now:        clock,
+		Interval:   time.Hour,
+		Objectives: slo.DefaultObjectives(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		eng.Run(stop)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for sloReg.Snapshot().Counter("rhmd_slo_evaluations_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("Run took no sample before its first one-hour interval")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	<-done
+
+	// Traffic after the start sample, then the closing Tick: the one run
+	// is evaluated, every submission shed.
+	reg.CounterVec("rhmd_monitor_programs_total", "h", "outcome").With("shed").Add(10)
+	advance(8 * time.Second)
+	eng.Tick()
+	for _, o := range eng.Status().Objectives {
+		if o.Name == "shed-rate" && (o.BadRatio != 1 || o.State != slo.StatePage.String()) {
+			t.Fatalf("shed-rate after a short run: %+v, want bad ratio 1 and page", o)
+		}
+	}
+}

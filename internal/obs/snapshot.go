@@ -54,13 +54,7 @@ type Snapshot map[string]FamilySnapshot
 
 // Snapshot copies every registered family.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-
+	fams := r.sorted()
 	out := make(Snapshot, len(fams))
 	for _, f := range fams {
 		f.mu.Lock()
@@ -100,10 +94,22 @@ func (s Snapshot) Counter(name string) uint64 {
 	return total
 }
 
-// CounterWith reads one labeled child of a counter family (values in
-// registration order); missing reads as zero.
+// CounterWith sums the children of a counter family whose trailing
+// label values equal values (in registration order), so one read
+// serves an engine's {outcome} family and a fleet's {shard, outcome}
+// family alike, the latter summed over shards. Missing reads as zero.
 func (s Snapshot) CounterWith(name string, values ...string) uint64 {
-	return s[name].Children[strings.Join(values, "\x00")].Counter
+	if len(values) == 0 {
+		return s.Counter(name)
+	}
+	suffix := strings.Join(values, "\x00")
+	var total uint64
+	for key, mv := range s[name].Children {
+		if key == suffix || strings.HasSuffix(key, "\x00"+suffix) {
+			total += mv.Counter
+		}
+	}
+	return total
 }
 
 // Histogram merges a histogram family's children into one bucket
