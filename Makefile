@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet lint build test race bench benchjson trace-smoke fuzz crashtest chaostest drifttest check clean
+.PHONY: all fmt vet lint build test race bench perfgate trace-smoke fuzz crashtest chaostest drifttest check clean
 
 all: check
 
@@ -38,16 +38,15 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Scenario benchrunner: replay the core load scenarios and emit
-# machine-readable BENCH_<scenario>.json reports (throughput, latency
-# percentiles, shed/retry/restart counters, allocs/op) into results/.
-# The steady scenario is gated against the committed BENCH_baseline.json
-# — a >10% throughput drop fails the target, and CI with it. The other
-# scenarios are artifacts only (fault-heavy runs are too noisy to gate).
-benchjson:
-	mkdir -p results
-	$(GO) run ./cmd/rhmd-benchrunner -scenario steady -out results -baseline BENCH_baseline.json
-	$(GO) run ./cmd/rhmd-benchrunner -scenario burst,hotkey,breaker-storm -out results
+# perfbench A/B gate against the previous commit: perfbench at HEAD~1
+# (checked out in a git worktree, with this checkout's perfbench/
+# copied over it) and at this checkout, alternating pairs on
+# repeat-long and short-durable, judged by cmd/rhmd-perfgate against
+# BENCHMARK.json. Fails on a wrong verdict or a regression beyond both
+# the parent's spread and the metric's bound. See scripts/perfgate.sh;
+# CI runs it in the perfgate job.
+perfgate:
+	./scripts/perfgate.sh HEAD~1
 
 # End-to-end smoke for verdict span tracing and the fleet's metrics:
 # boot rhmd-monitor with -metrics-addr (which alone turns the span

@@ -155,8 +155,8 @@ var Scopes = map[string][]string{
 	// SplitMix64 stream and timestamps from the injected Config.Now, so
 	// a stray time.Now or math/rand would silently break replayable
 	// traces. The scenario DSL is in scope because a compiled corpus is
-	// a bench workload's identity: identical seeds must produce
-	// identical corpora or BENCH comparisons measure different work.
+	// a perfbench workload's identity: identical seeds must produce
+	// identical corpora or A/B comparisons measure different work.
 	"determinism": {"internal/prog", "internal/rng", "internal/experiments", "internal/game", "internal/obs/span", "internal/scenario"},
 	// The fsync-before-rename protocol is the durability layer's
 	// contract; persistence helpers in hmd/core and the monitor's
@@ -164,16 +164,16 @@ var Scopes = map[string][]string{
 	"fsyncrename": {"internal/checkpoint", "internal/hmd", "internal/core", "internal/monitor"},
 	// Goroutine lifecycle matters where the serving stack launches
 	// long-lived workers: the monitor engine, the fleet, the drift
-	// guard's background retrains, obs HTTP serving, the benchrunner's
-	// load generators, and the operational cmd binaries.
-	"goroutineleak": {"internal/monitor", "internal/fleet", "internal/driftguard", "internal/obs", "internal/benchrunner", "cmd"},
+	// guard's background retrains, obs HTTP serving, and the
+	// operational cmd binaries.
+	"goroutineleak": {"internal/monitor", "internal/fleet", "internal/driftguard", "internal/obs", "cmd"},
 	// Pool/span ownership handoff is the PR 5 race class: the packages
 	// that pass pooled spans between goroutines. internal/obs/span
 	// itself implements the recycler, so it is deliberately outside
 	// the scope — the check is for users of the pool, not its owner.
-	"poolhandoff": {"internal/monitor", "internal/fleet", "internal/driftguard", "internal/benchrunner"},
+	"poolhandoff": {"internal/monitor", "internal/fleet", "internal/driftguard"},
 	// Span balance applies to the packages that open verdict traces.
-	"spanbalance": {"internal/monitor", "internal/fleet", "internal/driftguard", "internal/benchrunner"},
+	"spanbalance": {"internal/monitor", "internal/fleet", "internal/driftguard"},
 	// The WAL-before-publish protocol is the PR 8 swap invariant; it
 	// lives in the monitor's swap/verdict paths, the fleet's per-shard
 	// catch-up, and the checkpoint store itself.

@@ -235,6 +235,12 @@ func TestCanaryRegressionRollsBackE2E(t *testing.T) {
 		d.Threshold = 1e300 // flags nothing, ever
 	}
 	rec, incDir := rollbackIncidentRecorder(t, e)
+	// The guard counts a rollback under its lock and runs OnRollback
+	// after unlocking, so Status can report the rollback before its
+	// bundle is written. The test learns of the rollback in the hook,
+	// once the capture has returned, by closing rolledBack.
+	rolledBack := make(chan struct{})
+	var rollbackHooks atomic.Int64
 	g, err := New(f.rhmd, Config{
 		Swapper:         e,
 		Retrain:         func(context.Context, []*prog.Program) (*core.RHMD, error) { return evil, nil },
@@ -250,6 +256,9 @@ func TestCanaryRegressionRollsBackE2E(t *testing.T) {
 			_, err := rec.Trigger(incident.Cause{Kind: "drift-rollback", Detail: detail})
 			if err != nil && !errors.Is(err, incident.ErrSuppressed) {
 				t.Errorf("incident capture on rollback: %v", err)
+			}
+			if rollbackHooks.Add(1) == 1 {
+				close(rolledBack)
 			}
 		},
 	})
@@ -313,7 +322,12 @@ func TestCanaryRegressionRollsBackE2E(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		submit(relabel(f.programs[i%len(f.programs)], prog.Malware))
 	}
-	st := waitFor("rollback", func(st Status) bool { return st.Rollbacks >= 1 })
+	select {
+	case <-rolledBack:
+	case <-time.After(time.Until(deadline)):
+		t.Fatalf("timed out waiting for rollback: %+v", g.Status())
+	}
+	st := g.Status()
 	if st.Rollbacks != 1 || st.Commits != 0 || st.State != "watching" {
 		t.Fatalf("rollback accounting off: %+v", st)
 	}

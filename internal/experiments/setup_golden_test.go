@@ -28,7 +28,7 @@ const (
 	victimWindowsGolden = 0x9e19c3d368493cb4
 	victimWindowsRows   = 9720
 	// setupPoolGolden is core.RHMD.Fingerprint of the six-detector LR
-	// pool perfbench and the scenario benchrunner serve.
+	// pool perfbench serves.
 	setupPoolGolden = 0x73715f1c75fa1d75
 	// retrainPoolGolden is the fingerprint of that pool after one
 	// game.RetrainPool round on the attacker-training split.

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The /fleet health endpoint is a reporting surface: the benchrunner,
+// The /fleet health endpoint is a reporting surface: make trace-smoke,
 // the chaos harness artifact and any operator tooling decode it. This
 // golden-schema test pins the exact key set at every level of the
 // document, so a renamed or dropped field fails here instead of in a

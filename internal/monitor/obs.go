@@ -36,7 +36,7 @@ type instruments struct {
 	poolGeneration *obs.Gauge   // serving pool epoch
 
 	// verdictLatency is the end-to-end submit→durable-commit latency per
-	// program — the histogram the benchrunner estimates p50/p95/p99 from.
+	// program — the histogram the verdict-latency SLO objective reads.
 	verdictLatency *obs.Histogram
 
 	queueDepth  *obs.Gauge // current submission-queue occupancy

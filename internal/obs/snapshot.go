@@ -2,10 +2,10 @@ package obs
 
 import "strings"
 
-// Registry snapshots give batch consumers — the benchrunner foremost —
-// a consistent-enough copy of every instrument to diff a "before" and
-// an "after" around a measured run, without knowing at compile time
-// which families a layer registered. Snapshots read the same atomics a
+// Registry snapshots give batch consumers — the SLO engine, incident
+// bundles and perfbench — a consistent-enough copy of every instrument
+// to diff a "before" and an "after" around a measured interval, without
+// knowing at compile time which families a layer registered. Snapshots read the same atomics a
 // /metrics scrape reads; they take the registry and family locks only
 // to enumerate, never on any observe path.
 
@@ -18,12 +18,6 @@ type HistogramValue struct {
 	Cumulative []uint64
 	Count      uint64
 	Sum        float64
-}
-
-// Quantile estimates the q-th quantile of the snapshotted histogram;
-// see Quantile for semantics and error bounds.
-func (h HistogramValue) Quantile(q float64) float64 {
-	return Quantile(h.Upper, h.Cumulative, h.Count, q)
 }
 
 // MetricValue is one instrument's state in a snapshot. Exactly one of

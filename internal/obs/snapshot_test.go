@@ -78,11 +78,14 @@ func TestSnapshotHistogramMergesChildren(t *testing.T) {
 	if m == nil || m.Count != 3 {
 		t.Fatalf("merged count = %+v, want 3", m)
 	}
-	if m.Cumulative[0] != 1 || m.Cumulative[1] != 2 {
+	if len(m.Upper) != 2 || m.Upper[0] != 1 || m.Upper[1] != 2 {
+		t.Fatalf("merged upper bounds = %v, want [1 2]", m.Upper)
+	}
+	if len(m.Cumulative) != 2 || m.Cumulative[0] != 1 || m.Cumulative[1] != 2 {
 		t.Fatalf("merged cumulative = %v, want [1 2]", m.Cumulative)
 	}
-	if q := m.Quantile(0.5); q <= 0 || q > 2 {
-		t.Fatalf("merged quantile = %v, want within finite grid", q)
+	if m.Sum != 12 {
+		t.Fatalf("merged sum = %v, want 12", m.Sum)
 	}
 }
 

@@ -1,80 +1,38 @@
-// Package scenario is the seeded, declarative load-scenario DSL behind
-// the benchrunner. A Spec names a traffic shape (steady, burst, diurnal
-// ramp, hot-key skew across fleet shards), an adversary mix whose
-// evasive fraction ramps over the run, and an optional fault script
-// (shard chaos reusing monitor.ShardScript, or a detector breaker
-// storm). Compile turns the Spec into a replayable Corpus: a fixed
-// event sequence — program, inter-arrival delay, routing stream — plus
-// the armed injector and shard script, all a pure function of the
-// Spec. Identical Specs compile to identical corpora (the determinism
-// analyzer covers this package), so a BENCH report names the exact
-// workload it measured via the corpus fingerprint.
+// Package scenario is the seeded, declarative corpus DSL perfbench
+// compiles its workloads from. A Spec names a program population, a
+// steady arrival rate and an adversary mix whose evasive fraction ramps
+// over the event sequence. Compile turns the Spec into a replayable
+// Corpus: a fixed event sequence — program, inter-arrival delay,
+// routing stream — that is a pure function of the Spec. Identical Specs
+// compile to identical corpora (the determinism analyzer covers this
+// package), so a benchmark run names the exact workload it measured via
+// the corpus fingerprint.
 package scenario
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"rhmd/internal/dataset"
 	"rhmd/internal/isa"
-	"rhmd/internal/monitor"
 	"rhmd/internal/prog"
 	"rhmd/internal/rng"
 )
 
-// ShapeKind selects the traffic shape: how inter-arrival delays and
-// routing streams are laid out over the event sequence.
+// ShapeKind selects the traffic shape. Steady is the only one.
 type ShapeKind uint8
 
-// Traffic shapes.
-const (
-	// Steady paces events at a fixed rate (Shape.Rate events/second);
-	// each event rides its own stream, spreading uniformly over shards.
-	Steady ShapeKind = iota
-	// Burst sends back-to-back groups of Shape.BurstLen events with no
-	// intra-burst delay, separated by Shape.BurstGap of silence — the
-	// queue-depth and shedding stressor.
-	Burst
-	// Diurnal modulates the steady rate sinusoidally over Shape.Cycles
-	// full periods across the run, ramping load up and down like a
-	// day/night traffic curve.
-	Diurnal
-	// HotKey skews routing: Shape.HotFraction of events ride one of
-	// Shape.HotStreams hot streams (all events of a stream hash to one
-	// shard), the rest ride unique cold streams. The shape that proves
-	// per-shard isolation under load imbalance.
-	HotKey
-)
+// Steady paces events at a fixed rate (Shape.Rate events/second); each
+// event rides its own routing stream, spreading uniformly over shards.
+const Steady ShapeKind = 0
 
-var shapeNames = [...]string{"steady", "burst", "diurnal", "hotkey"}
-
-// String returns the shape mnemonic.
-func (k ShapeKind) String() string {
-	if int(k) < len(shapeNames) {
-		return shapeNames[k]
-	}
-	return "shape(?)"
-}
-
-// Shape parameterizes the traffic shape. Zero values select documented
-// defaults (see normalize).
+// Shape parameterizes the traffic shape.
 type Shape struct {
+	// Kind is Steady, the only shape.
 	Kind ShapeKind
-	// Rate is the average event rate in events/second for the paced
-	// shapes (Steady, Diurnal). 0 means unpaced: every delay is zero
-	// and the run measures engine saturation throughput.
+	// Rate is the event rate in events/second. 0 means unpaced: every
+	// delay is zero.
 	Rate float64
-	// BurstLen and BurstGap shape Burst traffic: BurstLen back-to-back
-	// events, then BurstGap of silence.
-	BurstLen int
-	BurstGap time.Duration
-	// Cycles is the number of full sinusoidal periods a Diurnal run
-	// sweeps across its event sequence.
-	Cycles float64
-	// HotFraction and HotStreams shape HotKey traffic.
-	HotFraction float64
-	HotStreams  int
 }
 
 // Adversary mixes evasive variants into the event sequence. The
@@ -98,54 +56,12 @@ type Adversary struct {
 	MemDelta int64
 }
 
-// BreakerStorm arms a detector-fault storm via monitor.Injector: every
-// detector gets an error profile of Rate for its first Until calls,
-// driving breaker quarantine/restore churn while the run measures
-// degraded-mode latency.
-type BreakerStorm struct {
-	// Rate is the per-call injected error probability in [0, 1].
-	Rate float64
-	// Until limits the storm to each detector's first Until calls, so
-	// every storm ends and breakers close again (0 = whole run).
-	Until uint64
-	// Latency, when positive, also injects stalls at Rate (the storm
-	// trips timeout paths, not just error paths).
-	Latency time.Duration
-}
-
-// Faults scripts the failures a scenario injects while load runs.
-type Faults struct {
-	// Chaos is a monitor.ParseShardScript expression
-	// ("shard:mode:arg,..."), applied to generation 0 of each targeted
-	// shard when the scenario runs against a fleet. Ignored on the
-	// single-engine path.
-	Chaos string
-	// Storm, when non-nil, arms a detector breaker storm on every
-	// engine or shard.
-	Storm *BreakerStorm
-}
-
-// EngineSpec sizes the engine(s) a scenario runs against. Zero values
-// select the benchrunner defaults.
-type EngineSpec struct {
-	// Workers and QueueDepth configure each monitor.Engine.
-	Workers    int
-	QueueDepth int
-	// Shards selects the fleet path when > 1; 0 or 1 runs a single
-	// engine.
-	Shards int
-	// WindowDeadline bounds each window classification (0 = engine
-	// default).
-	WindowDeadline time.Duration
-}
-
 // Spec is one named, fully seeded scenario. Everything a run needs is
 // in the Spec; Compile is a pure function of it.
 type Spec struct {
-	Name        string
-	Description string
+	Name string
 	// Seed derives every random decision in the compiled corpus: the
-	// base program population, stream assignment, and evasive draws.
+	// base program population and the evasive draws.
 	Seed uint64
 	// Events is the number of submissions in the compiled sequence
 	// (default 128). Base programs are drawn round-robin from the
@@ -158,10 +74,6 @@ type Spec struct {
 	Shape  Shape
 	// Adversary mixes evasive variants into the sequence.
 	Adversary Adversary
-	// Faults scripts shard chaos and breaker storms.
-	Faults Faults
-	// Engine sizes the engines under test.
-	Engine EngineSpec
 }
 
 // Event is one submission in a compiled corpus: the program (uniquely
@@ -172,7 +84,7 @@ type Spec struct {
 type Event struct {
 	Program *prog.Program
 	// Delay is the inter-arrival gap before this event (zero for the
-	// first event and for unpaced shapes).
+	// first event and when unpaced).
 	Delay time.Duration
 	// Stream is the fleet routing key (fleet.StreamKey(Program.Name)).
 	Stream string
@@ -181,18 +93,10 @@ type Event struct {
 }
 
 // Corpus is a compiled, replayable scenario: submit Events in order,
-// honouring Delays, against engines armed with Injector and (on the
-// fleet path) Script.
+// honouring Delays.
 type Corpus struct {
 	Spec   Spec
 	Events []Event
-	// Script is the parsed shard chaos script, nil when none.
-	Script *monitor.ShardScript
-	// Injector is the armed detector-fault injector, nil when the
-	// scenario has no storm. Each engine/shard needs its own Injector
-	// (call counts are per-instance state); NewInjector rebuilds an
-	// identical one.
-	Injector monitor.FaultInjector
 }
 
 // normalize fills defaulted Spec fields. It returns a copy; Specs are
@@ -211,21 +115,6 @@ func (s Spec) normalize() Spec {
 		s.Corpus.TraceLen = 40_000
 	}
 	s.Corpus.Seed = s.Seed
-	if s.Shape.BurstLen <= 0 {
-		s.Shape.BurstLen = 16
-	}
-	if s.Shape.BurstGap <= 0 {
-		s.Shape.BurstGap = 5 * time.Millisecond
-	}
-	if s.Shape.Cycles <= 0 {
-		s.Shape.Cycles = 2
-	}
-	if s.Shape.HotFraction <= 0 {
-		s.Shape.HotFraction = 0.7
-	}
-	if s.Shape.HotStreams <= 0 {
-		s.Shape.HotStreams = 2
-	}
 	if s.Adversary.PayloadLen <= 0 {
 		s.Adversary.PayloadLen = 4
 	}
@@ -240,15 +129,6 @@ func (s Spec) Validate() error {
 	if s.Adversary.Start < 0 || s.Adversary.Start > 1 || s.Adversary.End < 0 || s.Adversary.End > 1 {
 		return fmt.Errorf("scenario %s: evasive fractions must be in [0,1] (start %v, end %v)",
 			s.Name, s.Adversary.Start, s.Adversary.End)
-	}
-	if st := s.Faults.Storm; st != nil && (st.Rate < 0 || st.Rate > 1) {
-		return fmt.Errorf("scenario %s: storm rate %v outside [0,1]", s.Name, st.Rate)
-	}
-	if s.Shape.HotFraction > 1 {
-		return fmt.Errorf("scenario %s: hot fraction %v outside [0,1]", s.Name, s.Shape.HotFraction)
-	}
-	if _, err := monitor.ParseShardScript(s.Faults.Chaos); err != nil {
-		return err
 	}
 	return nil
 }
@@ -281,9 +161,8 @@ func Compile(spec Spec) (*Corpus, error) {
 	}
 	evasive := make([]*prog.Program, len(base.Programs))
 
-	// Seeded draw streams, one per decision axis, so changing one knob
-	// (say HotFraction) cannot shift the draws behind another.
-	hotR := rng.NewKeyed(spec.Seed, "scenario-hot/"+spec.Name)
+	// The evasive draws ride their own keyed stream, so no other
+	// decision can shift them.
 	evR := rng.NewKeyed(spec.Seed, "scenario-evasive/"+spec.Name)
 
 	c := &Corpus{Spec: spec, Events: make([]Event, 0, spec.Events)}
@@ -299,45 +178,19 @@ func Compile(spec Spec) (*Corpus, error) {
 			p = evasive[pi]
 		}
 
-		stream := streamFor(spec.Shape, i, hotR)
+		stream := fmt.Sprintf("s%05d", i)
 		// Shallow copy: Funcs/Mem are shared with the base (the engine
 		// never mutates a submitted program), only identity differs.
 		ren := *p
 		ren.Name = fmt.Sprintf("%s#%s-%05d", stream, p.Name, i)
 		c.Events = append(c.Events, Event{
 			Program: &ren,
-			Delay:   delayFor(spec.Shape, i, spec.Events),
+			Delay:   delayFor(spec.Shape, i),
 			Stream:  stream,
 			Evasive: ev,
 		})
 	}
-
-	c.Script, _ = monitor.ParseShardScript(spec.Faults.Chaos) // validated above
-	c.Injector = spec.NewInjector()
 	return c, nil
-}
-
-// NewInjector builds a fresh armed fault injector for one engine or
-// shard, or nil when the scenario has no storm. Injector call counts
-// are per-instance state, so every engine in a fleet needs its own.
-func (s Spec) NewInjector() monitor.FaultInjector {
-	st := s.Faults.Storm
-	if st == nil {
-		return nil
-	}
-	in := monitor.NewInjector(s.Seed)
-	profile := monitor.Profile{
-		ErrorRate: st.Rate,
-		Until:     st.Until,
-	}
-	if st.Latency > 0 {
-		// Split the storm budget between error and stall faults.
-		profile.ErrorRate = st.Rate / 2
-		profile.LatencyRate = st.Rate / 2
-		profile.Latency = st.Latency
-	}
-	in.SetDefault(profile)
-	return in
 }
 
 // buildPayload assembles the adversary's injection payload: alternating
@@ -382,59 +235,20 @@ func evasiveAt(a Adversary, i, n int, r *rng.Source) bool {
 	return u < frac
 }
 
-// streamFor assigns event i its routing stream. The hot draw stream is
-// consumed for every event regardless of shape, so switching shapes
-// does not shift other seeded decisions.
-func streamFor(sh Shape, i int, r *rng.Source) string {
-	u := r.Float64()
-	hot := r.Intn(1 << 16)
-	if sh.Kind != HotKey {
-		return fmt.Sprintf("s%05d", i)
-	}
-	if u < sh.HotFraction {
-		return fmt.Sprintf("hot-%02d", hot%sh.HotStreams)
-	}
-	return fmt.Sprintf("s%05d", i)
-}
-
 // delayFor computes event i's inter-arrival delay from its index alone
 // — no clocks, no state — so a compiled corpus replays with the same
 // pacing everywhere.
-func delayFor(sh Shape, i, n int) time.Duration {
-	if i == 0 {
+func delayFor(sh Shape, i int) time.Duration {
+	if i == 0 || sh.Rate <= 0 {
 		return 0
 	}
-	switch sh.Kind {
-	case Burst:
-		if i%sh.BurstLen == 0 {
-			return sh.BurstGap
-		}
-		return 0
-	case Steady:
-		if sh.Rate <= 0 {
-			return 0
-		}
-		return time.Duration(float64(time.Second) / sh.Rate)
-	case Diurnal:
-		if sh.Rate <= 0 {
-			return 0
-		}
-		base := float64(time.Second) / sh.Rate
-		// Modulate the *delay* sinusoidally around the base period;
-		// amplitude 0.9 keeps every delay positive while sweeping the
-		// instantaneous rate ~19x between trough and peak.
-		phase := 2 * math.Pi * sh.Cycles * float64(i) / float64(n)
-		return time.Duration(base * (1 + 0.9*math.Sin(phase)))
-	default: // HotKey is unpaced: skew, not pacing, is the stressor.
-		return 0
-	}
+	return time.Duration(float64(time.Second) / sh.Rate)
 }
 
 // Fingerprint folds the compiled event sequence — names, program
-// seeds, generations, delays, streams, evasive bits — and the fault
-// script into one 64-bit FNV-1a value. Two corpora with the same
-// fingerprint replay the same workload; BENCH reports embed it so a
-// regression comparison can refuse to compare different workloads.
+// seeds, generations, delays, streams, evasive bits — into one 64-bit
+// FNV-1a value. Two corpora with the same fingerprint replay the same
+// workload; perfbench prints it as the provenance of every run.
 func (c *Corpus) Fingerprint() uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(s string) {
@@ -465,38 +279,5 @@ func (c *Corpus) Fingerprint() uint64 {
 			mixU(0)
 		}
 	}
-	if c.Script != nil {
-		for _, f := range c.Script.Faults {
-			mixU(uint64(f.Shard))
-			mixU(uint64(f.Kind))
-			mixU(f.Arg)
-		}
-	}
-	if st := c.Spec.Faults.Storm; st != nil {
-		mixU(math.Float64bits(st.Rate))
-		mixU(st.Until)
-		mixU(uint64(st.Latency))
-	}
 	return h
-}
-
-// TotalDelay sums the corpus's inter-arrival delays — the paced floor
-// of the run's wall time, useful for sizing deadlines around a replay.
-func (c *Corpus) TotalDelay() time.Duration {
-	var d time.Duration
-	for _, e := range c.Events {
-		d += e.Delay
-	}
-	return d
-}
-
-// EvasiveCount counts the evasive events in the corpus.
-func (c *Corpus) EvasiveCount() int {
-	n := 0
-	for _, e := range c.Events {
-		if e.Evasive {
-			n++
-		}
-	}
-	return n
 }
