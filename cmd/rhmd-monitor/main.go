@@ -103,9 +103,6 @@ func main() {
 	driftCanary := flag.Int("drift-canary", 32, "new-generation verdicts the post-swap canary collects before commit/rollback (with -drift)")
 	driftPoolDir := flag.String("drift-pool-dir", "", "archive every pool generation here as pool-<fingerprint>.json and resolve swap WAL entries from it on restore (with -drift)")
 	sloOn := flag.Bool("slo", false, "evaluate the standard SLO objectives (verdict latency, shed rate, durability, drift EWMAs, fleet serving) with multi-window burn-rate alerting on /slo")
-	sloConfig := flag.String("slo-config", "", "JSON objective declarations overriding the standard SLO set (implies -slo)")
-	burnFast := flag.Float64("burn-fast", slo.DefaultFastBurn, "fast-rule burn-rate threshold: page when both the 5m and 1h windows burn at least this multiple of the error budget")
-	burnSlow := flag.Float64("burn-slow", slo.DefaultSlowBurn, "slow-rule burn-rate threshold: ticket when both the 30m and 6h windows burn at least this multiple of the error budget")
 	incidentDir := flag.String("incident-dir", "", "capture fingerprinted incident bundles (registry diff, kept traces, drift/fleet status, runtime deltas) into this directory on SLO pages/tickets, shard deaths and drift rollbacks; served on /incidents")
 	flag.Parse()
 
@@ -206,18 +203,15 @@ func main() {
 
 	// SLO engine + incident recorder first (both flag-gated): the fleet
 	// config wants the shard-death hook and the drift config the
-	// rollback hook, so both reference the recorder before their owners
+	// rollback event, so both reference the recorder before their owners
 	// exist. The fleet and guard flow back to the recorder through
 	// atomic pointers (captures run on supervisor/alert goroutines).
 	var flPtr atomic.Pointer[fleet.Fleet]
 	var guardPtr atomic.Pointer[driftguard.Guard]
 	sloW, err := buildSLO(sloParams{
 		enabled:     *sloOn,
-		configPath:  *sloConfig,
-		burnFast:    *burnFast,
-		burnSlow:    *burnSlow,
 		incidentDir: *incidentDir,
-		objectives:  slo.FleetObjectives(time.Duration(*slowMs)*time.Millisecond, *shards, 0),
+		objectives:  slo.FleetObjectives(time.Duration(*slowMs)*time.Millisecond, *shards),
 		reg:         reg,
 		spans:       spans,
 		drift: func() any {
@@ -266,7 +260,13 @@ func main() {
 		fcfg.OnShardDeath = func(shard int, reason string) {
 			trigger("shard-death", fmt.Sprintf("shard %d: %s", shard, reason))
 		}
-		driftCfg.OnRollback = func(detail string) { trigger("drift-rollback", detail) }
+		logDrift := driftCfg.OnEvent
+		driftCfg.OnEvent = func(kind, detail string) {
+			logDrift(kind, detail)
+			if kind == "rollback" {
+				trigger("drift-rollback", detail)
+			}
+		}
 	}
 	fl, err := fleet.New(r, fcfg)
 	check(err)
@@ -281,7 +281,7 @@ func main() {
 	}
 	if sloW.eng != nil {
 		fmt.Fprintf(info, "slo: %d objectives (page at %.1fx burn, ticket at %.1fx)\n",
-			len(sloW.eng.Objectives()), *burnFast, *burnSlow)
+			len(sloW.eng.Objectives()), slo.DefaultFastBurn, slo.DefaultSlowBurn)
 	}
 
 	var guard *driftguard.Guard

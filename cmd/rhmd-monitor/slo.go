@@ -12,16 +12,11 @@ import (
 )
 
 // sloParams is the SLO/incident wiring input: which flags were set,
-// which telemetry sources exist, and the default objective set.
+// which telemetry sources exist, and the objective set.
 type sloParams struct {
-	enabled     bool    // -slo
-	configPath  string  // -slo-config (implies enabled)
-	burnFast    float64 // -burn-fast
-	burnSlow    float64 // -burn-slow
-	incidentDir string  // -incident-dir
+	enabled     bool   // -slo
+	incidentDir string // -incident-dir
 
-	// objectives is the default set, used when no -slo-config overrides
-	// it.
 	objectives []slo.Objective
 
 	reg   *obs.Registry
@@ -59,8 +54,7 @@ func (w *sloWiring) finish() {
 // (alerts surface on /slo, metrics and kept traces only).
 func buildSLO(p sloParams) (*sloWiring, error) {
 	w := &sloWiring{}
-	wantSLO := p.enabled || p.configPath != ""
-	if !wantSLO && p.incidentDir == "" {
+	if !p.enabled && p.incidentDir == "" {
 		return w, nil
 	}
 
@@ -86,17 +80,7 @@ func buildSLO(p sloParams) (*sloWiring, error) {
 		w.mounts = append(w.mounts, obs.Mount{Path: "/incidents", Handler: rec.Handler()})
 	}
 
-	if wantSLO {
-		objs := p.objectives
-		if p.configPath != "" {
-			data, err := os.ReadFile(p.configPath)
-			if err != nil {
-				return nil, fmt.Errorf("-slo-config: %w", err)
-			}
-			if objs, err = slo.ParseObjectives(data); err != nil {
-				return nil, err
-			}
-		}
+	if p.enabled {
 		var hook func(slo.Transition)
 		if w.rec != nil {
 			hook = w.rec.SLOHook()
@@ -104,9 +88,7 @@ func buildSLO(p sloParams) (*sloWiring, error) {
 		eng, err := slo.New(slo.Config{
 			Source:     p.reg,
 			Now:        time.Now,
-			FastBurn:   p.burnFast,
-			SlowBurn:   p.burnSlow,
-			Objectives: objs,
+			Objectives: p.objectives,
 			Spans:      p.spans,
 			OnTransition: func(tr slo.Transition) {
 				fmt.Fprintf(os.Stderr, "slo: %s: %s → %s: %s\n",

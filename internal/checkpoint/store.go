@@ -18,7 +18,7 @@
 //     and replays the valid prefix of the chosen generation's WAL; a
 //     torn WAL tail — the signature of a crash mid-append — is cut, not
 //     fatal.
-//   - The last Keep good generations are retained, so one corrupt
+//   - The last two good generations are retained, so one corrupt
 //     newest snapshot never strands the store.
 //
 // Every write goes through the FS abstraction, which is how the
@@ -44,24 +44,23 @@ import (
 // usable state at all — a fresh deployment, not a failure.
 var ErrNoCheckpoint = errors.New("checkpoint: no checkpoint to restore")
 
-// Options tunes a Store. The zero value selects the real filesystem and
-// a retention of two generations.
+// Options tunes a Store. The zero value selects the real filesystem.
 type Options struct {
 	// FS is the filesystem the store writes through (nil = the real OS
 	// filesystem). Tests substitute a FailingFS here.
 	FS FS
-	// Keep is how many snapshot generations to retain (minimum and
-	// default 2: the newest plus one fallback).
-	Keep int
 }
+
+// keep is how many snapshot generations a store retains: the newest
+// plus one fallback.
+const keep = 2
 
 // Store is a snapshot+WAL checkpoint directory. All methods are safe
 // for concurrent use; Append from engine workers may interleave with a
 // periodic Save.
 type Store struct {
-	dir  string
-	fs   FS
-	keep int
+	dir string
+	fs  FS
 
 	mu     sync.Mutex
 	gen    uint64 // generation of the current snapshot + open WAL
@@ -90,13 +89,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.FS == nil {
 		opts.FS = OSFS{}
 	}
-	if opts.Keep < 2 {
-		opts.Keep = 2
-	}
 	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("checkpoint: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, fs: opts.FS, keep: opts.Keep}
+	s := &Store{dir: dir, fs: opts.FS}
 	gens, err := s.snapshotGens()
 	if err != nil {
 		return nil, err
@@ -256,10 +252,10 @@ func (s *Store) pruneLocked() {
 	if err != nil {
 		return
 	}
-	// Keep the newest s.keep snapshot generations; everything older
+	// Keep the newest keep snapshot generations; everything older
 	// goes, along with any WAL not belonging to a kept generation.
 	kept := map[uint64]bool{s.gen: true}
-	for i := len(gens) - 1; i >= 0 && len(kept) < s.keep; i-- {
+	for i := len(gens) - 1; i >= 0 && len(kept) < keep; i-- {
 		kept[gens[i]] = true
 	}
 	for _, g := range gens {

@@ -125,7 +125,7 @@ func TestWALBeforeFirstSave(t *testing.T) {
 
 func TestGenerationRetentionAndPrune(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Keep: 2})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

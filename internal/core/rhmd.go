@@ -13,12 +13,10 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"rhmd/internal/dataset"
 	"rhmd/internal/features"
 	"rhmd/internal/hmd"
-	"rhmd/internal/obs"
 	"rhmd/internal/par"
 	"rhmd/internal/prog"
 	"rhmd/internal/rng"
@@ -43,9 +41,6 @@ type RHMD struct {
 	Key uint64
 
 	cat *rng.Categorical
-	// draws, when non-nil, counts batch-path switching draws per
-	// detector (see Instrument).
-	draws []*obs.Counter
 }
 
 // New builds an RHMD with uniform switching over the pool.
@@ -113,22 +108,6 @@ func (r *RHMD) SwitchSource(p *prog.Program) *rng.Source {
 	return r.switcher(p)
 }
 
-// Instrument registers per-detector switching-draw counters
-// (rhmd_switch_draws_total) in reg and attaches them to the batch
-// switching path, so the empirical distribution DecideTrace realizes
-// can be scraped and checked against Probs. Call it once, before
-// serving; it is not safe to race with in-flight DecideTrace calls
-// (the counters themselves are atomic and contention-free after that).
-func (r *RHMD) Instrument(reg *obs.Registry) {
-	vec := reg.CounterVec("rhmd_switch_draws_total",
-		"Batch-path (DecideTrace) switching draws routed to each detector.", "detector", "spec")
-	draws := make([]*obs.Counter, len(r.Detectors))
-	for i, d := range r.Detectors {
-		draws[i] = vec.With(strconv.Itoa(i), d.Spec.String())
-	}
-	r.draws = draws
-}
-
 // LiveSampler returns a switching sampler renormalized over the subset
 // of detectors with live[i] == true, keeping pool indices stable:
 // quarantined detectors get weight zero and are never drawn, survivors
@@ -169,9 +148,6 @@ func (r *RHMD) DecideTrace(p *prog.Program, traceLen int) ([]hmd.WindowDecision,
 	var seq []int
 	next := func() int {
 		i := r.cat.Sample(src)
-		if r.draws != nil {
-			r.draws[i].Inc()
-		}
 		seq = append(seq, i)
 		return r.Detectors[i].Spec.Period
 	}

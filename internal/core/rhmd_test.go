@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"math"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -12,7 +10,6 @@ import (
 	"rhmd/internal/dataset"
 	"rhmd/internal/features"
 	"rhmd/internal/hmd"
-	"rhmd/internal/obs"
 	"rhmd/internal/prog"
 	"rhmd/internal/rng"
 )
@@ -247,56 +244,6 @@ func TestDecideTraceSchedule(t *testing.T) {
 	}
 	if !saw1000 || !saw2000 {
 		t.Fatal("switching never used both periods")
-	}
-}
-
-// TestInstrumentCountsBatchDraws: after Instrument, the batch switching
-// path publishes per-detector draw counters whose total is exactly the
-// number of scheduled windows and whose empirical distribution tracks
-// the switching weights.
-func TestInstrumentCountsBatchDraws(t *testing.T) {
-	f := getFixture(t)
-	r, err := New(f.pool, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	r.Instrument(reg)
-	windows := 0
-	for _, p := range f.atkTest {
-		dec, err := r.DecideTrace(p, f.traceLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// DecideTrace schedules one draw ahead of extraction; the
-		// trailing partial window's draw is counted but not decided.
-		windows += len(dec) + 1
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	body := sb.String()
-	re := regexp.MustCompile(`(?m)^rhmd_switch_draws_total\{detector="(\d+)",spec="[^"]+"\} (\d+)$`)
-	matches := re.FindAllStringSubmatch(body, -1)
-	if len(matches) != r.Size() {
-		t.Fatalf("%d draw series for %d detectors:\n%s", len(matches), r.Size(), body)
-	}
-	total := 0
-	for _, m := range matches {
-		v, _ := strconv.Atoi(m[2])
-		total += v
-	}
-	if total != windows {
-		t.Fatalf("counted %d draws for %d scheduled windows", total, windows)
-	}
-	for _, m := range matches {
-		i, _ := strconv.Atoi(m[1])
-		v, _ := strconv.Atoi(m[2])
-		got := float64(v) / float64(total)
-		if math.Abs(got-r.Probs[i]) > 0.05 {
-			t.Fatalf("detector %d empirical share %.4f vs weight %.4f", i, got, r.Probs[i])
-		}
 	}
 }
 

@@ -120,14 +120,12 @@ type Config struct {
 	// Metrics receives the rhmd_drift_* instruments (nil = a private
 	// registry).
 	Metrics *obs.Registry
-	// OnRollback, when non-nil, is called (off the guard lock) after a
-	// canary rollback lands — the incident flight recorder's trigger:
-	// a rollback means a retrained pool regressed in production, which
-	// is exactly the moment to freeze a diagnostic bundle.
-	OnRollback func(detail string)
 	// OnEvent, when non-nil, is called for each lifecycle step (drift
 	// fired, retrain done/failed, canary commit/rollback) — the CLI's
-	// progress hook. Called with the guard's lock NOT held.
+	// progress hook, and on kind "rollback" the incident flight
+	// recorder's trigger: a rollback means a retrained pool regressed
+	// in production, which is exactly the moment to freeze a diagnostic
+	// bundle. Called with the guard's lock NOT held.
 	OnEvent func(kind, detail string)
 }
 
@@ -488,12 +486,7 @@ func (g *Guard) decideCanaryLocked() func() {
 		g.ins.agreement.Set(g.agrEWMA)
 		g.ins.state.Set(float64(Watching))
 		g.ins.rollbacks.Inc()
-		return func() {
-			g.event("rollback", detail)
-			if g.cfg.OnRollback != nil {
-				g.cfg.OnRollback(detail)
-			}
-		}
+		return func() { g.event("rollback", detail) }
 	}
 
 	// Commit: the new generation is the pool of record — a future drift

@@ -16,7 +16,7 @@ import (
 )
 
 // rollbackIncidentRecorder builds the flight recorder the rollback
-// scenario wires into OnRollback. Bundles land in $INCIDENT_OUT (the
+// scenario triggers from OnEvent. Bundles land in $INCIDENT_OUT (the
 // drifttest make target points it at results/incidents, which CI
 // uploads when the suite fails) or a per-test temp dir.
 func rollbackIncidentRecorder(t *testing.T, e *monitor.Engine) (*incident.Recorder, string) {
@@ -235,10 +235,10 @@ func TestCanaryRegressionRollsBackE2E(t *testing.T) {
 		d.Threshold = 1e300 // flags nothing, ever
 	}
 	rec, incDir := rollbackIncidentRecorder(t, e)
-	// The guard counts a rollback under its lock and runs OnRollback
-	// after unlocking, so Status can report the rollback before its
-	// bundle is written. The test learns of the rollback in the hook,
-	// once the capture has returned, by closing rolledBack.
+	// The guard counts a rollback under its lock and runs OnEvent after
+	// unlocking, so Status can report the rollback before its bundle is
+	// written. The test learns of the rollback in the hook, once the
+	// capture has returned, by closing rolledBack.
 	rolledBack := make(chan struct{})
 	var rollbackHooks atomic.Int64
 	g, err := New(f.rhmd, Config{
@@ -252,7 +252,10 @@ func TestCanaryRegressionRollsBackE2E(t *testing.T) {
 		CanaryWindow:    4,
 		CanaryTolerance: 0.15,
 		Cooldown:        1 << 20,
-		OnRollback: func(detail string) {
+		OnEvent: func(kind, detail string) {
+			if kind != "rollback" {
+				return
+			}
 			_, err := rec.Trigger(incident.Cause{Kind: "drift-rollback", Detail: detail})
 			if err != nil && !errors.Is(err, incident.ErrSuppressed) {
 				t.Errorf("incident capture on rollback: %v", err)

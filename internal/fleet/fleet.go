@@ -24,10 +24,10 @@ type Config struct {
 	Shards int
 	// CheckpointDir, when set, makes every shard durable: shard i
 	// snapshots and WALs under <CheckpointDir>/shard-i, and a restarted
-	// shard recovers from its own directory only. Durable shards run
-	// the engine in StrictDurability mode, so every verdict the fleet
-	// delivers is recoverable — the zero-acked-loss invariant the chaos
-	// harness proves. Empty means volatile shards.
+	// shard recovers from its own directory only. A durable engine
+	// withholds any verdict it could not log, so every verdict the
+	// fleet delivers is recoverable — the zero-acked-loss invariant the
+	// chaos harness proves. Empty means volatile shards.
 	CheckpointDir string
 	// Engine is the per-shard engine template. Metrics and Checkpoint
 	// must be left unset (each shard registers in its own view of
@@ -42,17 +42,8 @@ type Config struct {
 	// in-flight programs) without delivering a single verdict before
 	// the supervisor declares it wedged and restarts it (default 2s).
 	WedgeTimeout time.Duration
-	// CheckpointFailureLimit is the failed-append/save count at which a
-	// durable shard is declared dead (default 3).
-	CheckpointFailureLimit uint64
-	// RestartRetries is how many rebuild attempts a restart gets before
-	// the shard is parked degraded (default 3).
-	RestartRetries int
 	// SupervisorEvery is the health-poll interval (default 25ms).
 	SupervisorEvery time.Duration
-	// Vnodes is the virtual-node count per shard on the routing ring
-	// (default 64).
-	Vnodes int
 	// Metrics is the fleet registry (nil = a fresh private one). It
 	// carries the fleet's own families (shard states, restarts,
 	// reroutes, sheds) and every shard engine's and checkpoint store's
@@ -69,18 +60,22 @@ type Config struct {
 	OnShardDeath func(shard int, reason string)
 }
 
+const (
+	// checkpointFailureLimit is the failed-append/save count, counted
+	// from a generation's start, at which a durable shard is declared
+	// dead.
+	checkpointFailureLimit = 3
+	// restartRetries is how many rebuild attempts a restart gets after
+	// the first before the shard is parked degraded.
+	restartRetries = 3
+)
+
 func (c *Config) fill() {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
 	if c.WedgeTimeout <= 0 {
 		c.WedgeTimeout = 2 * time.Second
-	}
-	if c.CheckpointFailureLimit == 0 {
-		c.CheckpointFailureLimit = 3
-	}
-	if c.RestartRetries <= 0 {
-		c.RestartRetries = 3
 	}
 	if c.SupervisorEvery <= 0 {
 		c.SupervisorEvery = 25 * time.Millisecond
@@ -143,7 +138,7 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:      cfg,
 		rhmd:     r,
-		ring:     newRing(cfg.Shards, cfg.Vnodes),
+		ring:     newRing(cfg.Shards),
 		reg:      reg,
 		results:  make(chan monitor.Report, cfg.Shards*8),
 		crashCh:  make(chan int, cfg.Shards*16),
@@ -186,12 +181,11 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 
 // newGeneration builds one engine life for a shard: instruments in the
 // shard's registry view, the shard's own checkpoint store (with the
-// chaos filesystem when scripted), the scripted fault injector, strict
-// durability whenever the shard is durable, and a crash callback wired
-// to the supervisor. Durable generations restore the shard's
-// snapshot+WAL before returning, recording the verdict count the
-// checkpoint holds as the shard's zero-acked-loss baseline. The
-// generation's checkpoint-failure count starts at the shard's
+// chaos filesystem when scripted), the scripted fault injector, and a
+// crash callback wired to the supervisor. Durable generations restore
+// the shard's snapshot+WAL before returning, recording the verdict
+// count the checkpoint holds as the shard's zero-acked-loss baseline.
+// The generation's checkpoint-failure count starts at the shard's
 // cumulative count so far.
 func (f *Fleet) newGeneration(sh *shard, gen uint64) (*monitor.Engine, *checkpoint.Store, *chaosInjector, error) {
 	cfg := f.cfg.Engine
@@ -208,7 +202,6 @@ func (f *Fleet) newGeneration(sh *shard, gen uint64) (*monitor.Engine, *checkpoi
 		}
 		store = st
 		cfg.Checkpoint = store
-		cfg.StrictDurability = true
 	}
 	idx := sh.idx
 	cfg.OnWorkerCrash = func(error) {
@@ -398,7 +391,7 @@ func (f *Fleet) supervise() {
 				}
 				eng := sh.eng.Load()
 				st := eng.Stats()
-				if sh.dir != "" && st.CheckpointFailures-sh.ckptBase.Load() >= f.cfg.CheckpointFailureLimit {
+				if sh.dir != "" && st.CheckpointFailures-sh.ckptBase.Load() >= checkpointFailureLimit {
 					f.kill(sh, "checkpoint-failures")
 					continue
 				}
@@ -435,7 +428,7 @@ func (f *Fleet) kill(sh *shard, reason string) {
 //	                      drained.
 //	degraded → restarting: the old store is closed; a fresh engine
 //	                      generation is rebuilt from the shard's own
-//	                      snapshot+WAL (retried up to RestartRetries).
+//	                      snapshot+WAL (retried up to restartRetries times).
 //	restarting → serving: the new generation goes live and the key
 //	                      range comes home.
 //
@@ -486,7 +479,7 @@ func (f *Fleet) restart(sh *shard, reason string) {
 
 	f.setState(sh, Restarting)
 	newGen := oldGen + 1
-	for attempt := 0; attempt <= f.cfg.RestartRetries; attempt++ {
+	for attempt := 0; attempt <= restartRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(f.cfg.SupervisorEvery):

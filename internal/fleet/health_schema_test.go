@@ -152,7 +152,7 @@ func TestStreamKeyRouting(t *testing.T) {
 	if StreamKey("plain-name") != "plain-name" {
 		t.Fatalf("StreamKey without separator should be identity")
 	}
-	r := newRing(4, 0)
+	r := newRing(4)
 	home := r.home("tenant-7")
 	for i := 0; i < 16; i++ {
 		name := fmt.Sprintf("tenant-7#prog-%03d", i)

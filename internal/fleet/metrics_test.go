@@ -46,7 +46,7 @@ func TestFleetSLOsReadShardSeries(t *testing.T) {
 				Source:     reg,
 				Metrics:    obs.NewRegistry(),
 				Now:        func() time.Time { return now },
-				Objectives: slo.FleetObjectives(time.Microsecond, shards, 0),
+				Objectives: slo.FleetObjectives(time.Microsecond, shards),
 			})
 			if err != nil {
 				t.Fatal(err)

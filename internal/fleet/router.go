@@ -31,11 +31,11 @@ func StreamKey(name string) string {
 	return name
 }
 
-// defaultVnodes is the virtual-node count per shard: enough that key
+// vnodes is the virtual-node count per shard: enough that key
 // ranges interleave finely (a dead shard's load spreads over every
 // sibling instead of dumping onto one neighbor), small enough that the
 // ring stays a cache-resident array.
-const defaultVnodes = 64
+const vnodes = 64
 
 // vnode is one virtual point on the hash ring.
 type vnode struct {
@@ -51,12 +51,9 @@ type ring struct {
 	vnodes []vnode // sorted by hash
 }
 
-// newRing builds a ring of `shards` shards with `vnodes` virtual nodes
-// each (0 selects the default).
-func newRing(shards, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+// newRing builds a ring of `shards` shards with vnodes virtual nodes
+// each.
+func newRing(shards int) *ring {
 	r := &ring{shards: shards, vnodes: make([]vnode, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {

@@ -9,7 +9,7 @@ import (
 // on the same shard, and a reasonable key population touches every
 // shard (virtual nodes interleave the ranges).
 func TestRingRoutesDeterministicallyAndCovers(t *testing.T) {
-	r := newRing(3, 0)
+	r := newRing(3)
 	hits := map[int]int{}
 	all := func(int) bool { return true }
 	for i := 0; i < 300; i++ {
@@ -34,7 +34,7 @@ func TestRingRoutesDeterministicallyAndCovers(t *testing.T) {
 // live siblings — spread across more than one of them — and keys homed
 // on live shards do not move. All shards down routes nowhere.
 func TestRingFailsOverAndSpreads(t *testing.T) {
-	r := newRing(4, 0)
+	r := newRing(4)
 	down := 2
 	serving := func(s int) bool { return s != down }
 	fallback := map[int]int{}

@@ -384,15 +384,14 @@ func (e *Engine) applyEntry(entry checkpoint.Entry, tot *CounterState) error {
 
 // commitVerdict applies a finished program's accounting and durably
 // logs it, as one unit relative to snapshot capture. The WAL append
-// runs first: under StrictDurability a verdict whose append failed is
-// withheld (counted undurable, never delivered), so everything a
-// consumer acks is provably recoverable; without it the engine keeps
-// the pre-fleet behavior of delivering with a logged durability gap.
-// Every window of the program lands in a bucket whether or not the
-// program failed mid-trace; the program itself lands in processed,
-// failed, or undurable. tr/ws are the verdict's trace and its open
-// wal-fsync span (nil when untraced): a failed WAL append marks both,
-// so losing a verdict's durability always leaves a kept trace behind.
+// runs first: a verdict whose append failed is withheld (counted
+// undurable, never delivered), so everything a consumer acks is
+// provably recoverable. Every window of a delivered program lands in a
+// bucket whether or not the program failed mid-trace; the program
+// itself lands in processed, failed, or undurable. tr/ws are the
+// verdict's trace and its open wal-fsync span (nil when untraced): a
+// failed WAL append marks both, so losing a verdict's durability
+// always leaves a kept trace behind.
 func (e *Engine) commitVerdict(rep Report, tr *span.Trace, ws *span.Span) (durable bool) {
 	e.ckptMu.RLock()
 	defer e.ckptMu.RUnlock()
@@ -409,20 +408,18 @@ func (e *Engine) commitVerdict(rep Report, tr *span.Trace, ws *span.Span) (durab
 			err = e.ckpt.Append(checkpoint.KindVerdict, payload)
 		}
 		if err != nil {
-			// A failed append costs durability of this one verdict, not
-			// the engine: surface it on the trace and keep serving.
+			// A failed append costs this one verdict, not the engine:
+			// surface it on the trace and keep serving. The verdict is
+			// withheld and accounted only as undurable, since the
+			// counters below would be resurrected by a restore the WAL
+			// knows nothing about.
 			e.ins.ckptFailures.Inc()
 			tr.Flag(span.ReasonErrored)
 			if ws != nil {
 				ws.Err = err.Error()
 			}
-			if e.cfg.StrictDurability {
-				// Withheld: the counters below would be resurrected by a
-				// restore the WAL knows nothing about, so the verdict is
-				// accounted only as undurable.
-				e.ins.undurable.Inc()
-				return false
-			}
+			e.ins.undurable.Inc()
+			return false
 		}
 	}
 	e.ins.windows.Add(uint64(rep.Windows))

@@ -288,3 +288,77 @@ func TestRestoreOnAheadRegistry(t *testing.T) {
 		t.Fatalf("restore moved counters of an ahead registry:\n got: %+v\nwant: %+v", got, want)
 	}
 }
+
+// TestBareEngineWithholdsUndurableVerdicts: a durable engine outside a
+// fleet acks only what it logged. Its disk dies partway through the
+// stream; every program then ends either delivered or counted
+// undurable, and a fresh engine restored from the directory recovers
+// every delivered verdict.
+func TestBareEngineWithholdsUndurableVerdicts(t *testing.T) {
+	f := getFixture(t)
+	r, err := core.New(f.pool, 0xD1ED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(dir string, fsys checkpoint.FS) *Engine {
+		t.Helper()
+		store, err := checkpoint.Open(dir, checkpoint.Options{FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = store.Close() })
+		e, err := New(r, Config{Workers: 2, QueueDepth: len(f.programs), TraceLen: f.traceLen,
+			WindowDeadline: 2 * time.Second, Checkpoint: store,
+			CheckpointEvery: time.Hour, // no periodic snapshot competes for the budget
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	// Probe: what the stream's WAL appends cost on a disk that never
+	// dies, measured before the drain's final snapshot.
+	probe := checkpoint.NewFailingFS(checkpoint.OSFS{}, 1<<30)
+	e := build(t.TempDir(), probe)
+	e.Start(context.Background())
+	for _, p := range f.programs {
+		if !e.Submit(p) {
+			t.Fatalf("probe submit of %q shed with a roomy queue", p.Name)
+		}
+	}
+	for range f.programs {
+		<-e.Results()
+	}
+	appends := probe.Spent()
+	e.Close()
+	for range e.Results() {
+	}
+
+	dir := t.TempDir()
+	dying := checkpoint.NewFailingFS(checkpoint.OSFS{}, appends/2)
+	e = build(dir, dying)
+	delivered := len(runStream(t, e, f.programs))
+	if !dying.Crashed() {
+		t.Fatal("the disk outlived the stream; the test needs a failed append")
+	}
+	st := e.Stats()
+	if st.ProgramsUndurable == 0 {
+		t.Fatalf("no verdict counted undurable after the disk died (%d of %d delivered)", delivered, len(f.programs))
+	}
+	if got := uint64(delivered) + st.ProgramsUndurable; got != uint64(len(f.programs)) {
+		t.Fatalf("%d delivered + %d undurable = %d, want the %d submitted",
+			delivered, st.ProgramsUndurable, got, len(f.programs))
+	}
+	if got := st.ProgramsProcessed + st.ProgramsFailed; got != uint64(delivered) {
+		t.Fatalf("engine counts %d verdicts, delivered %d", got, delivered)
+	}
+
+	info, err := build(dir, nil).Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info == nil || info.Verdicts < uint64(delivered) {
+		t.Fatalf("restore %+v recovers fewer than the %d delivered verdicts", info, delivered)
+	}
+}

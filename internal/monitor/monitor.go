@@ -107,19 +107,13 @@ type Config struct {
 	// breaker transitions are write-ahead-logged as they happen,
 	// snapshots are flushed every CheckpointEvery and once more on
 	// drain, and a crashed engine resumes via Restore. One engine per
-	// store.
+	// store. A verdict whose WAL append failed is withheld: counted
+	// (rhmd_monitor_programs_total{outcome="undurable"}) but never
+	// delivered, so everything a consumer acks is recoverable.
 	Checkpoint *checkpoint.Store
 	// CheckpointEvery is the periodic snapshot interval (default 2s;
 	// ignored without a Checkpoint store).
 	CheckpointEvery time.Duration
-	// StrictDurability withholds any verdict whose WAL append failed:
-	// the report is counted (rhmd_monitor_programs_total{outcome=
-	// "undurable"}) but never delivered, so everything a consumer acks
-	// is recoverable. Fleet shards run strict so a restarted shard can
-	// prove zero acked-verdict loss; the default (false) keeps the
-	// single-engine behavior of delivering with a logged durability
-	// gap.
-	StrictDurability bool
 	// OnWorkerCrash, when non-nil, is called each time a worker
 	// goroutine dies to a panic that escaped per-program recovery (for
 	// example FaultWorkerCrash). The engine absorbs the crash — the

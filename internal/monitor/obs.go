@@ -16,7 +16,7 @@ type instruments struct {
 	programs  *obs.Counter // fully classified programs
 	shed      *obs.Counter // submissions rejected by backpressure
 	failed    *obs.Counter // trace/extraction failures
-	undurable *obs.Counter // verdicts withheld under StrictDurability (WAL append failed)
+	undurable *obs.Counter // verdicts withheld because their WAL append failed
 
 	windows  *obs.Counter // classified windows
 	flagged  *obs.Counter // subset flagged malware

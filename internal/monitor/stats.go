@@ -40,8 +40,8 @@ type Stats struct {
 	Flagged        uint64 `json:"flagged"`
 	Degraded       uint64 `json:"degraded"`
 	DroppedWindows uint64 `json:"dropped_windows"`
-	// ProgramsUndurable counts verdicts withheld under StrictDurability
-	// because their WAL append failed: classified, never acked.
+	// ProgramsUndurable counts verdicts withheld because their WAL
+	// append failed: classified, never acked.
 	ProgramsUndurable uint64 `json:"programs_undurable"`
 	// Retries, Timeouts and Panics count fault-handling events.
 	// WorkerCrashes counts worker goroutines lost to escaped panics;

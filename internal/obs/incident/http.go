@@ -31,7 +31,7 @@ func (r *Recorder) Handler() http.Handler {
 				Dir       string   `json:"dir"`
 				Keep      int      `json:"keep"`
 				Incidents []string `json:"incidents"`
-			}{Dir: r.cfg.Dir, Keep: r.cfg.Keep, Incidents: ids}
+			}{Dir: r.cfg.Dir, Keep: keep, Incidents: ids}
 			if doc.Incidents == nil {
 				doc.Incidents = []string{}
 			}

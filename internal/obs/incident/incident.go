@@ -10,9 +10,9 @@
 // protocol (write temp → fsync → rename → fsync dir), so a capture
 // that races a crash leaves either the previous bundle set or the new
 // one, never a torn file. The incident directory is bounded: only the
-// newest Keep bundles survive (two generations by default, mirroring
-// the checkpoint store's retention), and a per-cause cooldown keeps a
-// flapping alert from churning the directory. Every bundle carries an
+// newest two bundles survive (mirroring the checkpoint store's
+// two-generation retention), and a per-cause cooldown keeps a flapping
+// alert from churning the directory. Every bundle carries an
 // FNV-64a fingerprint over its own canonical JSON, so a loader can
 // prove the bundle it reads is the bundle that was written.
 package incident
@@ -42,6 +42,20 @@ const SchemaVersion = "rhmd.incident/v1"
 
 // ErrSuppressed reports a trigger swallowed by the per-cause cooldown.
 var ErrSuppressed = errors.New("incident: trigger suppressed by cooldown")
+
+const (
+	// keep bounds the incident directory to the newest bundles.
+	keep = 2
+	// minInterval is the per-cause-kind cooldown: a second trigger of
+	// the same kind inside it is suppressed, so a flapping alert cannot
+	// churn the directory.
+	minInterval = time.Minute
+	// traceWindow bounds the kept-trace section to traces started
+	// within this long before capture: the fast-burn long window.
+	traceWindow = time.Hour
+	// profileBytes caps the goroutine-profile excerpt.
+	profileBytes = 32 << 10
+)
 
 // Cause names what tripped the recorder.
 type Cause struct {
@@ -118,24 +132,10 @@ type Config struct {
 	// Now is the injected clock; the recorder never reads the wall
 	// clock.
 	Now func() time.Time
-	// Keep bounds the directory to the newest N bundles (default 2).
-	Keep int
-	// MinInterval is the per-cause-kind cooldown (default 1m): a
-	// second trigger of the same kind inside the interval is
-	// suppressed, so a flapping alert cannot churn the directory.
-	MinInterval time.Duration
-	// Window bounds the kept-trace section to traces started within
-	// this long before capture (default 1h, the fast-burn long
-	// window).
-	Window time.Duration
-	// ProfileBytes caps the goroutine-profile excerpt (default 32KiB).
-	ProfileBytes int
 
-	// Registry is diffed against the last healthy mark.
+	// Registry is diffed against the last healthy mark and receives
+	// the rhmd_incident_* instruments (nil = no instrumentation).
 	Registry *obs.Registry
-	// Metrics receives the rhmd_incident_* instruments (nil =
-	// Registry; both nil = no instrumentation).
-	Metrics *obs.Registry
 	// Spans supplies the kept-trace ring.
 	Spans *span.Recorder
 
@@ -181,31 +181,16 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	if cfg.FS == nil {
 		cfg.FS = checkpoint.OSFS{}
 	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = 2
-	}
-	if cfg.MinInterval <= 0 {
-		cfg.MinInterval = time.Minute
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Hour
-	}
-	if cfg.ProfileBytes <= 0 {
-		cfg.ProfileBytes = 32 << 10
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = cfg.Registry
-	}
 	r := &Recorder{cfg: cfg, lastByKind: map[string]time.Time{}}
-	if cfg.Metrics != nil {
+	if reg := cfg.Registry; reg != nil {
 		r.ins = &instruments{
-			captures: cfg.Metrics.CounterVec("rhmd_incident_captures_total",
+			captures: reg.CounterVec("rhmd_incident_captures_total",
 				"Incident bundles captured, by trigger cause.", "cause"),
-			suppressed: cfg.Metrics.Counter("rhmd_incident_suppressed_total",
+			suppressed: reg.Counter("rhmd_incident_suppressed_total",
 				"Incident triggers swallowed by the per-cause cooldown."),
-			failures: cfg.Metrics.Counter("rhmd_incident_write_failures_total",
+			failures: reg.Counter("rhmd_incident_write_failures_total",
 				"Incident bundle captures that failed to persist."),
-			bundles: cfg.Metrics.Gauge("rhmd_incident_bundles",
+			bundles: reg.Gauge("rhmd_incident_bundles",
 				"Incident bundles currently retained on disk."),
 		}
 	}
@@ -244,7 +229,7 @@ func (r *Recorder) Trigger(cause Cause) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.cfg.Now()
-	if last, ok := r.lastByKind[cause.Kind]; ok && now.Sub(last) < r.cfg.MinInterval {
+	if last, ok := r.lastByKind[cause.Kind]; ok && now.Sub(last) < minInterval {
 		if r.ins != nil {
 			r.ins.suppressed.Inc()
 		}
@@ -288,14 +273,14 @@ func (r *Recorder) assembleLocked(cause Cause, now time.Time) *Bundle {
 		HeapAlloc:          ms.HeapAlloc,
 		HeapObjectsHealthy: r.heapObjects,
 		HeapObjects:        ms.HeapObjects,
-		GoroutineProfile:   goroutineProfile(r.cfg.ProfileBytes),
+		GoroutineProfile:   goroutineProfile(),
 	}
 
 	if r.cfg.Registry != nil {
 		b.RegistryDiff = diffFamilies(r.cfg.Registry.Snapshot().Diff(r.baseline))
 	}
 	if r.cfg.Spans != nil {
-		cutoff := now.Add(-r.cfg.Window)
+		cutoff := now.Add(-traceWindow)
 		for _, kt := range r.cfg.Spans.Snapshot() {
 			if kt.Start.Before(cutoff) {
 				continue
@@ -355,7 +340,7 @@ func (r *Recorder) persistLocked(b *Bundle, data []byte) error {
 	}
 	// ReadDir sorts base names; the zero-padded nanos in the ID make
 	// that chronological, so pruning from the front drops the oldest.
-	for len(names) > r.cfg.Keep {
+	for len(names) > keep {
 		old := names[0]
 		names = names[1:]
 		if err := fsys.Remove(filepath.Join(r.cfg.Dir, old)); err != nil {
@@ -509,7 +494,7 @@ func marshalSection(fn func() any) json.RawMessage {
 	return data
 }
 
-func goroutineProfile(limit int) string {
+func goroutineProfile() string {
 	var buf bytes.Buffer
 	p := pprof.Lookup("goroutine")
 	if p == nil {
@@ -519,8 +504,8 @@ func goroutineProfile(limit int) string {
 		return ""
 	}
 	s := buf.String()
-	if len(s) > limit {
-		s = s[:limit] + "\n… truncated …"
+	if len(s) > profileBytes {
+		s = s[:profileBytes] + "\n… truncated …"
 	}
 	return s
 }

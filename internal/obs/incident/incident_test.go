@@ -50,7 +50,7 @@ func TestRetentionKeepsNewestTwo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ids) != 2 {
-		t.Fatalf("retained %d bundles, want 2 (Keep default)", len(ids))
+		t.Fatalf("retained %d bundles, want 2", len(ids))
 	}
 	// Lexical ID order is chronological; the oldest capture is gone.
 	if _, err := os.Stat(paths[0]); !os.IsNotExist(err) {
@@ -76,7 +76,7 @@ func TestCooldownSuppressesSameKind(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock, advance := fixedClock(testBase)
 	rec, err := incident.NewRecorder(incident.Config{
-		Dir: dir, Now: clock, Registry: reg, MinInterval: time.Minute,
+		Dir: dir, Now: clock, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -335,16 +335,14 @@ func (e *Engine) Run(stop <-chan struct{}) {
 // objective i: the latest sample at or before cutoff, or the oldest
 // sample when history is shorter than the window (a partial window —
 // burn is computed over the data that exists, the standard treatment
-// for a cold start).
+// for a cold start). History is time-ordered, so the edge sits just
+// before the first sample after cutoff.
 func windowEdge(history []sample, cutoff time.Time, i int) (bad, tot float64) {
-	edge := history[0]
-	for _, s := range history {
-		if s.at.After(cutoff) {
-			break
-		}
-		edge = s
+	j := sort.Search(len(history), func(j int) bool { return history[j].at.After(cutoff) })
+	if j > 0 {
+		j--
 	}
-	return edge.bad[i], edge.tot[i]
+	return history[j].bad[i], history[j].tot[i]
 }
 
 // burnOver computes objective i's burn rate over the window ending at

@@ -66,7 +66,7 @@ func TestNoTrafficStaysOK(t *testing.T) {
 	eng, err := slo.New(slo.Config{
 		Source:     reg,
 		Now:        clock,
-		Objectives: slo.DefaultObjectives(0),
+		Objectives: slo.FleetObjectives(0, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +76,8 @@ func TestNoTrafficStaysOK(t *testing.T) {
 		advance(time.Minute)
 	}
 	st := eng.Status()
-	if len(st.Objectives) != 5 {
-		t.Fatalf("status reports %d objectives, want 5", len(st.Objectives))
+	if len(st.Objectives) != 6 {
+		t.Fatalf("status reports %d objectives, want 6", len(st.Objectives))
 	}
 	for _, o := range st.Objectives {
 		if o.State != "ok" {
@@ -175,6 +175,11 @@ func TestHistogramSeries(t *testing.T) {
 	if got := slo.HistogramAboveSeries("rhmd_lat_seconds", 0.03)(s); got != 2 {
 		t.Errorf("above(0.03) = %v, want 2 (snaps to the 0.05 edge)", got)
 	}
+	// Above the last finite bound the next edge is +Inf: nothing is
+	// provably above it.
+	if got := slo.HistogramAboveSeries("rhmd_lat_seconds", 0.5)(s); got != 0 {
+		t.Errorf("above(0.5) = %v, want 0 (snaps to the +Inf edge)", got)
+	}
 	if got := slo.HistogramAboveSeries("rhmd_absent", 0.05)(s); got != 0 {
 		t.Errorf("above on a missing family = %v, want 0", got)
 	}
@@ -271,56 +276,13 @@ func TestTransitionTelemetry(t *testing.T) {
 	}
 }
 
-func TestParseObjectives(t *testing.T) {
-	good := `{
-	  "objectives": [
-	    {"name": "lat", "kind": "latency", "target": 0.99, "threshold_ms": 50},
-	    {"name": "shed", "kind": "ratio", "target": 0.999,
-	     "bad": {"counter": "rhmd_monitor_programs_total", "labels": ["shed"]},
-	     "total": {"counter": "rhmd_monitor_programs_total"}},
-	    {"name": "acc", "kind": "bound", "target": 0.99,
-	     "gauge": "rhmd_drift_accuracy_ewma", "min": 0.65}
-	  ]
-	}`
-	objs, err := slo.ParseObjectives([]byte(good))
-	if err != nil {
-		t.Fatalf("ParseObjectives(good): %v", err)
-	}
-	if len(objs) != 3 || objs[0].Name != "lat" || objs[2].Name != "acc" {
-		t.Fatalf("parsed %d objectives %v, want [lat shed acc]", len(objs), objs)
-	}
-
-	// A bare array is accepted too.
-	bare := `[{"name": "lat", "kind": "latency", "target": 0.99, "threshold_ms": 50}]`
-	if objs, err = slo.ParseObjectives([]byte(bare)); err != nil || len(objs) != 1 {
-		t.Fatalf("ParseObjectives(bare array) = %d objectives, %v", len(objs), err)
-	}
-
-	bad := []struct {
-		name, doc, want string
-	}{
-		{"unknown kind", `[{"name":"x","kind":"nope","target":0.9}]`, "unknown kind"},
-		{"latency without threshold", `[{"name":"x","kind":"latency","target":0.9}]`, "threshold_ms"},
-		{"ratio without counters", `[{"name":"x","kind":"ratio","target":0.9}]`, "bad and total"},
-		{"bound without bounds", `[{"name":"x","kind":"bound","target":0.9,"gauge":"g"}]`, "min and/or max"},
-		{"bound without gauge", `[{"name":"x","kind":"bound","target":0.9,"min":1}]`, "needs a gauge"},
-		{"typoed field", `{"objectives":[{"nam":"x"}]}`, "parse config"},
-		{"empty", `{"objectives":[]}`, "no objectives"},
-	}
-	for _, c := range bad {
-		if _, err := slo.ParseObjectives([]byte(c.doc)); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: ParseObjectives = %v, want error containing %q", c.name, err, c.want)
-		}
-	}
-}
-
 func TestHandler(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock, _ := fixedClock(testBase)
 	eng, err := slo.New(slo.Config{
 		Source:     reg,
 		Now:        clock,
-		Objectives: slo.DefaultObjectives(0),
+		Objectives: slo.FleetObjectives(0, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,8 +299,8 @@ func TestHandler(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
 		t.Fatalf("GET /slo returned unparsable JSON: %v", err)
 	}
-	if len(st.Objectives) != 5 || st.FastBurn != slo.DefaultFastBurn {
-		t.Fatalf("GET /slo = %d objectives, fast burn %v; want 5 and %v",
+	if len(st.Objectives) != 6 || st.FastBurn != slo.DefaultFastBurn {
+		t.Fatalf("GET /slo = %d objectives, fast burn %v; want 6 and %v",
 			len(st.Objectives), st.FastBurn, slo.DefaultFastBurn)
 	}
 	if st.Windows.FastShort != "5m0s" || st.Windows.SlowLong != "6h0m0s" {
@@ -364,7 +326,7 @@ func TestRunSamplesAtStart(t *testing.T) {
 		Metrics:    sloReg,
 		Now:        clock,
 		Interval:   time.Hour,
-		Objectives: slo.DefaultObjectives(0),
+		Objectives: slo.FleetObjectives(0, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

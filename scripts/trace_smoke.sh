@@ -1,12 +1,14 @@
 #!/bin/sh
-# trace_smoke.sh — end-to-end smoke for verdict span tracing and the
-# fleet's metrics: boot rhmd-monitor on an ephemeral port (-metrics-addr
-# alone turns the span recorder on) with -trace-out, scrape /traces,
-# /metrics and /fleet during the -hold window, and fail unless the kept
-# set is non-empty and shaped like span trees, the -trace-out file holds
-# the same trace IDs, /events is gone, and every shard has verdict
-# latencies on /metrics and a row on /fleet. Runs once with the default
-# single shard and once with -shards 2 over a checkpoint root.
+# trace_smoke.sh — end-to-end smoke for verdict span tracing, the
+# fleet's metrics and the SLO/incident endpoints: boot rhmd-monitor on an
+# ephemeral port (-metrics-addr alone turns the span recorder on) with
+# -trace-out and -slo, scrape /traces, /metrics, /fleet and /slo during
+# the -hold window, and fail unless the kept set is non-empty and shaped
+# like span trees, the -trace-out file holds the same trace IDs, /events
+# is gone, every shard has verdict latencies on /metrics and a row on
+# /fleet, and /slo lists the six standard objectives. Runs once with the
+# default single shard and once with -shards 2 over a checkpoint root
+# and an -incident-dir, where /incidents must answer with its listing.
 # Run via `make trace-smoke`.
 set -eu
 
@@ -21,6 +23,10 @@ smoke() {
   shift 2
   run="$workdir/$name"
   mkdir -p "$run"
+  case " $* " in
+    *" -incident-dir "*) incidents=1 ;;
+    *) incidents="" ;;
+  esac
 
   # Tiny corpus, keep-everything sampling, exemplars on, and a generous
   # hold so the endpoint is still up when we scrape. -slow-ms 0 is not
@@ -58,6 +64,7 @@ smoke() {
   curl -fsS "http://$addr/traces" >"$traces"
   curl -fsS "http://$addr/metrics" >"$run/metrics.txt"
   curl -fsS "http://$addr/fleet" >"$run/fleet.json"
+  curl -fsS "http://$addr/slo" >"$run/slo.json"
 
   # Non-empty kept set with the span-tree fields present.
   grep -q '"trace_id"' "$traces" || { echo "trace-smoke[$name]: /traces has no kept traces" >&2; cat "$traces" >&2; exit 1; }
@@ -102,13 +109,34 @@ smoke() {
     exit 1
   fi
 
+  # /slo evaluates exactly the standard objective set (Status sorts it
+  # by name; "name" keys appear only on objective rows).
+  objectives="$(sed -n 's/^ *"name": *"\([^"]*\)".*/\1/p' "$run/slo.json" | sort | tr '\n' ' ')"
+  want="drift-accuracy drift-agreement durability fleet-serving shed-rate verdict-latency "
+  if [ "$objectives" != "$want" ]; then
+    echo "trace-smoke[$name]: /slo objectives are '$objectives', want '$want'" >&2
+    cat "$run/slo.json" >&2
+    exit 1
+  fi
+  report="6 objectives on /slo"
+
+  if [ -n "$incidents" ]; then
+    code="$(curl -s -o "$run/incidents.json" -w '%{http_code}' "http://$addr/incidents")"
+    if [ "$code" != 200 ] || ! grep -q '"incidents": *\[' "$run/incidents.json"; then
+      echo "trace-smoke[$name]: GET /incidents returned $code without an incidents array" >&2
+      cat "$run/incidents.json" >&2
+      exit 1
+    fi
+    report="$report, /incidents 200 with an incidents array"
+  fi
+
   kill "$monpid" 2>/dev/null || true
   wait "$monpid" 2>/dev/null || true
   monpid=""
 
   count="$(wc -l <"$run/served.ids" | tr -d ' ')"
-  echo "trace-smoke[$name]: OK ($count kept traces on /traces and in -trace-out, kept counter $kept, $shards shard(s) on /metrics and /fleet, /events 404)"
+  echo "trace-smoke[$name]: OK ($count kept traces on /traces and in -trace-out, kept counter $kept, $shards shard(s) on /metrics and /fleet, /events 404, $report)"
 }
 
-smoke one 1
-smoke fleet 2 -checkpoint-dir "$workdir/ckpt"
+smoke one 1 -slo
+smoke fleet 2 -checkpoint-dir "$workdir/ckpt" -slo -incident-dir "$workdir/inc"
