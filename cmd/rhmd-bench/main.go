@@ -43,8 +43,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Per-experiment cost, scrapeable on /metrics while the suite runs.
+	reg := obs.NewRegistry()
+	wallSeconds := reg.GaugeVec("rhmd_experiment_wall_seconds",
+		"Wall-clock time of the most recent run of each experiment.", "id")
+	rowsTotal := reg.CounterVec("rhmd_experiment_rows_total",
+		"Table rows (samples) produced by each experiment, across runs.", "id")
+	runsTotal := reg.CounterVec("rhmd_experiment_runs_total",
+		"Completed runs of each experiment.", "id")
 	if *metricsAddr != "" {
-		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, obs.Default())
+		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -124,8 +132,11 @@ func main() {
 				}
 			}
 		}
-		experiments.RecordRun(x.ID, time.Since(t0), rows)
-		fmt.Printf("  [%s in %.1fs]\n\n", x.ID, time.Since(t0).Seconds())
+		wall := time.Since(t0)
+		wallSeconds.With(x.ID).Set(wall.Seconds())
+		rowsTotal.With(x.ID).Add(uint64(rows))
+		runsTotal.With(x.ID).Inc()
+		fmt.Printf("  [%s in %.1fs]\n\n", x.ID, wall.Seconds())
 	}
 	fmt.Printf("total: %.1fs\n", time.Since(start).Seconds())
 }

@@ -82,7 +82,7 @@ func main() {
 	until := flag.String("until", "", "recovery points as det:N pairs, e.g. 4:30 (detector heals after N faulted windows)")
 	rate := flag.Float64("rate", 1.0, "total fault rate per faulty detector, split across its modes")
 	verbose := flag.Bool("v", false, "print one line per monitored program")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /fleet, /traces and /debug/pprof on this address while running (e.g. :9090)")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /fleet, /traces and /debug/pprof on this address while running, plus /drift with -drift, /slo with -slo and /incidents with -incident-dir (e.g. :9090)")
 	traceOut := flag.String("trace-out", "", "write the kept verdict traces (the JSON array /traces serves) to this file after the run (- for stdout)")
 	snapshotEvery := flag.Duration("snapshot-every", 0, "log a one-line stats snapshot to stderr at this interval (0 = off)")
 	jsonOut := flag.Bool("json", false, "print the survival report as JSON instead of text")
@@ -343,7 +343,12 @@ func main() {
 				}
 			}()
 		}
-		fmt.Fprintf(info, "observability endpoint on http://%s (/metrics, /fleet, /traces, /debug/pprof)\n", addr)
+		paths := []string{"/metrics"}
+		for _, m := range mounts {
+			paths = append(paths, m.Path)
+		}
+		paths = append(paths, "/debug/pprof")
+		fmt.Fprintf(info, "observability endpoint on http://%s (%s)\n", addr, strings.Join(paths, ", "))
 	}
 
 	start := time.Now()

@@ -25,7 +25,6 @@ import (
 type FS interface {
 	Create(name string) (File, error)
 	OpenAppend(name string) (File, error)
-	Open(name string) (io.ReadCloser, error)
 	ReadFile(name string) ([]byte, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
@@ -51,9 +50,6 @@ func (OSFS) Create(name string) (File, error) { return os.Create(name) }
 func (OSFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0o644)
 }
-
-// Open implements FS.
-func (OSFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
 // ReadFile implements FS.
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
@@ -189,9 +185,6 @@ func (f *FailingFS) OpenAppend(name string) (File, error) {
 	}
 	return &failingFile{fs: f, inner: file}, nil
 }
-
-// Open implements FS (reads never crash).
-func (f *FailingFS) Open(name string) (io.ReadCloser, error) { return f.inner.Open(name) }
 
 // ReadFile implements FS (reads never crash).
 func (f *FailingFS) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }

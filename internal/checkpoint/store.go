@@ -127,17 +127,6 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	}
 }
 
-// Dir returns the checkpoint directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Generation returns the current snapshot generation (0 before the
-// first Save of a fresh store).
-func (s *Store) Generation() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
-}
-
 func snapName(gen uint64) string { return fmt.Sprintf("snap-%016d.ckpt", gen) }
 func walName(gen uint64) string  { return fmt.Sprintf("wal-%016d.log", gen) }
 

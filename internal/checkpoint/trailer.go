@@ -10,9 +10,9 @@ import (
 // Checksum trailer for text-format artifacts (persisted models). The
 // snapshot/WAL record framing above is binary; model files stay
 // human-readable JSON, so their integrity check is a comment-style final
-// line — "#rhmd-crc32:xxxxxxxx" — over everything before it. Files
-// written before the trailer existed simply lack the line and load
-// unverified, which keeps the format backward compatible.
+// line — "#rhmd-crc32:xxxxxxxx" — over everything before it. Every
+// writer seals its files, so a file without the line is refused like a
+// torn one.
 
 const trailerPrefix = "#rhmd-crc32:"
 
@@ -23,30 +23,24 @@ func SealTrailer(data []byte) []byte {
 	return append(out, fmt.Sprintf("%s%08x\n", trailerPrefix, crc32.ChecksumIEEE(data))...)
 }
 
-// VerifyTrailer checks a trailer written by SealTrailer. It returns the
-// payload with the trailer stripped and whether a trailer was present;
-// a present-but-mismatched trailer is an error (the payload was torn or
-// bit-flipped). Data without a well-formed trailer line is legacy: it is
-// returned as-is with sealed=false.
-func VerifyTrailer(data []byte) (body []byte, sealed bool, err error) {
+// VerifyTrailer checks a trailer written by SealTrailer and returns the
+// payload with the trailer stripped. Data whose last line is not a
+// well-formed trailer is an error, and so is a trailer whose checksum
+// does not match (the payload was torn or bit-flipped).
+func VerifyTrailer(data []byte) ([]byte, error) {
 	idx := bytes.LastIndex(data, []byte(trailerPrefix))
 	if idx < 0 || (idx > 0 && data[idx-1] != '\n') {
-		return data, false, nil
+		return nil, fmt.Errorf("checkpoint: missing crc32 trailer")
 	}
 	line := bytes.TrimSuffix(data[idx:], []byte("\n"))
 	hexPart := line[len(trailerPrefix):]
-	if len(hexPart) != 8 {
-		// Trailing garbage after the trailer, or the prefix matched
-		// inside the payload: not a trailer this writer produced.
-		return data, false, nil
+	want, err := strconv.ParseUint(string(hexPart), 16, 32)
+	if len(hexPart) != 8 || err != nil {
+		return nil, fmt.Errorf("checkpoint: malformed crc32 trailer %q", line)
 	}
-	want, perr := strconv.ParseUint(string(hexPart), 16, 32)
-	if perr != nil {
-		return data, false, nil
-	}
-	body = data[:idx]
+	body := data[:idx]
 	if got := crc32.ChecksumIEEE(body); got != uint32(want) {
-		return nil, true, fmt.Errorf("checkpoint: crc32 trailer mismatch (file has %08x, payload sums to %08x)", uint32(want), got)
+		return nil, fmt.Errorf("checkpoint: crc32 trailer mismatch (file has %08x, payload sums to %08x)", uint32(want), got)
 	}
-	return body, true, nil
+	return body, nil
 }

@@ -12,41 +12,37 @@ func TestTrailerRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(sealed, payload) {
 		t.Fatal("sealing must not modify the payload")
 	}
-	body, ok, err := VerifyTrailer(sealed)
-	if err != nil || !ok {
-		t.Fatalf("verify sealed: ok=%v err=%v", ok, err)
+	body, err := VerifyTrailer(sealed)
+	if err != nil {
+		t.Fatalf("verify sealed: %v", err)
 	}
 	if !bytes.Equal(body, payload) {
 		t.Fatalf("body %q != payload %q", body, payload)
 	}
 }
 
-func TestTrailerLegacyPassthrough(t *testing.T) {
-	legacy := []byte("{\"a\": 1}\n")
-	body, ok, err := VerifyTrailer(legacy)
-	if err != nil || ok {
-		t.Fatalf("legacy data: ok=%v err=%v", ok, err)
-	}
-	if !bytes.Equal(body, legacy) {
-		t.Fatal("legacy data must pass through unchanged")
+func TestTrailerMissingIsRefused(t *testing.T) {
+	unsealed := []byte("{\"a\": 1}\n")
+	if _, err := VerifyTrailer(unsealed); err == nil || !strings.Contains(err.Error(), "missing crc32 trailer") {
+		t.Fatalf("unsealed data: err=%v, want missing trailer", err)
 	}
 }
 
 func TestTrailerDetectsCorruption(t *testing.T) {
 	sealed := SealTrailer([]byte("{\"weights\": [1, 2, 3]}\n"))
-	for i := 0; i < len(sealed)-13; i++ { // every payload byte (trailer hex itself tested below)
+	for i := range sealed { // payload, trailer prefix, hex and newline
 		mut := append([]byte{}, sealed...)
 		mut[i] ^= 0x01
-		if _, ok, err := VerifyTrailer(mut); ok && err == nil {
+		if _, err := VerifyTrailer(mut); err == nil {
 			t.Fatalf("flip at byte %d went undetected", i)
 		}
 	}
 }
 
-func TestTrailerBadHexIsLegacy(t *testing.T) {
+func TestTrailerBadHexIsRefused(t *testing.T) {
 	data := []byte("x\n" + "#rhmd-crc32:zzzzzzzz\n")
-	if _, ok, err := VerifyTrailer(data); ok || err != nil {
-		t.Fatalf("unparseable trailer hex: ok=%v err=%v, want legacy passthrough", ok, err)
+	if _, err := VerifyTrailer(data); err == nil || !strings.Contains(err.Error(), "malformed crc32 trailer") {
+		t.Fatalf("unparseable trailer hex: err=%v, want malformed trailer", err)
 	}
 }
 
@@ -55,9 +51,9 @@ func TestTrailerPrefixInsidePayloadIgnored(t *testing.T) {
 	// not be mistaken for a trailer once a real one is appended.
 	payload := []byte("{\"note\": \"#rhmd-crc32:deadbeef\"}\n")
 	sealed := SealTrailer(payload)
-	body, ok, err := VerifyTrailer(sealed)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	body, err := VerifyTrailer(sealed)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !strings.Contains(string(body), "deadbeef") {
 		t.Fatal("payload truncated at the embedded marker")

@@ -100,13 +100,13 @@ func SaveRHMDFile(path string, r *RHMD) error {
 }
 
 // LoadRHMDFile reads an RHMD written by SaveRHMDFile, verifying the
-// checksum trailer. Legacy files written without a trailer still load.
+// checksum trailer; a file without one is refused.
 func LoadRHMDFile(path string) (*RHMD, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	body, _, err := checkpoint.VerifyTrailer(data)
+	body, err := checkpoint.VerifyTrailer(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", path, err)
 	}

@@ -71,12 +71,13 @@ func TestLoadRHMDFileDetectsFlippedByte(t *testing.T) {
 	}
 }
 
-func TestLoadRHMDFileReadsLegacyUnsealed(t *testing.T) {
+func TestLoadRHMDFileRefusesUnsealed(t *testing.T) {
 	f := getFixture(t)
 	orig, err := New(f.pool, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Plain SaveRHMD output without the trailer SaveRHMDFile appends.
 	var buf bytes.Buffer
 	if err := SaveRHMD(&buf, orig); err != nil {
 		t.Fatal(err)
@@ -85,11 +86,7 @@ func TestLoadRHMDFileReadsLegacyUnsealed(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadRHMDFile(path)
-	if err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
-	}
-	if got.Key != orig.Key {
-		t.Fatal("legacy load changed the key")
+	if _, err := LoadRHMDFile(path); err == nil || !strings.Contains(err.Error(), "missing crc32 trailer") {
+		t.Fatalf("unsealed file load error = %v, want missing crc32 trailer", err)
 	}
 }

@@ -222,29 +222,6 @@ func TrainPool(specs []hmd.Spec, data map[int]*dataset.MultiWindowData, seed uin
 	return out, nil
 }
 
-// AverageBaseAccuracy returns the mean best-threshold accuracy of the
-// base detectors on the given evaluation data — per §7, "the average
-// detection accuracy of the RHMD without evasion is equal to the average
-// accuracy of its base detectors".
-func AverageBaseAccuracy(detectors []*hmd.Detector, data map[int]*dataset.MultiWindowData) (float64, error) {
-	if len(detectors) == 0 {
-		return 0, fmt.Errorf("core: empty pool")
-	}
-	sum := 0.0
-	for _, d := range detectors {
-		mw, ok := data[d.Spec.Period]
-		if !ok {
-			return 0, fmt.Errorf("core: no evaluation data for period %d", d.Spec.Period)
-		}
-		ev, err := d.Evaluate(mw.Get(d.Spec.Kind))
-		if err != nil {
-			return 0, err
-		}
-		sum += ev.Confusion.Accuracy()
-	}
-	return sum / float64(len(detectors)), nil
-}
-
 // gridDecisions samples each detector's decision for one program on a
 // common instruction grid, so detectors with different periods become
 // comparable pointwise.

@@ -403,23 +403,6 @@ func TestReverseEngineeringRHMDIsHarderThanSingle(t *testing.T) {
 	}
 }
 
-func TestAverageBaseAccuracy(t *testing.T) {
-	f := getFixture(t)
-	acc, err := AverageBaseAccuracy(f.pool, f.data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.6 || acc > 1 {
-		t.Fatalf("average base accuracy %.3f", acc)
-	}
-	if _, err := AverageBaseAccuracy(nil, f.data); err == nil {
-		t.Fatal("empty pool accepted")
-	}
-	if _, err := AverageBaseAccuracy(f.pool, map[int]*dataset.MultiWindowData{}); err == nil {
-		t.Fatal("missing data accepted")
-	}
-}
-
 func TestRHMDString(t *testing.T) {
 	f := getFixture(t)
 	r, _ := New(f.pool[:2], 1)

@@ -40,18 +40,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DefaultConfig returns the corpus configuration used by the experiment
-// drivers: ~80 benign and ~160 malware programs (preserving the paper's
-// malware-heavy imbalance) at 120K instructions each.
-func DefaultConfig(seed uint64) Config {
-	return Config{
-		BenignPerFamily:  14,
-		MalwarePerFamily: 26,
-		TraceLen:         120_000,
-		Seed:             seed,
-	}
-}
-
 // Corpus is the generated program population.
 type Corpus struct {
 	Programs []*prog.Program

@@ -38,9 +38,6 @@ func OpenArchive(dir string) (*Archive, error) {
 	return &Archive{dir: dir, loaded: map[uint64]*core.RHMD{}}, nil
 }
 
-// Dir returns the archive directory.
-func (a *Archive) Dir() string { return a.dir }
-
 func (a *Archive) path(fp uint64) string {
 	return filepath.Join(a.dir, fmt.Sprintf("%s%016x%s", poolFilePrefix, fp, poolFileSuffix))
 }

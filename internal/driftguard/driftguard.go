@@ -198,7 +198,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 type Guard struct {
 	cfg Config
 	ins *instruments
-	reg *obs.Registry
 
 	wg sync.WaitGroup // in-flight background retrains
 	// ctx is the lifetime of the guard's background work; Close cancels
@@ -258,7 +257,6 @@ func New(current *core.RHMD, cfg Config) (*Guard, error) {
 	g := &Guard{
 		cfg:    cfg,
 		ins:    newInstruments(reg),
-		reg:    reg,
 		replay: make([]*prog.Program, 0, cfg.ReplayCap),
 		prev:   current,
 	}
@@ -266,9 +264,6 @@ func New(current *core.RHMD, cfg Config) (*Guard, error) {
 	g.ins.state.Set(float64(Watching))
 	return g, nil
 }
-
-// Registry returns the registry the guard's instruments live in.
-func (g *Guard) Registry() *obs.Registry { return g.reg }
 
 // Ingest records a submitted program into the bounded replay buffer.
 // Call it for every successful Submit; it never blocks and keeps only

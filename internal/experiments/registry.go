@@ -2,20 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"time"
-
-	"rhmd/internal/obs"
 )
-
-// WallClock is the injected wall-time source behind the suite's
-// observability timing (RecordRun's wall-seconds metrics) and the
-// single sanctioned use of real time in this package: experiment
-// RESULTS never read it, so overriding it (tests, frozen-clock runs)
-// cannot change a table. The determinism analyzer forbids direct
-// time.Now calls here; route any new timing through this seam.
-var WallClock = time.Now //rhmd:ignore determinism observability-only timing seam; results never read it
 
 // Runner produces the tables of one experiment.
 type Runner func(*Env) ([]*Table, error)
@@ -64,48 +52,4 @@ func Lookup(id string) (Experiment, error) {
 	}
 	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (known: %v)", id, ids)
-}
-
-// Run executes the experiments with the given ids (all when empty) and
-// prints their tables to w.
-func Run(e *Env, ids []string, w io.Writer) error {
-	list := Registry()
-	if len(ids) > 0 {
-		list = list[:0]
-		for _, id := range ids {
-			x, err := Lookup(id)
-			if err != nil {
-				return err
-			}
-			list = append(list, x)
-		}
-	}
-	for _, x := range list {
-		t0 := WallClock()
-		tables, err := x.Run(e)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", x.ID, err)
-		}
-		rows := 0
-		for _, t := range tables {
-			rows += len(t.Rows)
-			t.Print(w)
-		}
-		RecordRun(x.ID, WallClock().Sub(t0), rows)
-	}
-	return nil
-}
-
-// RecordRun publishes one experiment execution — wall time and produced
-// sample count — to the default observability registry, so a live
-// /metrics endpoint (e.g. rhmd-bench -metrics-addr) shows suite
-// progress and per-figure cost.
-func RecordRun(id string, wall time.Duration, rows int) {
-	reg := obs.Default()
-	reg.GaugeVec("rhmd_experiment_wall_seconds",
-		"Wall-clock time of the most recent run of each experiment.", "id").With(id).Set(wall.Seconds())
-	reg.CounterVec("rhmd_experiment_rows_total",
-		"Table rows (samples) produced by each experiment, across runs.", "id").With(id).Add(uint64(rows))
-	reg.CounterVec("rhmd_experiment_runs_total",
-		"Completed runs of each experiment.", "id").With(id).Inc()
 }

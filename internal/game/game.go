@@ -7,7 +7,6 @@ package game
 
 import (
 	"fmt"
-	"time"
 
 	"rhmd/internal/attack"
 	"rhmd/internal/dataset"
@@ -44,10 +43,6 @@ type Config struct {
 	// analyzer keeps this package in scope with no package-level PRNG
 	// state to flag.
 	Streams func(key string) *rng.Source
-	// Clock, when non-nil, stamps retraining outputs (RetrainPool's
-	// TrainedAt). Nil leaves timestamps zero, the deterministic default;
-	// production callers inject time.Now.
-	Clock func() time.Time
 }
 
 func (c Config) validate() error {
@@ -65,14 +60,6 @@ func (c Config) stream(key string) *rng.Source {
 		return c.Streams(key)
 	}
 	return rng.NewKeyed(c.Seed, key)
-}
-
-// now returns the injected clock's reading, or the zero time.
-func (c Config) now() time.Time {
-	if c.Clock != nil {
-		return c.Clock()
-	}
-	return time.Time{}
 }
 
 // split separates a program list into benign and malware.

@@ -2,7 +2,6 @@ package game
 
 import (
 	"fmt"
-	"time"
 
 	"rhmd/internal/core"
 	"rhmd/internal/dataset"
@@ -18,9 +17,6 @@ type PoolRetrainResult struct {
 	// replay corpus. Its fingerprint differs from the base pool's
 	// exactly when the trained parameters changed.
 	Pool *core.RHMD
-	// TrainedAt is Config.Clock's reading at completion (zero when no
-	// clock is injected — the deterministic default).
-	TrainedAt time.Time
 	// Benign and Malware count the corpus programs per class.
 	Benign, Malware int
 }
@@ -92,9 +88,8 @@ func RetrainPool(base *core.RHMD, corpus []*prog.Program, traceLen int, cfg Conf
 		return nil, fmt.Errorf("game: rebuilding retrained pool: %w", err)
 	}
 	return &PoolRetrainResult{
-		Pool:      pool,
-		TrainedAt: cfg.now(),
-		Benign:    len(benign),
-		Malware:   len(malware),
+		Pool:    pool,
+		Benign:  len(benign),
+		Malware: len(malware),
 	}, nil
 }

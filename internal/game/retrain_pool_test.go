@@ -3,7 +3,6 @@ package game
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"rhmd/internal/core"
 	"rhmd/internal/dataset"
@@ -68,9 +67,6 @@ func TestRetrainPoolShapeAndDeterminism(t *testing.T) {
 	if a.Benign != len(benign) || a.Malware != len(malware) {
 		t.Fatalf("corpus counts %d/%d, want %d/%d", a.Benign, a.Malware, len(benign), len(malware))
 	}
-	if !a.TrainedAt.IsZero() {
-		t.Fatalf("no clock injected but TrainedAt = %v", a.TrainedAt)
-	}
 	if b := run(9); b.Pool.Fingerprint() != a.Pool.Fingerprint() {
 		t.Fatalf("same seed produced different pools: %016x vs %016x",
 			a.Pool.Fingerprint(), b.Pool.Fingerprint())
@@ -105,21 +101,6 @@ func TestRetrainPoolStreamsSeam(t *testing.T) {
 	if seamed.Pool.Fingerprint() != direct.Pool.Fingerprint() {
 		t.Fatalf("seam-equivalent stream diverged: %016x vs %016x",
 			seamed.Pool.Fingerprint(), direct.Pool.Fingerprint())
-	}
-}
-
-// TestRetrainPoolClock: the Clock seam stamps TrainedAt; the default
-// leaves it zero (covered above).
-func TestRetrainPoolClock(t *testing.T) {
-	f := getFixture(t)
-	base := basePool(t)
-	want := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	res, err := RetrainPool(base, f.test, f.traceLen, Config{Seed: 1, Clock: func() time.Time { return want }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.TrainedAt.Equal(want) {
-		t.Fatalf("TrainedAt %v, want %v", res.TrainedAt, want)
 	}
 }
 

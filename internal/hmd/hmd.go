@@ -49,8 +49,6 @@ func TrainerFor(algo string) (ml.Trainer, error) {
 		return ml.DecisionTree{}, nil
 	case "svm":
 		return ml.LinearSVM{}, nil
-	case "rf":
-		return ml.RandomForest{}, nil
 	}
 	return nil, fmt.Errorf("hmd: unknown algorithm %q", algo)
 }
@@ -154,15 +152,6 @@ func (d *Detector) DecideWindow(raw []float64) int {
 		return 1
 	}
 	return 0
-}
-
-// DecideWindows evaluates a matrix of raw vectors.
-func (d *Detector) DecideWindows(X [][]float64) []int {
-	out := make([]int, len(X))
-	for i, x := range X {
-		out[i] = d.DecideWindow(x)
-	}
-	return out
 }
 
 // ProgramScore aggregates window decisions over one program's windows:

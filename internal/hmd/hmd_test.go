@@ -157,10 +157,6 @@ func TestDecisionsAreThresholdedScores(t *testing.T) {
 			t.Fatal("decision inconsistent with score/threshold")
 		}
 	}
-	dec := d.DecideWindows(wd.X[:50])
-	if len(dec) != 50 {
-		t.Fatal("DecideWindows length")
-	}
 }
 
 func TestProgramAggregation(t *testing.T) {

@@ -135,13 +135,13 @@ func SaveFile(path string, d *Detector) error {
 }
 
 // LoadFile reads a detector written by SaveFile, verifying the checksum
-// trailer. Legacy files written without a trailer still load.
+// trailer; a file without one is refused.
 func LoadFile(path string) (*Detector, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	body, _, err := checkpoint.VerifyTrailer(data)
+	body, err := checkpoint.VerifyTrailer(data)
 	if err != nil {
 		return nil, fmt.Errorf("hmd: %s: %w", path, err)
 	}

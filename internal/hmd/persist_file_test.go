@@ -65,11 +65,11 @@ func TestLoadFileDetectsFlippedByte(t *testing.T) {
 	}
 }
 
-func TestLoadFileReadsLegacyUnsealed(t *testing.T) {
-	d, X := trainOne(t)
+func TestLoadFileRefusesUnsealed(t *testing.T) {
+	d, _ := trainOne(t)
 	path := filepath.Join(t.TempDir(), "det.json")
-	// A pre-trailer file: plain Save output, exactly what older builds
-	// wrote with os.Create.
+	// Plain Save output without the trailer SaveFile appends: a valid
+	// detector whose integrity cannot be checked.
 	var buf bytes.Buffer
 	if err := Save(&buf, d); err != nil {
 		t.Fatal(err)
@@ -77,12 +77,8 @@ func TestLoadFileReadsLegacyUnsealed(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
-	}
-	if got.ScoreWindow(X[0]) != d.ScoreWindow(X[0]) {
-		t.Fatal("legacy load diverges")
+	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "missing crc32 trailer") {
+		t.Fatalf("unsealed file load error = %v, want missing crc32 trailer", err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 	_, mw := env(t)
-	for _, algo := range []string{"lr", "nn", "dt", "svm", "rf"} {
+	for _, algo := range []string{"lr", "nn", "dt", "svm"} {
 		for _, kind := range []features.Kind{features.Instructions, features.Memory} {
 			spec := Spec{Kind: kind, Period: 2000, Algo: algo}
 			d, err := Train(spec, mw.Get(kind), 1)

@@ -364,58 +364,6 @@ func TestAgreement(t *testing.T) {
 	}
 }
 
-func TestStratifiedSplitBalances(t *testing.T) {
-	y := make([]int, 1000)
-	for i := range y {
-		if i < 200 {
-			y[i] = 1
-		}
-	}
-	groups, err := StratifiedSplit(y, []float64{0.6, 0.2, 0.2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for g, idx := range groups {
-		pos := 0
-		for _, i := range idx {
-			if seen[i] {
-				t.Fatalf("index %d in multiple groups", i)
-			}
-			seen[i] = true
-			pos += y[i]
-		}
-		frac := float64(pos) / float64(len(idx))
-		if math.Abs(frac-0.2) > 0.02 {
-			t.Fatalf("group %d positive fraction %v, want ~0.2", g, frac)
-		}
-	}
-	if len(seen) != 1000 {
-		t.Fatalf("split covered %d of 1000", len(seen))
-	}
-}
-
-func TestStratifiedSplitErrors(t *testing.T) {
-	if _, err := StratifiedSplit(nil, []float64{1}, 1); err == nil {
-		t.Fatal("empty labels accepted")
-	}
-	if _, err := StratifiedSplit([]int{0, 1}, []float64{0.5, 0.2}, 1); err == nil {
-		t.Fatal("fractions not summing to 1 accepted")
-	}
-	if _, err := StratifiedSplit([]int{0, 1}, []float64{1.5, -0.5}, 1); err == nil {
-		t.Fatal("negative fraction accepted")
-	}
-}
-
-func TestGather(t *testing.T) {
-	X := [][]float64{{0}, {1}, {2}}
-	y := []int{0, 1, 0}
-	gx, gy := Gather(X, y, []int{2, 0})
-	if gx[0][0] != 2 || gx[1][0] != 0 || gy[0] != 0 || gy[1] != 0 {
-		t.Fatalf("Gather = %v %v", gx, gy)
-	}
-}
-
 func TestPredictThreshold(t *testing.T) {
 	m := &LRModel{W: []float64{1}, B: 0}
 	if Predict(m, []float64{10}, 0.5) != 1 {
@@ -453,74 +401,6 @@ func BenchmarkTreeTrain(b *testing.B) {
 		if _, err := (DecisionTree{}).Train(X, y, 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestRandomForestOnSeparableData(t *testing.T) {
-	X, y := gauss2(300, 4, 20)
-	if acc := trainAccuracy(t, RandomForest{Trees: 15}, X, y); acc < 0.95 {
-		t.Errorf("rf accuracy %.3f on separable data", acc)
-	}
-}
-
-func TestRandomForestSolvesXOR(t *testing.T) {
-	X, y := xorData(100, 21)
-	if acc := trainAccuracy(t, RandomForest{Trees: 25, FeatureFrac: 1}, X, y); acc < 0.9 {
-		t.Errorf("rf accuracy %.3f on XOR", acc)
-	}
-}
-
-func TestRandomForestDeterministic(t *testing.T) {
-	X, y := gauss2(100, 2, 22)
-	m1, err := RandomForest{Trees: 8}.Train(X, y, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := RandomForest{Trees: 8}.Train(X, y, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if m1.Score(X[i]) != m2.Score(X[i]) {
-			t.Fatal("forest training not deterministic")
-		}
-	}
-}
-
-func TestRandomForestScoreIsProbability(t *testing.T) {
-	X, y := gauss2(150, 1, 23)
-	m, err := RandomForest{Trees: 10}.Train(X, y, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := m.(*ForestModel)
-	if f.Trees() != 10 || f.Dim() != 3 {
-		t.Fatalf("forest shape %d trees dim %d", f.Trees(), f.Dim())
-	}
-	for _, x := range X {
-		if s := m.Score(x); s < 0 || s > 1 {
-			t.Fatalf("forest score %v out of [0,1]", s)
-		}
-	}
-}
-
-func TestRandomForestSmootherThanSingleTree(t *testing.T) {
-	// On noisy data, the bagged ensemble should generalize at least as
-	// well as one deep tree (variance reduction).
-	Xtr, ytr := gauss2(150, 1.6, 24)
-	Xte, yte := gauss2(400, 1.6, 25)
-	tree, err := DecisionTree{MaxDepth: 12, MinLeaf: 2}.Train(Xtr, ytr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forest, err := RandomForest{Trees: 40, MaxDepth: 12, MinLeaf: 2, FeatureFrac: 1}.Train(Xtr, ytr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accTree := ConfusionAt(Scores(tree, Xte), yte, 0.5).Accuracy()
-	accForest := ConfusionAt(Scores(forest, Xte), yte, 0.5).Accuracy()
-	if accForest < accTree-0.02 {
-		t.Fatalf("forest %.3f much worse than tree %.3f", accForest, accTree)
 	}
 }
 

@@ -46,9 +46,6 @@ func (m *MLPModel) Dim() int {
 	return len(m.W1[0])
 }
 
-// Hidden returns the hidden-layer width.
-func (m *MLPModel) Hidden() int { return len(m.W1) }
-
 // Score implements Model.
 func (m *MLPModel) Score(x []float64) float64 {
 	z := m.B2

@@ -7,8 +7,8 @@ import (
 
 // This file provides JSON round-tripping for every Model so trained
 // detectors can be shipped (hmd.Save / hmd.Load). Linear and MLP models
-// marshal via their exported fields; tree-based models use compact shadow
-// encodings of their unexported arenas.
+// marshal via their exported fields; the decision tree uses a compact
+// shadow encoding of its unexported node arena.
 
 // ModelAlgo returns the registry name of a trained model's algorithm.
 func ModelAlgo(m Model) (string, error) {
@@ -21,8 +21,6 @@ func ModelAlgo(m Model) (string, error) {
 		return "dt", nil
 	case *SVMModel:
 		return "svm", nil
-	case *ForestModel:
-		return "rf", nil
 	}
 	return "", fmt.Errorf("ml: unknown model type %T", m)
 }
@@ -62,8 +60,6 @@ func UnmarshalModel(data []byte) (Model, error) {
 		m = &TreeModel{}
 	case "svm":
 		m = &SVMModel{}
-	case "rf":
-		m = &ForestModel{}
 	default:
 		return nil, fmt.Errorf("ml: unknown model algo %q", env.Algo)
 	}
@@ -114,32 +110,5 @@ func (m *TreeModel) UnmarshalJSON(data []byte) error {
 		}
 		m.nodes[i] = treeNode{feature: n.F, threshold: n.T, left: n.L, right: n.R, prob: n.P}
 	}
-	return nil
-}
-
-// forestJSON is the ForestModel wire format.
-type forestJSON struct {
-	Trees   []*TreeModel `json:"trees"`
-	FeatIdx [][]int      `json:"featIdx"`
-	Dim     int          `json:"dim"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (m *ForestModel) MarshalJSON() ([]byte, error) {
-	return json.Marshal(forestJSON{Trees: m.trees, FeatIdx: m.featIdx, Dim: m.dim})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (m *ForestModel) UnmarshalJSON(data []byte) error {
-	var in forestJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	if len(in.Trees) != len(in.FeatIdx) {
-		return fmt.Errorf("ml: forest payload has %d trees but %d feature sets", len(in.Trees), len(in.FeatIdx))
-	}
-	m.trees = in.Trees
-	m.featIdx = in.FeatIdx
-	m.dim = in.Dim
 	return nil
 }

@@ -45,8 +45,8 @@ import (
 // WAL — never both, never neither.
 
 // engineStateVersion guards the snapshot payload schema. Version 2
-// added PoolEpoch for the epoch-versioned pool-swap protocol; version-1
-// snapshots (written before swaps existed) still load, as epoch 0.
+// added PoolEpoch for the epoch-versioned pool-swap protocol; a
+// snapshot of any other version is refused.
 const engineStateVersion = 2
 
 // EngineState is the engine's serializable state: everything Restore
@@ -57,19 +57,20 @@ type EngineState struct {
 	Version     int    `json:"version"`
 	Fingerprint uint64 `json:"fingerprint"`
 	SavedUnix   int64  `json:"saved_unix"`
-	// PoolEpoch is the serving pool generation at snapshot time
-	// (version ≥ 2; 0 in version-1 snapshots). Together with
-	// Fingerprint it names exactly which pool the restored engine must
-	// serve; Config.ResolvePool materializes generations other than the
-	// constructed one.
+	// PoolEpoch is the serving pool generation at snapshot time.
+	// Together with Fingerprint it names exactly which pool the restored
+	// engine must serve; Config.ResolvePool materializes generations
+	// other than the constructed one.
 	PoolEpoch uint64 `json:"pool_epoch,omitempty"`
 
 	// WindowClock is the pool-wide processed-window counter that drives
 	// probe cooldowns.
 	WindowClock uint64       `json:"window_clock"`
 	Counters    CounterState `json:"counters"`
-	Quarantines uint64       `json:"quarantines"`
-	Restores    uint64       `json:"restores"`
+	// Quarantines and Restores are the breaker-transition totals, the
+	// rhmd_monitor_breaker_transitions_total series.
+	Quarantines uint64 `json:"quarantines"`
+	Restores    uint64 `json:"restores"`
 
 	Breakers []BreakerSnapshot `json:"breakers"`
 }
@@ -159,7 +160,7 @@ func poolFingerprint(r *core.RHMD) uint64 { return r.Fingerprint() }
 // in-flight verdicts.
 func (e *Engine) SnapshotState() *EngineState {
 	g := e.pool.Load()
-	breakers, clock, quar, rest := g.health.exportState()
+	breakers, clock := g.health.exportState()
 	return &EngineState{
 		Version:     engineStateVersion,
 		Fingerprint: poolFingerprint(g.rhmd),
@@ -178,8 +179,8 @@ func (e *Engine) SnapshotState() *EngineState {
 			Timeouts: e.ins.timeouts.Value(),
 			Panics:   e.ins.panics.Value(),
 		},
-		Quarantines: quar,
-		Restores:    rest,
+		Quarantines: e.ins.quarantines.Value(),
+		Restores:    e.ins.restores.Value(),
 		Breakers:    breakers,
 	}
 }
@@ -239,22 +240,23 @@ func (e *Engine) Restore() (*RestoreInfo, error) {
 		return nil, err
 	}
 
-	var tot CounterState
+	// st accumulates the totals: the snapshot's, plus each replayed
+	// WAL entry's.
+	var st EngineState
 	if res.Snapshot != nil {
-		var st EngineState
 		if err := json.Unmarshal(res.Snapshot, &st); err != nil {
 			return nil, fmt.Errorf("monitor: decoding checkpoint snapshot: %w", err)
 		}
 		if err := e.applySnapshot(&st); err != nil {
 			return nil, err
 		}
-		tot = st.Counters
 	}
 	for _, entry := range res.Entries {
-		if err := e.applyEntry(entry, &tot); err != nil {
+		if err := e.applyEntry(entry, &st); err != nil {
 			return nil, err
 		}
 	}
+	tot := st.Counters
 	raise(e.ins.programs, tot.Programs)
 	raise(e.ins.shed, tot.Shed)
 	raise(e.ins.failed, tot.Failed)
@@ -265,6 +267,8 @@ func (e *Engine) Restore() (*RestoreInfo, error) {
 	raise(e.ins.retries, tot.Retries)
 	raise(e.ins.timeouts, tot.Timeouts)
 	raise(e.ins.panics, tot.Panics)
+	raise(e.ins.quarantines, st.Quarantines)
+	raise(e.ins.restores, st.Restores)
 	e.pool.Load().health.republish()
 	return &RestoreInfo{Gen: res.Gen, Replayed: len(res.Entries), Fallbacks: res.Fallbacks, TornWAL: res.TornWAL,
 		Verdicts: tot.Programs + tot.Failed}, nil
@@ -282,8 +286,8 @@ func raise(c *obs.Counter, total uint64) {
 // generation the snapshot belongs to when it is not the one the engine
 // was constructed with. Restore applies the counters.
 func (e *Engine) applySnapshot(st *EngineState) error {
-	if st.Version < 1 || st.Version > engineStateVersion {
-		return fmt.Errorf("monitor: checkpoint state version %d (want 1..%d)", st.Version, engineStateVersion)
+	if st.Version != engineStateVersion {
+		return fmt.Errorf("monitor: checkpoint state version %d (want %d)", st.Version, engineStateVersion)
 	}
 	g := e.pool.Load()
 	if fp := poolFingerprint(g.rhmd); st.Fingerprint != fp {
@@ -317,12 +321,12 @@ func (e *Engine) applySnapshot(st *EngineState) error {
 	if len(st.Breakers) != g.rhmd.Size() {
 		return fmt.Errorf("monitor: checkpoint has %d breakers for a pool of %d", len(st.Breakers), g.rhmd.Size())
 	}
-	return g.health.restoreState(st.Breakers, st.WindowClock, st.Quarantines, st.Restores)
+	return g.health.restoreState(st.Breakers, st.WindowClock)
 }
 
 // applyEntry replays one WAL record on top of the snapshot state,
-// adding a verdict's accounting to tot.
-func (e *Engine) applyEntry(entry checkpoint.Entry, tot *CounterState) error {
+// adding a verdict's accounting or a breaker transition to st.
+func (e *Engine) applyEntry(entry checkpoint.Entry, st *EngineState) error {
 	g := e.pool.Load()
 	switch entry.Kind {
 	case checkpoint.KindVerdict:
@@ -330,6 +334,7 @@ func (e *Engine) applyEntry(entry checkpoint.Entry, tot *CounterState) error {
 		if err := json.Unmarshal(entry.Payload, &v); err != nil {
 			return fmt.Errorf("monitor: decoding WAL verdict: %w", err)
 		}
+		tot := &st.Counters
 		if v.Failed {
 			tot.Failed++
 		} else {
@@ -349,6 +354,11 @@ func (e *Engine) applyEntry(entry checkpoint.Entry, tot *CounterState) error {
 			return fmt.Errorf("monitor: WAL breaker entry for detector %d of %d", b.Detector, g.rhmd.Size())
 		}
 		g.health.applyTransition(b.Detector, b.Restore)
+		if b.Restore {
+			st.Restores++
+		} else {
+			st.Quarantines++
+		}
 	case checkpoint.KindPoolSwap:
 		var ps walPoolSwap
 		if err := json.Unmarshal(entry.Payload, &ps); err != nil {

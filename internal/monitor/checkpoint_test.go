@@ -3,6 +3,8 @@ package monitor
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -157,6 +159,29 @@ func TestRestoreRejectsForeignPool(t *testing.T) {
 	e2 := durableEngine(t, dir, 0xBBBB, nil)
 	if _, err := e2.Restore(); err == nil || !strings.Contains(err.Error(), "different pool") {
 		t.Fatalf("foreign-pool restore error = %v, want fingerprint rejection", err)
+	}
+}
+
+// TestRestoreRefusesOtherStateVersions: a snapshot written in another
+// payload version is refused — version 1, the format from before pool
+// swaps, as much as a newer one.
+func TestRestoreRefusesOtherStateVersions(t *testing.T) {
+	for _, version := range []int{1, engineStateVersion + 1} {
+		dir := t.TempDir()
+		e := durableEngine(t, dir, 0xF00D, nil)
+		st := e.SnapshotState()
+		st.Version = version
+		payload, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ckpt.Save(payload); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("checkpoint state version %d (want %d)", version, engineStateVersion)
+		if _, err := durableEngine(t, dir, 0xF00D, nil).Restore(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d snapshot restore error = %v, want %q", version, err, want)
+		}
 	}
 }
 

@@ -60,9 +60,6 @@ type healthBoard struct {
 	probs    []float64        // sampler.Probs() cached per rebuild for pick
 	windows  uint64           // pool-wide processed-window counter
 
-	quarantines uint64
-	restores    uint64
-
 	// ins mirrors transitions into the observability layer; it is
 	// attached after construction and may be nil in unit tests.
 	ins *instruments
@@ -262,7 +259,6 @@ func (b *healthBoard) report(idx int, ok bool, latency time.Duration, exemplarID
 			// Probe succeeded: the detector rejoins the pool and the
 			// switching distribution is renormalized back over it.
 			br.state = Closed
-			b.restores++
 			b.rebuildLocked()
 			if b.ins != nil {
 				b.ins.restores.Inc()
@@ -284,7 +280,6 @@ func (b *healthBoard) report(idx int, ok bool, latency time.Duration, exemplarID
 		if br.consecFails >= b.threshold {
 			br.state = Open
 			br.openedAt = b.windows
-			b.quarantines++
 			b.rebuildLocked()
 			if b.ins != nil {
 				b.ins.quarantines.Inc()
@@ -297,9 +292,8 @@ func (b *healthBoard) report(idx int, ok bool, latency time.Duration, exemplarID
 }
 
 // exportState copies the board into persistable form for a checkpoint:
-// per-detector breaker snapshots, the window clock, and the transition
-// totals.
-func (b *healthBoard) exportState() ([]BreakerSnapshot, uint64, uint64, uint64) {
+// per-detector breaker snapshots and the window clock.
+func (b *healthBoard) exportState() ([]BreakerSnapshot, uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]BreakerSnapshot, len(b.breakers))
@@ -314,15 +308,15 @@ func (b *healthBoard) exportState() ([]BreakerSnapshot, uint64, uint64, uint64) 
 			LatencyNs:   br.latencyNs,
 		}
 	}
-	return out, b.windows, b.quarantines, b.restores
+	return out, b.windows
 }
 
 // restoreState loads a checkpointed board into a fresh one: breaker
-// states, the window clock, transition totals — then rebuilds the live
-// sampler over the restored states. A persisted HalfOpen breaker comes
-// back Open: its probe window died with the process, and cancelProbe
-// semantics apply (the detector stays probe-eligible).
-func (b *healthBoard) restoreState(brs []BreakerSnapshot, windows, quarantines, restores uint64) error {
+// states and the window clock — then rebuilds the live sampler over the
+// restored states. A persisted HalfOpen breaker comes back Open: its
+// probe window died with the process, and cancelProbe semantics apply
+// (the detector stays probe-eligible).
+func (b *healthBoard) restoreState(brs []BreakerSnapshot, windows uint64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(brs) != len(b.breakers) {
@@ -346,8 +340,6 @@ func (b *healthBoard) restoreState(brs []BreakerSnapshot, windows, quarantines, 
 		}
 	}
 	b.windows = windows
-	b.quarantines = quarantines
-	b.restores = restores
 	b.rebuildLocked()
 	b.publishLocked()
 	return nil
@@ -362,14 +354,12 @@ func (b *healthBoard) applyTransition(idx int, restored bool) {
 	if restored {
 		br.state = Closed
 		br.consecFails = 0
-		b.restores++
 	} else {
 		br.state = Open
 		br.openedAt = b.windows
 		if br.consecFails < b.threshold {
 			br.consecFails = b.threshold
 		}
-		b.quarantines++
 	}
 	b.rebuildLocked()
 	b.publishLocked()
@@ -391,7 +381,7 @@ func (b *healthBoard) republish() {
 }
 
 // snapshot copies per-detector health into stats rows.
-func (b *healthBoard) snapshot() ([]DetectorStats, uint64, uint64) {
+func (b *healthBoard) snapshot() []DetectorStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]DetectorStats, len(b.breakers))
@@ -415,5 +405,5 @@ func (b *healthBoard) snapshot() ([]DetectorStats, uint64, uint64) {
 		}
 		out[i] = ds
 	}
-	return out, b.quarantines, b.restores
+	return out
 }

@@ -39,12 +39,9 @@ func TestBreakerQuarantineAndRenormalize(t *testing.T) {
 	if !q {
 		t.Fatal("threshold failure did not quarantine")
 	}
-	det, quars, _ := b.snapshot()
+	det := b.snapshot()
 	if det[1].State != Open {
 		t.Fatalf("state %v, want open", det[1].State)
-	}
-	if quars != 1 {
-		t.Fatalf("quarantines %d", quars)
 	}
 	// Survivors renormalize to 1/3 each, quarantined weight drops to 0.
 	for i, d := range det {
@@ -84,7 +81,7 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 	b.report(0, true, 0, "")
 	b.report(0, false, 0, "")
 	b.report(0, false, 0, "")
-	if det, _, _ := b.snapshot(); det[0].State != Closed {
+	if det := b.snapshot(); det[0].State != Closed {
 		t.Fatal("interleaved success did not reset the failure streak")
 	}
 }
@@ -106,10 +103,10 @@ func TestBreakerProbeRestoreAndRequarantine(t *testing.T) {
 	if w != 0 {
 		t.Fatalf("probe pick carries weight %.4f, want 0", w)
 	}
-	// Failed probe: straight back to quarantine, no restore counted.
-	b.report(2, false, 0, "")
-	if det, _, restores := b.snapshot(); det[2].State != Open || restores != 0 {
-		t.Fatalf("failed probe: state %v restores %d", det[2].State, restores)
+	// Failed probe: straight back to quarantine, no transition counted.
+	quarantined, restored := b.report(2, false, 0, "")
+	if det := b.snapshot(); det[2].State != Open || quarantined || restored {
+		t.Fatalf("failed probe: state %v quarantined %v restored %v", det[2].State, quarantined, restored)
 	}
 	for i := 0; i < 5; i++ {
 		b.windowDone()
@@ -119,10 +116,10 @@ func TestBreakerProbeRestoreAndRequarantine(t *testing.T) {
 		t.Fatalf("second probe not offered: idx=%d probe=%v", idx, probe)
 	}
 	// Successful probe restores the detector and its weight.
-	b.report(2, true, 0, "")
-	det, _, restores := b.snapshot()
-	if det[2].State != Closed || restores != 1 {
-		t.Fatalf("restore failed: state %v restores %d", det[2].State, restores)
+	_, restored = b.report(2, true, 0, "")
+	det := b.snapshot()
+	if det[2].State != Closed || !restored {
+		t.Fatalf("restore failed: state %v restored %v", det[2].State, restored)
 	}
 	if math.Abs(det[2].Weight-1.0/3) > 1e-12 {
 		t.Fatalf("restored weight %.4f, want 1/3", det[2].Weight)
@@ -139,7 +136,7 @@ func TestCancelProbeReopens(t *testing.T) {
 		t.Fatalf("no probe offered: idx=%d probe=%v", idx, probe)
 	}
 	b.cancelProbe(0)
-	det, _, _ := b.snapshot()
+	det := b.snapshot()
 	if det[0].State != Open {
 		t.Fatalf("cancelled probe left state %v", det[0].State)
 	}

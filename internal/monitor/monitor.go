@@ -433,7 +433,6 @@ func (e *Engine) Progress() uint64 { return e.progress.Load() }
 // /metrics scrape sees); the snapshot's public shape is unchanged.
 func (e *Engine) Stats() Stats {
 	g := e.pool.Load()
-	det, quar, rest := g.health.snapshot()
 	return Stats{
 		PoolEpoch:          g.epoch,
 		PoolSwaps:          e.ins.poolSwaps.Value(),
@@ -453,9 +452,9 @@ func (e *Engine) Stats() Stats {
 		QueueDepth:         gaugeCount(e.ins.queueDepth),
 		Inflight:           gaugeCount(e.ins.inflight),
 		WorkersLive:        gaugeCount(e.ins.workersLive),
-		Quarantines:        quar,
-		Restores:           rest,
-		Detectors:          det,
+		Quarantines:        e.ins.quarantines.Value(),
+		Restores:           e.ins.restores.Value(),
+		Detectors:          g.health.snapshot(),
 	}
 }
 

@@ -54,11 +54,13 @@ func TestRetiredBoardLeavesGaugesAlone(t *testing.T) {
 	// Quarantine detector 1 on the retired board: the board's own state
 	// must keep working (in-flight old-generation verdicts still report
 	// through it) while the shared surfaces stay untouched.
+	quars := 0
 	for i := 0; i < 3; i++ {
-		b.report(1, false, time.Millisecond, "")
+		if q, _ := b.report(1, false, time.Millisecond, ""); q {
+			quars++
+		}
 	}
-	det, quars, _ := b.snapshot()
-	if det[1].State != Open || quars != 1 {
+	if det := b.snapshot(); det[1].State != Open || quars != 1 {
 		t.Fatalf("retired board state %v/%d quarantines, want open/1 (retire must not disable breakers)",
 			det[1].State, quars)
 	}

@@ -231,6 +231,74 @@ func TestSwapRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBreakerTalliesAgreeWithMetrics: Stats' quarantine and restore
+// counts are the rhmd_monitor_breaker_transitions_total series, so they
+// agree with /metrics after a pool swap, whose fresh health board has
+// no transition history, and after a restore into a fresh registry.
+func TestBreakerTalliesAgreeWithMetrics(t *testing.T) {
+	f := getFixture(t)
+	dir := t.TempDir()
+	// Detector 2 fails every call, so the stream quarantines it.
+	in := NewInjector(7)
+	in.SetProfile(2, Profile{ErrorRate: 1})
+	e := durableEngine(t, dir, 0xB4EA, in)
+	r := e.Pool()
+	next := variantPool(t, r)
+	agree := func(e *Engine, when string) Stats {
+		t.Helper()
+		st := e.Stats()
+		snap := e.Registry().Snapshot()
+		quar := snap.CounterWith("rhmd_monitor_breaker_transitions_total", "quarantine")
+		rest := snap.CounterWith("rhmd_monitor_breaker_transitions_total", "restore")
+		if st.Quarantines != quar || st.Restores != rest {
+			t.Fatalf("%s: Stats has %d quarantines and %d restores, /metrics %d and %d",
+				when, st.Quarantines, st.Restores, quar, rest)
+		}
+		return st
+	}
+
+	e.Start(context.Background())
+	for _, p := range f.programs {
+		for !e.Submit(p) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for range f.programs {
+		<-e.Results()
+	}
+	if agree(e, "before the swap").Quarantines == 0 {
+		t.Fatal("fixture did not quarantine the faulty detector; test needs a breaker transition")
+	}
+	if _, err := e.SwapPool(next); err != nil {
+		t.Fatal(err)
+	}
+	want := agree(e, "after the swap")
+	e.Close()
+	for range e.Results() {
+	}
+
+	r2, err := core.New(f.pool, 0xB4EA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := checkpoint.Open(dir, checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	e2, err := New(r2, Config{Workers: 2, TraceLen: f.traceLen, Checkpoint: store, ResolvePool: swapResolver(r, next)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e2.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if got := agree(e2, "after the restore"); got.Quarantines != want.Quarantines || got.Restores != want.Restores {
+		t.Fatalf("restored %d quarantines and %d restores, want %d and %d",
+			got.Quarantines, got.Restores, want.Quarantines, want.Restores)
+	}
+}
+
 // TestSwapWALCrashSweep enumerates every byte boundary of the pool-swap
 // WAL sequence with the crash-injection filesystem: open a durable
 // store, swap to a retrained pool (epoch 1), swap back (epoch 2, the

@@ -178,9 +178,6 @@ func (h *Histogram) BucketExemplars() []*Exemplar {
 // for latency histograms.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
 
-// ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.total.Load() }
 
@@ -262,7 +259,7 @@ func (f *family) child(pre, values []string) any {
 }
 
 // Registry owns a namespace of metric families. The zero value is not
-// usable; construct with NewRegistry or use Default.
+// usable; construct with NewRegistry.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -298,12 +295,6 @@ func (r *Registry) WithLabel(name, value string) *Registry {
 	}
 	return v
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry, the rendezvous point for
-// layers (experiments, CLIs) that do not thread an explicit registry.
-func Default() *Registry { return defaultRegistry }
 
 var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 

@@ -14,17 +14,30 @@ import (
 // exposition format (version 0.0.4): families sorted by name, children
 // sorted by label values, histograms expanded into cumulative
 // `_bucket{le=...}` series plus `_sum` and `_count`.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.write(w, false) }
+
+// WriteOpenMetrics renders every registered family in OpenMetrics
+// text format, histogram exemplars included, ending with `# EOF`.
+func (r *Registry) WriteOpenMetrics(w io.Writer) error { return r.write(w, true) }
+
+// write renders the registry in one of the two formats. A bufio.Writer
+// keeps its first error and returns it from every later write and from
+// Flush, so the lines below are written unchecked and Flush reports.
+func (r *Registry) write(w io.Writer, openMetrics bool) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range r.sorted() {
-		if err := f.write(bw); err != nil {
-			return err
-		}
+		f.write(bw, openMetrics)
+	}
+	if openMetrics {
+		bw.WriteString("# EOF\n")
 	}
 	return bw.Flush()
 }
 
-func (f *family) write(w io.Writer) error {
+// write renders one family. The formats differ in three places (see
+// openmetrics.go): the counter family name, bucket exemplars, and the
+// `# EOF` line that Registry.write appends.
+func (f *family) write(w *bufio.Writer, openMetrics bool) {
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.children))
 	for k := range f.children {
@@ -41,54 +54,48 @@ func (f *family) write(w io.Writer) error {
 	}
 	f.mu.Unlock()
 	if len(rows) == 0 {
-		return nil
+		return
 	}
 
+	// OpenMetrics names a counter family without the `_total` suffix;
+	// the sample line carries it. Families registered without the
+	// suffix gain it on the sample, which keeps the exposition legal
+	// either way.
+	name, counterName := f.name, f.name
+	if openMetrics && f.kind == counterKind {
+		name = strings.TrimSuffix(f.name, "_total")
+		counterName = name + "_total"
+	}
 	if f.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(f.help))
 	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-		return err
-	}
+	fmt.Fprintf(w, "# TYPE %s %s\n", name, f.kind)
 	for _, rw := range rows {
 		labels := f.renderLabels(rw.key, "", "")
 		switch m := rw.m.(type) {
 		case *Counter:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labels, m.Value()); err != nil {
-				return err
-			}
+			fmt.Fprintf(w, "%s%s %d\n", counterName, labels, m.Value())
 		case *Gauge:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(m.Value())); err != nil {
-				return err
-			}
+			fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
 		case *GaugeFunc:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(m.Value())); err != nil {
-				return err
-			}
+			fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
 		case *Histogram:
 			upper, cum := m.Buckets()
+			var ex []*Exemplar
+			if openMetrics {
+				ex = m.BucketExemplars()
+			}
 			for i, ub := range upper {
 				le := f.renderLabels(rw.key, "le", formatFloat(ub))
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, le, cum[i]); err != nil {
-					return err
-				}
+				fmt.Fprintf(w, "%s_bucket%s %d%s\n", name, le, cum[i], exemplarSuffix(ex, i))
 			}
 			inf := f.renderLabels(rw.key, "le", "+Inf")
 			count := m.Count()
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, inf, count); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labels, formatFloat(m.Sum())); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, labels, count); err != nil {
-				return err
-			}
+			fmt.Fprintf(w, "%s_bucket%s %d%s\n", name, inf, count, exemplarSuffix(ex, len(upper)))
+			fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(m.Sum()))
+			fmt.Fprintf(w, "%s_count%s %d\n", name, labels, count)
 		}
 	}
-	return nil
 }
 
 // renderLabels renders `{a="x",b="y"}` for one child key, optionally

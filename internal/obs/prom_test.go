@@ -42,6 +42,120 @@ c_seconds_count 3
 	}
 }
 
+// TestExpositionGolden pins both expositions byte for byte over one
+// registry holding every shape the writers render: scalar and labeled
+// counters, a counter registered without `_total`, a gauge and a gauge
+// func, a labeled histogram with exemplars (one timestamped in a finite
+// bucket, one without a timestamp in +Inf) and a plain one, a family
+// registered through a WithLabel view, and an empty vec.
+func TestExpositionGolden(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("req_total", "requests served").Add(7)
+	r.CounterVec("err_total", "errors by code", "code").With("500").Add(2)
+	r.Counter("raw_events", "a counter named without the suffix").Add(4)
+	r.Gauge("depth", "queue depth").Set(2.5)
+	r.GaugeFunc("uptime_seconds", "computed at read time", func() float64 { return 12.25 })
+	lat := r.HistogramVec("lat_seconds", "latency\nby stage", []float64{0.25, 1}, "stage")
+	lat.With("classify").ObserveExemplar(0.5, "00000000000000000000000000000abc", 1700000000.5)
+	lat.With("classify").Observe(2)
+	lat.With("trace").ObserveExemplar(4, "00000000000000000000000000000def", 0)
+	r.Histogram("size_bytes", "sizes", []float64{100}).Observe(50)
+	r.WithLabel("shard", "1").Counter("shard_verdicts_total", "verdicts per shard").Add(9)
+	r.CounterVec("unused_total", "never resolved", "k")
+
+	const prom = `# HELP depth queue depth
+# TYPE depth gauge
+depth 2.5
+# HELP err_total errors by code
+# TYPE err_total counter
+err_total{code="500"} 2
+# HELP lat_seconds latency\nby stage
+# TYPE lat_seconds histogram
+lat_seconds_bucket{stage="classify",le="0.25"} 0
+lat_seconds_bucket{stage="classify",le="1"} 1
+lat_seconds_bucket{stage="classify",le="+Inf"} 2
+lat_seconds_sum{stage="classify"} 2.5
+lat_seconds_count{stage="classify"} 2
+lat_seconds_bucket{stage="trace",le="0.25"} 0
+lat_seconds_bucket{stage="trace",le="1"} 0
+lat_seconds_bucket{stage="trace",le="+Inf"} 1
+lat_seconds_sum{stage="trace"} 4
+lat_seconds_count{stage="trace"} 1
+# HELP raw_events a counter named without the suffix
+# TYPE raw_events counter
+raw_events 4
+# HELP req_total requests served
+# TYPE req_total counter
+req_total 7
+# HELP shard_verdicts_total verdicts per shard
+# TYPE shard_verdicts_total counter
+shard_verdicts_total{shard="1"} 9
+# HELP size_bytes sizes
+# TYPE size_bytes histogram
+size_bytes_bucket{le="100"} 1
+size_bytes_bucket{le="+Inf"} 1
+size_bytes_sum 50
+size_bytes_count 1
+# HELP uptime_seconds computed at read time
+# TYPE uptime_seconds gauge
+uptime_seconds 12.25
+`
+	const openMetrics = `# HELP depth queue depth
+# TYPE depth gauge
+depth 2.5
+# HELP err errors by code
+# TYPE err counter
+err_total{code="500"} 2
+# HELP lat_seconds latency\nby stage
+# TYPE lat_seconds histogram
+lat_seconds_bucket{stage="classify",le="0.25"} 0
+lat_seconds_bucket{stage="classify",le="1"} 1 # {trace_id="00000000000000000000000000000abc"} 0.5 1700000000.500
+lat_seconds_bucket{stage="classify",le="+Inf"} 2
+lat_seconds_sum{stage="classify"} 2.5
+lat_seconds_count{stage="classify"} 2
+lat_seconds_bucket{stage="trace",le="0.25"} 0
+lat_seconds_bucket{stage="trace",le="1"} 0
+lat_seconds_bucket{stage="trace",le="+Inf"} 1 # {trace_id="00000000000000000000000000000def"} 4
+lat_seconds_sum{stage="trace"} 4
+lat_seconds_count{stage="trace"} 1
+# HELP raw_events a counter named without the suffix
+# TYPE raw_events counter
+raw_events_total 4
+# HELP req requests served
+# TYPE req counter
+req_total 7
+# HELP shard_verdicts verdicts per shard
+# TYPE shard_verdicts counter
+shard_verdicts_total{shard="1"} 9
+# HELP size_bytes sizes
+# TYPE size_bytes histogram
+size_bytes_bucket{le="100"} 1
+size_bytes_bucket{le="+Inf"} 1
+size_bytes_sum 50
+size_bytes_count 1
+# HELP uptime_seconds computed at read time
+# TYPE uptime_seconds gauge
+uptime_seconds 12.25
+# EOF
+`
+	for _, tc := range []struct {
+		name  string
+		write func(io.Writer) error
+		want  string
+	}{
+		{"prometheus", r.WritePrometheus, prom},
+		{"openmetrics", r.WriteOpenMetrics, openMetrics},
+	} {
+		var b strings.Builder
+		if err := tc.write(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != tc.want {
+			t.Errorf("%s exposition mismatch:\n--- got ---\n%s--- want ---\n%s", tc.name, b.String(), tc.want)
+		}
+	}
+}
+
 // TestEmptyFamilyOmitted: a registered family with no children (a vec
 // nobody resolved) emits nothing, not a dangling TYPE line.
 func TestEmptyFamilyOmitted(t *testing.T) {

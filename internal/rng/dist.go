@@ -3,7 +3,6 @@ package rng
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Categorical samples indices from a fixed discrete distribution in O(1)
@@ -115,31 +114,6 @@ func (c *Categorical) Probs() []float64 {
 	return out
 }
 
-// Zipf samples from a Zipf(s) distribution over [0, n): P(k) ∝ 1/(k+1)^s.
-// It is implemented over the alias table, so draws are O(1).
-type Zipf struct {
-	cat *Categorical
-}
-
-// NewZipf constructs a Zipf sampler with exponent s over n ranks.
-func NewZipf(n int, s float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("rng: Zipf needs n > 0, got %d", n)
-	}
-	w := make([]float64, n)
-	for k := range w {
-		w[k] = 1 / math.Pow(float64(k+1), s)
-	}
-	cat, err := NewCategorical(w)
-	if err != nil {
-		return nil, err
-	}
-	return &Zipf{cat: cat}, nil
-}
-
-// Sample draws one rank.
-func (z *Zipf) Sample(r *Source) int { return z.cat.Sample(r) }
-
 // Dirichlet draws a random probability vector from a symmetric-ish
 // Dirichlet distribution whose mean is base (must sum to ~1) and whose
 // concentration is alpha: larger alpha keeps draws near base, smaller
@@ -193,32 +167,4 @@ func gamma(r *Source, shape float64) float64 {
 			return d * v
 		}
 	}
-}
-
-// WeightedChoice samples one key from a map of weights; used where
-// building an alias table would be overkill. Iteration order is made
-// deterministic by sorting keys.
-func WeightedChoice(r *Source, weights map[string]float64) string {
-	keys := make([]string, 0, len(weights))
-	total := 0.0
-	//rhmd:ignore determinism collection only: keys are sorted below before any draw depends on order
-	for k, w := range weights {
-		if w > 0 {
-			keys = append(keys, k)
-			total += w
-		}
-	}
-	if len(keys) == 0 {
-		return ""
-	}
-	sort.Strings(keys)
-	t := r.Float64() * total
-	acc := 0.0
-	for _, k := range keys {
-		acc += weights[k]
-		if t < acc {
-			return k
-		}
-	}
-	return keys[len(keys)-1]
 }

@@ -84,11 +84,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
@@ -110,31 +105,6 @@ func (r *Source) Norm(mean, stddev float64) float64 {
 // LogNorm returns a log-normally distributed value exp(Norm(mu, sigma)).
 func (r *Source) LogNorm(mu, sigma float64) float64 {
 	return math.Exp(r.Norm(mu, sigma))
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *Source) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials, capped at max to bound pathological draws.
-func (r *Source) Geometric(p float64, max int) int {
-	if p <= 0 {
-		return max
-	}
-	if p >= 1 {
-		return 0
-	}
-	n := int(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
-	if n > max {
-		return max
-	}
-	return n
 }
 
 // IntRange returns a uniform int in [lo, hi] inclusive. Panics if hi < lo.

@@ -136,33 +136,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(8)
-	n := 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(4)
-	}
-	if mean := sum / float64(n); math.Abs(mean-4) > 0.1 {
-		t.Fatalf("exp mean = %v, want ~4", mean)
-	}
-}
-
-func TestGeometricEdges(t *testing.T) {
-	r := New(9)
-	if g := r.Geometric(1, 100); g != 0 {
-		t.Fatalf("Geometric(1) = %d", g)
-	}
-	if g := r.Geometric(0, 100); g != 100 {
-		t.Fatalf("Geometric(0) = %d, want cap", g)
-	}
-	for i := 0; i < 1000; i++ {
-		if g := r.Geometric(0.5, 10); g < 0 || g > 10 {
-			t.Fatalf("Geometric out of range: %d", g)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(10)
 	p := r.Perm(50)
@@ -290,28 +263,6 @@ func TestCategoricalNormalizationProperty(t *testing.T) {
 	}
 }
 
-func TestZipfMonotone(t *testing.T) {
-	z, err := NewZipf(20, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(16)
-	counts := make([]int, 20)
-	for i := 0; i < 100000; i++ {
-		counts[z.Sample(r)]++
-	}
-	// Rank 0 must dominate rank 5 which must dominate rank 15.
-	if !(counts[0] > counts[5] && counts[5] > counts[15]) {
-		t.Fatalf("zipf ranks not monotone: %v", counts)
-	}
-}
-
-func TestZipfError(t *testing.T) {
-	if _, err := NewZipf(0, 1); err == nil {
-		t.Fatal("want error for n=0")
-	}
-}
-
 func TestDirichletIsDistribution(t *testing.T) {
 	r := New(17)
 	base := []float64{0.5, 0.3, 0.2}
@@ -344,25 +295,6 @@ func TestDirichletConcentration(t *testing.T) {
 	}
 	if devHigh >= devLow {
 		t.Fatalf("high-alpha deviation %v should be < low-alpha %v", devHigh/float64(n), devLow/float64(n))
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	r := New(19)
-	w := map[string]float64{"a": 0, "b": 1, "c": 3}
-	counts := map[string]int{}
-	for i := 0; i < 40000; i++ {
-		counts[WeightedChoice(r, w)]++
-	}
-	if counts["a"] != 0 {
-		t.Fatal("zero-weight key sampled")
-	}
-	ratio := float64(counts["c"]) / float64(counts["b"])
-	if ratio < 2.6 || ratio > 3.4 {
-		t.Fatalf("c:b ratio = %v, want ~3", ratio)
-	}
-	if WeightedChoice(r, map[string]float64{}) != "" {
-		t.Fatal("empty map should return empty string")
 	}
 }
 

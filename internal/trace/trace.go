@@ -359,13 +359,3 @@ func logMean(mean float64) float64 {
 	}
 	return math.Log(mean)
 }
-
-// MustExec is Exec for callers holding validated programs; it panics on
-// configuration errors. Used by benchmarks and examples.
-func MustExec(p *prog.Program, cfg Config, sink Sink) Stats {
-	st, err := Exec(p, cfg, sink)
-	if err != nil {
-		panic(err)
-	}
-	return st
-}

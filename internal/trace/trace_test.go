@@ -268,7 +268,9 @@ func BenchmarkExec(b *testing.B) {
 	sink := SinkFunc(func(*Event) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MustExec(p, Config{MaxInstructions: 100000}, sink)
+		if _, err := Exec(p, Config{MaxInstructions: 100000}, sink); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.SetBytes(100000)
 }

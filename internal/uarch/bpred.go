@@ -1,23 +1,14 @@
 // Package uarch provides behavioural micro-architecture simulators —
-// branch predictors and a two-level data-cache hierarchy — that turn the
-// dynamic instruction stream from internal/trace into the architectural
-// events the paper's "Architectural" feature vector counts (§3: "numbers
-// of different architectural events occurring in an execution period such
-// as unaligned memory accesses, and taken branches", plus the cache-miss
-// and branch-prediction rates cited from prior HMD work).
+// a gshare branch predictor and a two-level data-cache hierarchy — that
+// turn the dynamic instruction stream from internal/trace into the
+// architectural events the paper's "Architectural" feature vector counts
+// (§3: "numbers of different architectural events occurring in an
+// execution period such as unaligned memory accesses, and taken
+// branches", plus the cache-miss and branch-prediction rates cited from
+// prior HMD work).
 package uarch
 
 import "fmt"
-
-// Predictor is a conditional-branch direction predictor.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the resolved direction.
-	Update(pc uint64, taken bool)
-	// Reset clears all state.
-	Reset()
-}
 
 // counterTable is a table of 2-bit saturating counters initialized to
 // weakly-taken.
@@ -51,31 +42,6 @@ func (t counterTable) reset() {
 	}
 }
 
-// Bimodal is a classic per-PC 2-bit saturating counter predictor.
-type Bimodal struct {
-	table counterTable
-	mask  uint64
-}
-
-// NewBimodal builds a bimodal predictor with 2^bits counters.
-func NewBimodal(bits int) *Bimodal {
-	if bits < 1 || bits > 24 {
-		panic(fmt.Sprintf("uarch: bimodal bits %d out of range", bits))
-	}
-	return &Bimodal{table: newCounterTable(bits), mask: 1<<bits - 1}
-}
-
-func (b *Bimodal) idx(pc uint64) uint64 { return (pc >> 1) & b.mask }
-
-// Predict implements Predictor.
-func (b *Bimodal) Predict(pc uint64) bool { return b.table.predict(b.idx(pc)) }
-
-// Update implements Predictor.
-func (b *Bimodal) Update(pc uint64, taken bool) { b.table.update(b.idx(pc), taken) }
-
-// Reset implements Predictor.
-func (b *Bimodal) Reset() { b.table.reset() }
-
 // Gshare is a global-history predictor: the pattern-history table is
 // indexed by PC xor global branch history.
 type Gshare struct {
@@ -99,11 +65,11 @@ func NewGshare(bits int, histLen uint) *Gshare {
 
 func (g *Gshare) idx(pc uint64) uint64 { return ((pc >> 1) ^ g.history) & g.mask }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (g *Gshare) Predict(pc uint64) bool { return g.table.predict(g.idx(pc)) }
 
-// Update implements Predictor, training the PHT and shifting the
-// resolved direction into the global history.
+// Update trains the PHT with the resolved direction and shifts it
+// into the global history.
 func (g *Gshare) Update(pc uint64, taken bool) {
 	g.table.update(g.idx(pc), taken)
 	g.history <<= 1
@@ -113,7 +79,7 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 	g.history &= 1<<g.histLen - 1
 }
 
-// Reset implements Predictor.
+// Reset clears the PHT and the history.
 func (g *Gshare) Reset() {
 	g.table.reset()
 	g.history = 0

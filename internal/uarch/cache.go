@@ -82,12 +82,6 @@ func (c *Cache) Access(addr uint64) bool {
 // Reset invalidates every line.
 func (c *Cache) Reset() { clear(c.lines) }
 
-// Sets returns the number of sets (useful for tests).
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // Hierarchy is a two-level data-cache hierarchy: L2 is accessed only on
 // L1 misses, mirroring an inclusive lookup path.
 type Hierarchy struct {

@@ -17,12 +17,12 @@ type Outcome struct {
 	Unaligned  bool
 }
 
-// Pipeline wires a branch predictor and a cache hierarchy behind the
+// Pipeline wires a gshare predictor and a cache hierarchy behind the
 // commit stage, the point where the paper's detectors tap the core ("the
 // detectors collect information from the commit stage of the pipeline",
 // §7).
 type Pipeline struct {
-	BP    Predictor
+	BP    *Gshare
 	Cache *Hierarchy
 }
 
@@ -42,18 +42,13 @@ func (p *Pipeline) Process(e *trace.Event) Outcome {
 	if e.Op == isa.JCC || e.Op == isa.LOOPCC {
 		out.IsBranch = true
 		out.Taken = e.Taken
-		if p.BP != nil {
-			pred := p.BP.Predict(e.PC)
-			out.Mispredict = pred != e.Taken
-			p.BP.Update(e.PC, e.Taken)
-		}
+		out.Mispredict = p.BP.Predict(e.PC) != e.Taken
+		p.BP.Update(e.PC, e.Taken)
 	}
 	if e.Op.IsMem() {
 		out.IsMem = true
 		out.Unaligned = e.Addr%4 != 0
-		if p.Cache != nil {
-			out.L1Miss, out.L2Miss = p.Cache.Access(e.Addr)
-		}
+		out.L1Miss, out.L2Miss = p.Cache.Access(e.Addr)
 	}
 	return out
 }
@@ -61,10 +56,6 @@ func (p *Pipeline) Process(e *trace.Event) Outcome {
 // Reset clears all pipeline state; called between programs so one
 // program's history never leaks into another's features.
 func (p *Pipeline) Reset() {
-	if p.BP != nil {
-		p.BP.Reset()
-	}
-	if p.Cache != nil {
-		p.Cache.Reset()
-	}
+	p.BP.Reset()
+	p.Cache.Reset()
 }

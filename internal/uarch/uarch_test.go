@@ -7,31 +7,33 @@ import (
 	"rhmd/internal/trace"
 )
 
-func TestBimodalLearnsBias(t *testing.T) {
-	b := NewBimodal(10)
-	pc := uint64(0x400100)
+// TestCounterLearnsBias: a 2-bit counter learns a bias and a run of
+// opposite outcomes relearns the other direction.
+func TestCounterLearnsBias(t *testing.T) {
+	c := newCounterTable(1)
 	for i := 0; i < 10; i++ {
-		b.Update(pc, true)
+		c.update(1, true)
 	}
-	if !b.Predict(pc) {
-		t.Fatal("bimodal failed to learn always-taken")
+	if !c.predict(1) {
+		t.Fatal("counter failed to learn always-taken")
 	}
 	for i := 0; i < 10; i++ {
-		b.Update(pc, false)
+		c.update(1, false)
 	}
-	if b.Predict(pc) {
-		t.Fatal("bimodal failed to relearn not-taken")
+	if c.predict(1) {
+		t.Fatal("counter failed to relearn not-taken")
 	}
 }
 
-func TestBimodalHysteresis(t *testing.T) {
-	b := NewBimodal(10)
-	pc := uint64(0x400200)
+// TestCounterHysteresis: a single opposite outcome does not flip a
+// saturated 2-bit counter.
+func TestCounterHysteresis(t *testing.T) {
+	c := newCounterTable(1)
 	for i := 0; i < 10; i++ {
-		b.Update(pc, true)
+		c.update(1, true)
 	}
-	b.Update(pc, false) // one glitch must not flip a saturated counter
-	if !b.Predict(pc) {
+	c.update(1, false) // one glitch must not flip a saturated counter
+	if !c.predict(1) {
 		t.Fatal("2-bit counter flipped after a single opposite outcome")
 	}
 }
@@ -40,7 +42,7 @@ func TestGshareLearnsPattern(t *testing.T) {
 	g := NewGshare(12, 8)
 	pc := uint64(0x400300)
 	// Alternating T/N pattern is history-predictable, impossible for
-	// bimodal.
+	// a per-PC 2-bit counter.
 	warm := 4096
 	correct := 0
 	for i := 0; i < warm+1000; i++ {
@@ -68,8 +70,6 @@ func TestGshareReset(t *testing.T) {
 
 func TestPredictorPanicsOnBadConfig(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewBimodal(0) },
-		func() { NewBimodal(30) },
 		func() { NewGshare(0, 8) },
 		func() { NewGshare(10, 0) },
 	} {
