@@ -69,9 +69,10 @@ fuzz:
 	$(GO) test -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime 30s ./internal/checkpoint/
 
 # Durability suite: every-byte-boundary crash injection, corruption
-# fallback, and the SIGKILL-and-restart recovery test, under -race.
+# fallback, sealed model files, the SIGKILL-and-restart recovery test
+# and rhmd-monitor's black-box crash dump, under -race.
 crashtest:
-	$(GO) test -race -run 'Crash|Corrupt|Kill|Torn|Fallback|Trailer' -v ./internal/checkpoint/ ./internal/monitor/
+	$(GO) test -race -run 'Crash|Corrupt|Kill|Torn|Fallback|Trailer|BlackBox' -v ./internal/checkpoint/ ./internal/monitor/ ./cmd/rhmd-monitor/
 
 # Kill-a-shard chaos suite, under -race: scripted shard deaths (dead
 # disk, wedged queue, crashed worker) plus restore-under-load, proving

@@ -42,12 +42,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -184,21 +186,14 @@ func main() {
 		},
 	}
 
-	script, err := monitor.ParseShardScript(*chaosScript)
+	script, err := fleet.ParseShardScript(*chaosScript)
 	check(err)
-	if script != nil {
-		for _, sf := range script.Faults {
-			if sf.Shard < 0 || sf.Shard >= *shards {
-				check(fmt.Errorf("-chaos targets shard %d, but -shards is %d", sf.Shard, *shards))
-			}
-		}
-	}
 	if *ckptDir != "" {
 		// Black-box recorder: if anything below panics or fails fatally,
 		// the kept traces are flushed next to the checkpoints first.
-		defer checkpoint.RecoverDump(*ckptDir, spans)
+		defer recoverDump(*ckptDir, spans)
 		dir := *ckptDir
-		onFatal = func() { checkpoint.DumpTrace(dir, spans) }
+		onFatal = func() { dumpTrace(dir, spans) }
 	}
 
 	// SLO engine + incident recorder first (both flag-gated): the fleet
@@ -211,7 +206,7 @@ func main() {
 	sloW, err := buildSLO(sloParams{
 		enabled:     *sloOn,
 		incidentDir: *incidentDir,
-		objectives:  slo.FleetObjectives(time.Duration(*slowMs)*time.Millisecond, *shards),
+		objectives:  slo.FleetObjectives(time.Duration(*slowMs)*time.Millisecond, *shards, *driftAccuracy, *driftAgreement),
 		reg:         reg,
 		spans:       spans,
 		drift: func() any {
@@ -316,11 +311,11 @@ func main() {
 
 	if *metricsAddr != "" {
 		mounts := []obs.Mount{
-			{Path: "/fleet", Handler: fl.HealthHandler()},
+			{Path: "/fleet", Handler: obs.JSONHandler(func() any { return fl.Stats() })},
 			{Path: "/traces", Handler: spans.Handler()},
 		}
 		if guard != nil {
-			mounts = append(mounts, obs.Mount{Path: "/drift", Handler: guard.Handler()})
+			mounts = append(mounts, obs.Mount{Path: "/drift", Handler: obs.JSONHandler(func() any { return guard.Status() })})
 		}
 		mounts = append(mounts, sloW.mounts...)
 		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, fl.Registry(), mounts...)
@@ -526,21 +521,41 @@ func traceSuffix(id string) string {
 	return "  trace=" + id
 }
 
-// writeTrace writes the kept traces as JSON to path ("-" = stdout).
+// writeTrace writes the kept traces, the JSON array /traces serves, to
+// path ("-" = stdout). A file lands through checkpoint.WriteFileAtomic,
+// so a crash mid-write never leaves a torn recording; a nil recorder
+// writes [].
 func writeTrace(path string, spans *span.Recorder) error {
 	if path == "-" {
 		return spans.WriteJSON(os.Stdout)
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := spans.WriteJSON(&buf); err != nil {
 		return err
 	}
-	werr := spans.WriteJSON(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
+	return checkpoint.WriteFileAtomic(checkpoint.OSFS{}, path, buf.Bytes())
+}
+
+// blackBoxFile is the crash trace dump inside the checkpoint root.
+const blackBoxFile = "trace-crash.json"
+
+// dumpTrace is the black-box recorder: it flushes the kept traces to
+// dir/trace-crash.json on the way down from a panic or a fatal error.
+// It is best-effort, so its errors are dropped.
+func dumpTrace(dir string, spans *span.Recorder) {
+	if os.MkdirAll(dir, 0o755) == nil {
+		_ = writeTrace(filepath.Join(dir, blackBoxFile), spans)
 	}
-	return cerr
+}
+
+// recoverDump is dumpTrace deferred at the top of main: a panic
+// unwinding through it dumps the kept traces, then re-panics with its
+// original value. A normal return dumps nothing.
+func recoverDump(dir string, spans *span.Recorder) {
+	if r := recover(); r != nil {
+		dumpTrace(dir, spans)
+		panic(r)
+	}
 }
 
 func parsePeriods(s string) ([]int, error) {

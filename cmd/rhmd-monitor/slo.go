@@ -102,7 +102,7 @@ func buildSLO(p sloParams) (*sloWiring, error) {
 			return nil, err
 		}
 		w.eng = eng
-		w.mounts = append(w.mounts, obs.Mount{Path: "/slo", Handler: eng.Handler()})
+		w.mounts = append(w.mounts, obs.Mount{Path: "/slo", Handler: obs.JSONHandler(func() any { return eng.Status() })})
 	}
 	return w, nil
 }

@@ -10,12 +10,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
+	"rhmd/internal/checkpoint"
 	"rhmd/internal/core"
 	"rhmd/internal/dataset"
 	"rhmd/internal/features"
@@ -64,7 +66,9 @@ func main() {
 		check(err)
 		fmt.Printf("trained %s\n", r)
 		if *saveTo != "" {
-			check(core.SaveRHMDFile(*saveTo, r))
+			var buf bytes.Buffer
+			check(core.SaveRHMD(&buf, r))
+			check(checkpoint.WriteSealed(*saveTo, buf.Bytes()))
 			fmt.Printf("saved RHMD to %s\n", *saveTo)
 		}
 
@@ -98,8 +102,9 @@ func main() {
 
 	var d *hmd.Detector
 	if *loadFrom != "" {
-		var err error
-		d, err = hmd.LoadFile(*loadFrom)
+		data, err := checkpoint.ReadSealed(*loadFrom)
+		check(err)
+		d, err = hmd.Load(bytes.NewReader(data))
 		check(err)
 		fmt.Printf("loaded %s from %s\n", d.Spec, *loadFrom)
 	} else {
@@ -112,7 +117,9 @@ func main() {
 		check(err)
 	}
 	if *saveTo != "" {
-		check(hmd.SaveFile(*saveTo, d))
+		var buf bytes.Buffer
+		check(hmd.Save(&buf, d))
+		check(checkpoint.WriteSealed(*saveTo, buf.Bytes()))
 		fmt.Printf("saved detector to %s\n", *saveTo)
 	}
 	testW, err := dataset.ExtractWindows(test, []int{d.Spec.Period}, *traceLen)

@@ -440,8 +440,7 @@ func (b *cfgBuilder) labeledStmt(s *ast.LabeledStmt) {
 }
 
 // reachable returns the blocks reachable from Entry in reverse
-// postorder — the iteration order the dataflow fixpoint and the
-// dominator computation share.
+// postorder — the dataflow fixpoint's iteration order.
 func (c *CFG) reachable() []*Block {
 	seen := make([]bool, len(c.Blocks))
 	var post []*Block
@@ -460,66 +459,4 @@ func (c *CFG) reachable() []*Block {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
-}
-
-// Dominators computes the immediate dominator of every reachable block
-// (Cooper–Harper–Kennedy iterative algorithm). Entry's idom is itself;
-// unreachable blocks are absent from the map.
-func (c *CFG) Dominators() map[*Block]*Block {
-	rpo := c.reachable()
-	order := make(map[*Block]int, len(rpo))
-	for i, blk := range rpo {
-		order[blk] = i
-	}
-	idom := map[*Block]*Block{c.Entry: c.Entry}
-	intersect := func(a, b *Block) *Block {
-		for a != b {
-			for order[a] > order[b] {
-				a = idom[a]
-			}
-			for order[b] > order[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range rpo {
-			if blk == c.Entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range blk.Preds {
-				if _, ok := idom[p]; !ok {
-					continue // pred not yet processed, or unreachable
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom != nil && idom[blk] != newIdom {
-				idom[blk] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether a dominates b under idom (reflexive:
-// every block dominates itself).
-func Dominates(idom map[*Block]*Block, a, b *Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next, ok := idom[b]
-		if !ok || next == b {
-			return false
-		}
-		b = next
-	}
 }

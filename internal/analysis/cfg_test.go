@@ -247,61 +247,6 @@ func TestCFGBranchEdgesCarryConditions(t *testing.T) {
 	}
 }
 
-func TestDominators(t *testing.T) {
-	tests := []struct {
-		name string
-		body string
-		dom  [][2]string // a dominates b
-		not  [][2]string // a does not dominate b
-	}{
-		{
-			name: "diamond",
-			body: "A()\nif cond() {\n B()\n} else {\n C()\n}\nD()",
-			dom:  [][2]string{{"A", "B"}, {"A", "C"}, {"A", "D"}, {"A", "A"}},
-			not:  [][2]string{{"B", "D"}, {"C", "D"}, {"B", "C"}},
-		},
-		{
-			name: "straight line dominates exit",
-			body: "A()\nB()",
-			dom:  [][2]string{{"A", "B"}, {"A", "exit"}, {"B", "exit"}},
-		},
-		{
-			name: "loop head dominates body and after",
-			body: "A()\nfor i := 0; i < n; i++ {\n B()\n}\nC()",
-			dom:  [][2]string{{"A", "B"}, {"A", "C"}, {"B", "B"}},
-			not:  [][2]string{{"B", "C"}},
-		},
-		{
-			name: "early return splits exit dominance",
-			body: "A()\nif cond() {\n B()\n return\n}\nC()",
-			dom:  [][2]string{{"A", "exit"}},
-			not:  [][2]string{{"C", "exit"}, {"B", "exit"}},
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			c := buildCFG(t, tt.body)
-			idom := c.Dominators()
-			resolve := func(m string) *Block {
-				if m == "exit" {
-					return c.Exit
-				}
-				return markerBlock(t, c, m)
-			}
-			for _, p := range tt.dom {
-				if !Dominates(idom, resolve(p[0]), resolve(p[1])) {
-					t.Errorf("%s should dominate %s", p[0], p[1])
-				}
-			}
-			for _, p := range tt.not {
-				if Dominates(idom, resolve(p[0]), resolve(p[1])) {
-					t.Errorf("%s should NOT dominate %s", p[0], p[1])
-				}
-			}
-		})
-	}
-}
-
 // TestForwardJoin checks that the fixpoint ORs facts across paths:
 // marker a() sets bit 1, b() sets bit 2; after an if-else executing
 // one of each, both bits reach the join.

@@ -65,3 +65,23 @@ func earlyReturn(e *engine, g *gen) {
 func installOnly(e *engine, g *gen) {
 	e.pool.Store(g)
 }
+
+// logWAL is a shared WAL-logging helper: a call to it is the append.
+func (e *engine) logWAL(payload []byte) error { return e.ckpt.Append(1, payload) }
+
+// publishAfterHelper appends through the helper, then publishes.
+func publishAfterHelper(e *engine, g *gen) error {
+	if e.ckpt != nil {
+		if err := e.logWAL(nil); err != nil {
+			return err
+		}
+	}
+	e.pool.Store(g)
+	return nil
+}
+
+// publishBeforeHelper publishes before the helper logs the change.
+func publishBeforeHelper(e *engine, g *gen) error {
+	e.pool.Store(g) // want "before the WAL append"
+	return e.logWAL(nil)
+}

@@ -10,9 +10,10 @@ package analysis
 //
 // The analysis is edge-sensitive dataflow over the CFG with one
 // function-wide WAL state: PENDING at entry, APPENDED after any
-// Store.Append call, and ABSENT on the branch where a nil-check proved
-// there is no checkpoint store attached (the nil-ckpt deployment
-// legitimately skips the WAL). An atomic publish is reported when
+// Store.Append call (or a call to a same-package function that makes
+// one, such as a shared WAL-logging helper), and ABSENT on the branch
+// where a nil-check proved there is no checkpoint store attached (the
+// nil-ckpt deployment legitimately skips the WAL). An atomic publish is reported when
 // PENDING is still a possible state — i.e. some path reaches it with
 // neither an append nor nil-evidence. Functions with no Append are
 // ignored: plain pool installs (restore-time installGen, fleet-level
@@ -21,6 +22,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // WALOrder is the publish-after-WAL analyzer.
@@ -43,22 +45,55 @@ type walKeyType struct{}
 var walKey walKeyType
 
 func runWALOrder(pass *Pass) {
+	isAppend := walAppends(pass)
 	for _, file := range pass.Files {
 		if isTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
 		funcBodies(file, func(body *ast.BlockStmt, _ ast.Node) {
-			walOrderBody(pass, body)
+			walOrderBody(pass, isAppend, body)
 		})
 	}
 }
 
-func walOrderBody(pass *Pass, body *ast.BlockStmt) {
+// walAppends returns the append matcher for the package: store.Append
+// on a checkpoint Store, or a call to a package function whose own body
+// makes one (a WAL-logging helper appends at its call site).
+func walAppends(pass *Pass) func(*ast.CallExpr) bool {
+	writers := map[types.Object]bool{}
+	for _, file := range pass.Files {
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			shallowWalkBody(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && isStoreAppend(pass, call) {
+					writers[pass.Info.Defs[fd.Name]] = true
+					return false
+				}
+				return true
+			})
+		}
+	}
+	return func(call *ast.CallExpr) bool {
+		if isStoreAppend(pass, call) {
+			return true
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
+			id, ok = sel.Sel, true
+		}
+		return ok && writers[pass.Info.Uses[id]]
+	}
+}
+
+func walOrderBody(pass *Pass, isWALAppend func(*ast.CallExpr) bool, body *ast.BlockStmt) {
 	// Only functions that write the WAL themselves carry the ordering
 	// obligation.
 	appends := false
 	shallowWalkBody(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isWALAppend(pass, call) {
+		if call, ok := n.(*ast.CallExpr); ok && isWALAppend(call) {
 			appends = true
 		}
 		return !appends
@@ -73,7 +108,7 @@ func walOrderBody(pass *Pass, body *ast.BlockStmt) {
 		Transfer: func(n ast.Node, f Facts) {
 			has := false
 			shallowWalk(n, func(sub ast.Node) bool {
-				if call, ok := sub.(*ast.CallExpr); ok && isWALAppend(pass, call) {
+				if call, ok := sub.(*ast.CallExpr); ok && isWALAppend(call) {
 					has = true
 				}
 				return !has
@@ -114,9 +149,9 @@ func walOrderBody(pass *Pass, body *ast.BlockStmt) {
 	})
 }
 
-// isWALAppend matches store.Append(kind, payload) on a checkpoint
+// isStoreAppend matches store.Append(kind, payload) on a checkpoint
 // Store value.
-func isWALAppend(pass *Pass, call *ast.CallExpr) bool {
+func isStoreAppend(pass *Pass, call *ast.CallExpr) bool {
 	recv, name, ok := methodCall(call)
 	return ok && name == "Append" && typeNamed(pass.TypeOf(recv), "Store")
 }

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
-	"os"
 
-	"rhmd/internal/checkpoint"
 	"rhmd/internal/hmd"
 )
 
@@ -86,29 +83,4 @@ func LoadRHMD(rd io.Reader) (*RHMD, error) {
 		return nil, fmt.Errorf("core: loading RHMD: %w", err)
 	}
 	return &r, nil
-}
-
-// SaveRHMDFile writes the randomized detector to path crash-safely:
-// crc32 trailer plus atomic write-temp → fsync → rename, so a crash
-// mid-save never leaves a torn model file.
-func SaveRHMDFile(path string, r *RHMD) error {
-	var buf bytes.Buffer
-	if err := SaveRHMD(&buf, r); err != nil {
-		return err
-	}
-	return checkpoint.WriteFileAtomic(checkpoint.OSFS{}, path, checkpoint.SealTrailer(buf.Bytes()))
-}
-
-// LoadRHMDFile reads an RHMD written by SaveRHMDFile, verifying the
-// checksum trailer; a file without one is refused.
-func LoadRHMDFile(path string) (*RHMD, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	body, err := checkpoint.VerifyTrailer(data)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", path, err)
-	}
-	return LoadRHMD(bytes.NewReader(body))
 }

@@ -6,7 +6,32 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rhmd/internal/checkpoint"
 )
+
+// Pool files are SaveRHMD output sealed by checkpoint.WriteSealed and
+// read back through checkpoint.ReadSealed before LoadRHMD, the way
+// rhmd-train -rhmd -save and the drift-guard archive persist them.
+
+func saveRHMDFile(t *testing.T, path string, r *RHMD) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveRHMD(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteSealed(path, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func loadRHMDFile(path string) (*RHMD, error) {
+	data, err := checkpoint.ReadSealed(path)
+	if err != nil {
+		return nil, err
+	}
+	return LoadRHMD(bytes.NewReader(data))
+}
 
 func TestRHMDFileRoundTrip(t *testing.T) {
 	f := getFixture(t)
@@ -15,20 +40,17 @@ func TestRHMDFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "rhmd.json")
-	if err := SaveRHMDFile(path, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadRHMDFile(path)
+	saveRHMDFile(t, path, orig)
+	got, err := loadRHMDFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Key != orig.Key || got.Size() != orig.Size() {
 		t.Fatalf("round trip changed pool: key %d→%d, size %d→%d", orig.Key, got.Key, orig.Size(), got.Size())
 	}
-	// The fingerprint is the pool's identity across crash recovery
-	// (pool-swap WAL entries, the drift-guard archive): a persistence
-	// round trip must preserve it bit-for-bit, including the probability
-	// vector NewWeighted would otherwise re-normalize.
+	// The drift-guard archive names pool files by fingerprint and
+	// refuses one that hashes differently, so the sealed file must
+	// carry the fingerprint through unchanged.
 	if got.Fingerprint() != orig.Fingerprint() {
 		t.Fatalf("round trip changed fingerprint %016x → %016x", orig.Fingerprint(), got.Fingerprint())
 	}
@@ -55,9 +77,7 @@ func TestLoadRHMDFileDetectsFlippedByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "rhmd.json")
-	if err := SaveRHMDFile(path, orig); err != nil {
-		t.Fatal(err)
-	}
+	saveRHMDFile(t, path, orig)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +86,7 @@ func TestLoadRHMDFileDetectsFlippedByte(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRHMDFile(path); err == nil || !strings.Contains(err.Error(), "crc32") {
+	if _, err := loadRHMDFile(path); err == nil || !strings.Contains(err.Error(), "crc32") {
 		t.Fatalf("flipped byte load error = %v, want crc32 mismatch", err)
 	}
 }
@@ -77,7 +97,7 @@ func TestLoadRHMDFileRefusesUnsealed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Plain SaveRHMD output without the trailer SaveRHMDFile appends.
+	// Plain SaveRHMD output without the trailer WriteSealed appends.
 	var buf bytes.Buffer
 	if err := SaveRHMD(&buf, orig); err != nil {
 		t.Fatal(err)
@@ -86,7 +106,7 @@ func TestLoadRHMDFileRefusesUnsealed(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRHMDFile(path); err == nil || !strings.Contains(err.Error(), "missing crc32 trailer") {
+	if _, err := loadRHMDFile(path); err == nil || !strings.Contains(err.Error(), "missing crc32 trailer") {
 		t.Fatalf("unsealed file load error = %v, want missing crc32 trailer", err)
 	}
 }

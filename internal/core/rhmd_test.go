@@ -578,6 +578,13 @@ func TestRHMDSaveLoadRoundTrip(t *testing.T) {
 	if got.Size() != orig.Size() || got.Key != orig.Key {
 		t.Fatal("metadata changed")
 	}
+	// The fingerprint is the pool's identity across crash recovery
+	// (pool-swap WAL entries, the drift-guard archive): a persistence
+	// round trip must preserve it bit-for-bit, including the probability
+	// vector NewWeighted would otherwise re-normalize.
+	if got.Fingerprint() != orig.Fingerprint() {
+		t.Fatalf("round trip changed fingerprint %016x → %016x", orig.Fingerprint(), got.Fingerprint())
+	}
 	// Decisions must be identical (same pool, same key).
 	p := f.atkTest[0]
 	a, err := orig.DecideTrace(p, f.traceLen)

@@ -1,6 +1,7 @@
 package driftguard
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"rhmd/internal/checkpoint"
 	"rhmd/internal/core"
 )
 
@@ -43,7 +45,7 @@ func (a *Archive) path(fp uint64) string {
 }
 
 // Put persists the pool under its fingerprint (atomic write + checksum
-// trailer via core.SaveRHMDFile). Idempotent: an already-archived
+// trailer via checkpoint.WriteSealed). Idempotent: an already-archived
 // fingerprint is a no-op, so callers can Put unconditionally.
 func (a *Archive) Put(r *core.RHMD) error {
 	fp := r.Fingerprint()
@@ -57,7 +59,12 @@ func (a *Archive) Put(r *core.RHMD) error {
 		a.loaded[fp] = r
 		return nil
 	}
-	if err := core.SaveRHMDFile(path, r); err != nil {
+	var buf bytes.Buffer
+	err := core.SaveRHMD(&buf, r)
+	if err == nil {
+		err = checkpoint.WriteSealed(path, buf.Bytes())
+	}
+	if err != nil {
 		return fmt.Errorf("driftguard: archiving pool %016x: %w", fp, err)
 	}
 	a.loaded[fp] = r
@@ -75,7 +82,11 @@ func (a *Archive) Resolve(epoch, fingerprint uint64) (*core.RHMD, error) {
 	if r, ok := a.loaded[fingerprint]; ok {
 		return r, nil
 	}
-	r, err := core.LoadRHMDFile(a.path(fingerprint))
+	data, err := checkpoint.ReadSealed(a.path(fingerprint))
+	var r *core.RHMD
+	if err == nil {
+		r, err = core.LoadRHMD(bytes.NewReader(data))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("driftguard: resolving pool epoch %d fingerprint %016x: %w",
 			epoch, fingerprint, err)

@@ -30,9 +30,7 @@ package driftguard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sync"
 
 	"rhmd/internal/core"
@@ -572,15 +570,4 @@ func (s Status) String() string {
 		"drift:    %s, pool epoch %d; accuracy %.3f, agreement %.3f (%d samples); %d drift events, %d retrains (%d failed), %d commits, %d rollbacks",
 		s.State, s.PoolEpoch, s.AccuracyEWMA, s.AgreementEWMA, s.Samples,
 		s.DriftEvents, s.Retrains, s.RetrainFailures, s.Commits, s.Rollbacks)
-}
-
-// Handler returns the /drift endpoint: the Status snapshot as indented
-// JSON, for mounting on the obs introspection mux.
-func (g *Guard) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(g.Status())
-	})
 }

@@ -306,7 +306,10 @@ func TestArchiveRoundTrip(t *testing.T) {
 	// fingerprint check catches renames and corruption.
 	evil := clonePool(t, f.rhmd)
 	evil.Detectors[0].Threshold += 42
-	if err := core.SaveRHMDFile(b.path(0xBEEF), evil); err != nil {
+	if err := b.Put(evil); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(b.path(evil.Fingerprint()), b.path(0xBEEF)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Resolve(1, 0xBEEF); err == nil {

@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"rhmd/internal/monitor"
 	"rhmd/internal/obs"
 	"rhmd/internal/obs/incident"
 )
@@ -42,6 +43,53 @@ func shardHealth(t *testing.T, fl *Fleet, shard int) ShardHealth {
 	return st.Health[shard]
 }
 
+// TestChaosParseShardScript: the CLI chaos syntax round-trips into shard
+// faults, and malformed scripts fail loudly instead of silently
+// running the wrong scenario.
+func TestChaosParseShardScript(t *testing.T) {
+	s, err := ParseShardScript("1:wedge:25, 0:crash-at-byte:4096,2:panic:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ShardFault{
+		{Shard: 1, Kind: ShardWedgeQueue, Arg: 25},
+		{Shard: 0, Kind: ShardCrashAtByte, Arg: 4096},
+		{Shard: 2, Kind: ShardPanicWorker, Arg: 10},
+	}
+	if !reflect.DeepEqual(s.Faults, want) {
+		t.Fatalf("parsed %+v, want %+v", s.Faults, want)
+	}
+	if got := s.forShard(0); len(got) != 1 || got[0].Kind != ShardCrashAtByte {
+		t.Fatalf("forShard(0) = %+v", got)
+	}
+	if got := s.forShard(9); got != nil {
+		t.Fatalf("forShard(9) = %+v, want nil", got)
+	}
+
+	if s, err := ParseShardScript(""); s != nil || err != nil {
+		t.Fatalf("empty script parsed to %+v, %v", s, err)
+	}
+	for _, bad := range []string{"1:wedge", "x:wedge:1", "-1:wedge:1", "1:meteor:1", "1:wedge:many"} {
+		if _, err := ParseShardScript(bad); err == nil {
+			t.Errorf("script %q parsed without error", bad)
+		}
+	}
+}
+
+// TestChaosScriptRefusesMissingShard: a fault aimed at a shard the
+// fleet does not have is a configuration error, not a scenario that
+// silently never fires.
+func TestChaosScriptRefusesMissingShard(t *testing.T) {
+	f := getFixture(t)
+	for _, shard := range []int{-1, 2, 7} {
+		script := &ShardScript{Faults: []ShardFault{{Shard: shard, Kind: ShardWedgeQueue, Arg: 1}}}
+		_, err := New(f.rhmd, Config{Shards: 2, Engine: engineTemplate(f), Script: script})
+		if err == nil || !strings.Contains(err.Error(), "chaos script targets shard") {
+			t.Fatalf("fault on shard %d of 2: New error = %v, want a refusal", shard, err)
+		}
+	}
+}
+
 // TestChaosKillShardCrashAtByte is the kill-a-shard acceptance
 // scenario: shard 0's checkpoint disk dies mid-run (FailingFS byte
 // budget), the supervisor declares it dead on checkpoint failures,
@@ -68,8 +116,8 @@ func TestChaosKillShardCrashAtByte(t *testing.T) {
 	// 4 KiB of WAL budget ≈ a few dozen durable verdicts before the
 	// disk dies — enough for a non-trivial acked baseline, small enough
 	// that the death lands quickly even under the race detector.
-	script := &monitor.ShardScript{Faults: []monitor.ShardFault{
-		{Shard: target, Kind: monitor.ShardCrashAtByte, Arg: 4096},
+	script := &ShardScript{Faults: []ShardFault{
+		{Shard: target, Kind: ShardCrashAtByte, Arg: 4096},
 	}}
 	reg := obs.NewRegistry()
 	rec, incDir := chaosIncidentRecorder(t, reg)
@@ -232,8 +280,8 @@ func TestChaosKillShardCrashAtByte(t *testing.T) {
 func TestChaosWedgedShardRestarts(t *testing.T) {
 	f := getFixture(t)
 	target := 1
-	script := &monitor.ShardScript{Faults: []monitor.ShardFault{
-		{Shard: target, Kind: monitor.ShardWedgeQueue, Arg: 5},
+	script := &ShardScript{Faults: []ShardFault{
+		{Shard: target, Kind: ShardWedgeQueue, Arg: 5},
 	}}
 	fl, err := New(f.rhmd, Config{
 		Shards: 3, Script: script,
@@ -271,8 +319,8 @@ func TestChaosWedgedShardRestarts(t *testing.T) {
 func TestChaosPanicWorkerRestarts(t *testing.T) {
 	f := getFixture(t)
 	target := 2
-	script := &monitor.ShardScript{Faults: []monitor.ShardFault{
-		{Shard: target, Kind: monitor.ShardPanicWorker, Arg: 3},
+	script := &ShardScript{Faults: []ShardFault{
+		{Shard: target, Kind: ShardPanicWorker, Arg: 3},
 	}}
 	fl, err := New(f.rhmd, Config{
 		Shards: 3, Script: script,

@@ -36,8 +36,8 @@ type Config struct {
 	Engine monitor.Config
 	// Script, when non-nil, is the deterministic kill-a-shard chaos
 	// scenario applied to generation 0 of each targeted shard (see
-	// monitor.ShardScript).
-	Script *monitor.ShardScript
+	// ShardScript). Every fault must target a shard below Shards.
+	Script *ShardScript
 	// WedgeTimeout is how long a shard may hold a backlog (queued +
 	// in-flight programs) without delivering a single verdict before
 	// the supervisor declares it wedged and restarts it (default 2s).
@@ -131,6 +131,13 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: Engine.Checkpoint must be unset (use CheckpointDir for per-shard stores)")
 	}
 	cfg.fill()
+	if cfg.Script != nil {
+		for _, sf := range cfg.Script.Faults {
+			if sf.Shard < 0 || sf.Shard >= cfg.Shards {
+				return nil, fmt.Errorf("fleet: chaos script targets shard %d, but the fleet has %d shards", sf.Shard, cfg.Shards)
+			}
+		}
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()

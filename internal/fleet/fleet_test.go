@@ -13,6 +13,7 @@ import (
 	"rhmd/internal/dataset"
 	"rhmd/internal/features"
 	"rhmd/internal/monitor"
+	"rhmd/internal/obs"
 	"rhmd/internal/prog"
 )
 
@@ -154,7 +155,7 @@ func (h *harness) delivered(shard int, gen uint64) int {
 // would and decodes it.
 func healthSnapshot(fl *Fleet) (FleetStats, []byte, error) {
 	rec := httptest.NewRecorder()
-	fl.HealthHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/fleet", nil))
+	obs.JSONHandler(func() any { return fl.Stats() }).ServeHTTP(rec, httptest.NewRequest("GET", "/fleet", nil))
 	var st FleetStats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		return FleetStats{}, nil, err

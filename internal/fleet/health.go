@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
-	"net/http"
 	"strconv"
 
 	"rhmd/internal/monitor"
@@ -116,16 +114,4 @@ func (f *Fleet) Stats() FleetStats {
 		out.Health = append(out.Health, h)
 	}
 	return out
-}
-
-// HealthHandler returns the fleet health endpoint: the FleetStats
-// snapshot as indented JSON, for mounting on the obs introspection mux
-// (conventionally at /fleet).
-func (f *Fleet) HealthHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(f.Stats())
-	})
 }

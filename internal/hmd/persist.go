@@ -1,14 +1,11 @@
 package hmd
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
-	"rhmd/internal/checkpoint"
 	"rhmd/internal/features"
 	"rhmd/internal/ml"
 )
@@ -120,30 +117,4 @@ func Load(r io.Reader) (*Detector, error) {
 		return nil, fmt.Errorf("hmd: loading detector: %w", err)
 	}
 	return &d, nil
-}
-
-// SaveFile writes the detector to path crash-safely: the JSON document
-// gets a crc32 trailer and lands via write-temp → fsync → rename, so a
-// crash mid-save leaves either the old file or the new one, never a
-// torn hybrid.
-func SaveFile(path string, d *Detector) error {
-	var buf bytes.Buffer
-	if err := Save(&buf, d); err != nil {
-		return err
-	}
-	return checkpoint.WriteFileAtomic(checkpoint.OSFS{}, path, checkpoint.SealTrailer(buf.Bytes()))
-}
-
-// LoadFile reads a detector written by SaveFile, verifying the checksum
-// trailer; a file without one is refused.
-func LoadFile(path string) (*Detector, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	body, err := checkpoint.VerifyTrailer(data)
-	if err != nil {
-		return nil, fmt.Errorf("hmd: %s: %w", path, err)
-	}
-	return Load(bytes.NewReader(body))
 }

@@ -7,8 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"rhmd/internal/checkpoint"
 	"rhmd/internal/features"
 )
+
+// Detector files are Save output sealed by checkpoint.WriteSealed and
+// read back through checkpoint.ReadSealed before Load, the way
+// rhmd-train -save/-load persists them. These tests pin that a real
+// detector survives the round trip and that a damaged file is refused.
 
 func trainOne(t *testing.T) (*Detector, [][]float64) {
 	t.Helper()
@@ -20,13 +26,30 @@ func trainOne(t *testing.T) (*Detector, [][]float64) {
 	return d, mw.Get(features.Instructions).X
 }
 
+func saveFile(t *testing.T, path string, d *Detector) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteSealed(path, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func loadFile(path string) (*Detector, error) {
+	data, err := checkpoint.ReadSealed(path)
+	if err != nil {
+		return nil, err
+	}
+	return Load(bytes.NewReader(data))
+}
+
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	d, X := trainOne(t)
 	path := filepath.Join(t.TempDir(), "det.json")
-	if err := SaveFile(path, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
+	saveFile(t, path, d)
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,16 +63,14 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(data), "#rhmd-crc32:") {
-		t.Fatal("SaveFile did not seal the file with a checksum trailer")
+		t.Fatal("detector file is not sealed with a checksum trailer")
 	}
 }
 
 func TestLoadFileDetectsFlippedByte(t *testing.T) {
 	d, _ := trainOne(t)
 	path := filepath.Join(t.TempDir(), "det.json")
-	if err := SaveFile(path, d); err != nil {
-		t.Fatal(err)
-	}
+	saveFile(t, path, d)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +81,7 @@ func TestLoadFileDetectsFlippedByte(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "crc32") {
+	if _, err := loadFile(path); err == nil || !strings.Contains(err.Error(), "crc32") {
 		t.Fatalf("flipped byte load error = %v, want crc32 mismatch", err)
 	}
 }
@@ -68,7 +89,7 @@ func TestLoadFileDetectsFlippedByte(t *testing.T) {
 func TestLoadFileRefusesUnsealed(t *testing.T) {
 	d, _ := trainOne(t)
 	path := filepath.Join(t.TempDir(), "det.json")
-	// Plain Save output without the trailer SaveFile appends: a valid
+	// Plain Save output without the trailer WriteSealed appends: a valid
 	// detector whose integrity cannot be checked.
 	var buf bytes.Buffer
 	if err := Save(&buf, d); err != nil {
@@ -77,7 +98,7 @@ func TestLoadFileRefusesUnsealed(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "missing crc32 trailer") {
+	if _, err := loadFile(path); err == nil || !strings.Contains(err.Error(), "missing crc32 trailer") {
 		t.Fatalf("unsealed file load error = %v, want missing crc32 trailer", err)
 	}
 }
@@ -85,9 +106,7 @@ func TestLoadFileRefusesUnsealed(t *testing.T) {
 func TestLoadFileDetectsTruncation(t *testing.T) {
 	d, _ := trainOne(t)
 	path := filepath.Join(t.TempDir(), "det.json")
-	if err := SaveFile(path, d); err != nil {
-		t.Fatal(err)
-	}
+	saveFile(t, path, d)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +116,7 @@ func TestLoadFileDetectsTruncation(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); err == nil {
+	if _, err := loadFile(path); err == nil {
 		t.Fatal("truncated file loaded without error")
 	}
 }

@@ -38,9 +38,6 @@ func (m *LRModel) Score(x []float64) float64 { return sigmoid(dot(m.W, x) + m.B)
 // Dim implements Model.
 func (m *LRModel) Dim() int { return len(m.W) }
 
-// Margin returns the pre-sigmoid linear score.
-func (m *LRModel) Margin(x []float64) float64 { return dot(m.W, x) + m.B }
-
 // Train implements Trainer.
 func (t LogisticRegression) Train(X [][]float64, y []int, seed uint64) (Model, error) {
 	dim, err := validate(X, y)

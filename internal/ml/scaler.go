@@ -65,32 +65,3 @@ func (s *Scaler) TransformAll(X [][]float64) [][]float64 {
 	}
 	return out
 }
-
-// scaledModel wraps a model so callers can feed raw (unscaled) vectors.
-type scaledModel struct {
-	s *Scaler
-	m Model
-}
-
-// Scaled returns a Model that applies the scaler before delegating.
-func Scaled(s *Scaler, m Model) Model {
-	return &scaledModel{s: s, m: m}
-}
-
-// Score implements Model.
-func (sm *scaledModel) Score(x []float64) float64 { return sm.m.Score(sm.s.Transform(x)) }
-
-// Dim implements Model.
-func (sm *scaledModel) Dim() int { return sm.m.Dim() }
-
-// Unwrap exposes the inner model (the evasion framework needs the raw
-// linear weights behind the scaling).
-func (sm *scaledModel) Unwrap() (Model, *Scaler) { return sm.m, sm.s }
-
-// UnwrapScaled returns the inner model and scaler if m is a Scaled model.
-func UnwrapScaled(m Model) (Model, *Scaler, bool) {
-	if sm, ok := m.(*scaledModel); ok {
-		return sm.m, sm.s, true
-	}
-	return m, nil, false
-}

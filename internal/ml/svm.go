@@ -31,9 +31,6 @@ func (m *SVMModel) Score(x []float64) float64 { return sigmoid(dot(m.W, x) + m.B
 // Dim implements Model.
 func (m *SVMModel) Dim() int { return len(m.W) }
 
-// Margin returns the raw signed distance-like margin.
-func (m *SVMModel) Margin(x []float64) float64 { return dot(m.W, x) + m.B }
-
 // Train implements Trainer.
 func (t LinearSVM) Train(X [][]float64, y []int, seed uint64) (Model, error) {
 	dim, err := validate(X, y)

@@ -290,30 +290,14 @@ func (e *Engine) applySnapshot(st *EngineState) error {
 		return fmt.Errorf("monitor: checkpoint state version %d (want %d)", st.Version, engineStateVersion)
 	}
 	g := e.pool.Load()
-	if fp := poolFingerprint(g.rhmd); st.Fingerprint != fp {
-		// A later generation (or a foreign pool). With a ResolvePool
-		// hook the engine reinstalls the checkpointed generation; without
-		// one this stays the pre-swap wrong-pool hard error.
-		if e.cfg.ResolvePool == nil {
-			return fmt.Errorf("monitor: checkpoint belongs to a different pool (fingerprint %016x, engine %016x)",
-				st.Fingerprint, fp)
-		}
-		r, err := e.cfg.ResolvePool(st.PoolEpoch, st.Fingerprint)
-		if err != nil {
-			return fmt.Errorf("monitor: resolving checkpointed pool generation %d (%016x): %w",
-				st.PoolEpoch, st.Fingerprint, err)
-		}
-		if got := poolFingerprint(r); got != st.Fingerprint {
-			return fmt.Errorf("monitor: ResolvePool returned fingerprint %016x for checkpointed %016x", got, st.Fingerprint)
-		}
+	r, err := e.resolvePool(st.PoolEpoch, st.Fingerprint)
+	if err != nil {
+		return err
+	}
+	if r != g.rhmd || st.PoolEpoch != g.epoch {
+		// A later generation, or the same pool bytes at a different
+		// epoch (a rollback re-promoted the constructed pool).
 		if err := e.installGen(st.PoolEpoch, r); err != nil {
-			return err
-		}
-		g = e.pool.Load()
-	} else if st.PoolEpoch != g.epoch {
-		// Same pool bytes at a different epoch (a rollback re-promoted
-		// the constructed pool): keep the pool, adopt the epoch.
-		if err := e.installGen(st.PoolEpoch, g.rhmd); err != nil {
 			return err
 		}
 		g = e.pool.Load()
@@ -322,6 +306,31 @@ func (e *Engine) applySnapshot(st *EngineState) error {
 		return fmt.Errorf("monitor: checkpoint has %d breakers for a pool of %d", len(st.Breakers), g.rhmd.Size())
 	}
 	return g.health.restoreState(st.Breakers, st.WindowClock)
+}
+
+// resolvePool returns the pool a checkpoint names by fingerprint: the
+// serving pool when it matches, otherwise the generation
+// Config.ResolvePool re-materializes, checked against the fingerprint.
+// Without a ResolvePool hook a foreign fingerprint is the wrong-pool
+// hard error.
+func (e *Engine) resolvePool(epoch, fingerprint uint64) (*core.RHMD, error) {
+	serving := e.pool.Load().rhmd
+	fp := poolFingerprint(serving)
+	if fingerprint == fp {
+		return serving, nil
+	}
+	if e.cfg.ResolvePool == nil {
+		return nil, fmt.Errorf("monitor: checkpoint belongs to a different pool (fingerprint %016x, engine %016x) and no ResolvePool is configured",
+			fingerprint, fp)
+	}
+	r, err := e.cfg.ResolvePool(epoch, fingerprint)
+	if err != nil {
+		return nil, fmt.Errorf("monitor: resolving checkpointed pool generation %d (%016x): %w", epoch, fingerprint, err)
+	}
+	if got := poolFingerprint(r); got != fingerprint {
+		return nil, fmt.Errorf("monitor: ResolvePool returned fingerprint %016x for checkpointed %016x", got, fingerprint)
+	}
+	return r, nil
 }
 
 // applyEntry replays one WAL record on top of the snapshot state,
@@ -364,20 +373,9 @@ func (e *Engine) applyEntry(entry checkpoint.Entry, st *EngineState) error {
 		if err := json.Unmarshal(entry.Payload, &ps); err != nil {
 			return fmt.Errorf("monitor: decoding WAL pool-swap entry: %w", err)
 		}
-		r := g.rhmd
-		if ps.Fingerprint != poolFingerprint(r) {
-			if e.cfg.ResolvePool == nil {
-				return fmt.Errorf("monitor: WAL pool swap to unknown fingerprint %016x (epoch %d) and no ResolvePool configured",
-					ps.Fingerprint, ps.Epoch)
-			}
-			var err error
-			if r, err = e.cfg.ResolvePool(ps.Epoch, ps.Fingerprint); err != nil {
-				return fmt.Errorf("monitor: resolving WAL pool swap to generation %d (%016x): %w",
-					ps.Epoch, ps.Fingerprint, err)
-			}
-			if got := poolFingerprint(r); got != ps.Fingerprint {
-				return fmt.Errorf("monitor: ResolvePool returned fingerprint %016x for WAL-logged %016x", got, ps.Fingerprint)
-			}
+		r, err := e.resolvePool(ps.Epoch, ps.Fingerprint)
+		if err != nil {
+			return err
 		}
 		// Replaying a swap mirrors live SwapPool semantics exactly:
 		// fresh health board (breakers closed, window clock zero), so
@@ -406,7 +404,7 @@ func (e *Engine) commitVerdict(rep Report, tr *span.Trace, ws *span.Span) (durab
 	e.ckptMu.RLock()
 	defer e.ckptMu.RUnlock()
 	if e.ckpt != nil {
-		payload, err := json.Marshal(walVerdict{
+		err := e.logWAL(checkpoint.KindVerdict, walVerdict{
 			Failed:   rep.Err != nil,
 			Malware:  rep.Malware,
 			Windows:  rep.Windows,
@@ -414,16 +412,12 @@ func (e *Engine) commitVerdict(rep Report, tr *span.Trace, ws *span.Span) (durab
 			Degraded: rep.Degraded,
 			Dropped:  rep.Dropped,
 		})
-		if err == nil {
-			err = e.ckpt.Append(checkpoint.KindVerdict, payload)
-		}
 		if err != nil {
 			// A failed append costs this one verdict, not the engine:
 			// surface it on the trace and keep serving. The verdict is
 			// withheld and accounted only as undurable, since the
 			// counters below would be resurrected by a restore the WAL
 			// knows nothing about.
-			e.ins.ckptFailures.Inc()
 			tr.Flag(span.ReasonErrored)
 			if ws != nil {
 				ws.Err = err.Error()
@@ -463,13 +457,21 @@ func (e *Engine) commitTransition(g *poolGen, idx int, ok bool, latency time.Dur
 		// new generation's replayed board.
 		return
 	}
-	payload, err := json.Marshal(walBreaker{Detector: idx, Restore: restored})
+	_ = e.logWAL(checkpoint.KindBreaker, walBreaker{Detector: idx, Restore: restored}) // a failure is counted
+}
+
+// logWAL appends v, JSON-encoded, to the WAL as one record of the given
+// kind and counts a failure on rhmd_monitor_checkpoint_failures_total.
+// Callers hold ckptMu shared and have checked that a store is attached.
+func (e *Engine) logWAL(kind byte, v any) error {
+	payload, err := json.Marshal(v)
 	if err == nil {
-		err = e.ckpt.Append(checkpoint.KindBreaker, payload)
+		err = e.ckpt.Append(kind, payload)
 	}
 	if err != nil {
 		e.ins.ckptFailures.Inc()
 	}
+	return err
 }
 
 // checkpointLoop periodically flushes snapshots until the engine

@@ -2,9 +2,6 @@ package monitor
 
 import (
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -182,117 +179,6 @@ func (in *Injector) Fault(fc FaultContext) Fault {
 		return Fault{Kind: FaultCorrupt}
 	}
 	return Fault{}
-}
-
-// ShardFaultKind enumerates the shard-scoped failure modes of the
-// kill-a-shard chaos harness. Where FaultKind models one misbehaving
-// detector, these model one dying failure domain: a whole engine shard
-// losing its disk, its queue, or a worker.
-type ShardFaultKind uint8
-
-// Shard fault kinds.
-const (
-	// ShardCrashAtByte kills the shard's checkpoint disk after a byte
-	// budget: every write past the budget fails (possibly tearing
-	// mid-record), exactly like checkpoint.FailingFS — because it is
-	// one. The shard keeps classifying but can no longer make verdicts
-	// durable; a supervisor restarts it once checkpoint failures cross
-	// its limit, and recovery must replay the surviving snapshot+WAL.
-	ShardCrashAtByte ShardFaultKind = iota
-	// ShardWedgeQueue arms FaultWedge on every classification once the
-	// shard has delivered Arg verdicts: all workers block, in-flight
-	// programs never finish, and the submission queue backs up behind
-	// them until the supervisor declares the shard wedged.
-	ShardWedgeQueue
-	// ShardPanicWorker arms FaultWorkerCrash once the shard has
-	// delivered Arg verdicts: the next classifications panic through
-	// worker recovery, killing worker goroutines one by one.
-	ShardPanicWorker
-)
-
-var shardFaultNames = [...]string{"crash-at-byte", "wedge-queue", "panic-worker"}
-
-// String returns the shard fault mnemonic.
-func (k ShardFaultKind) String() string {
-	if int(k) < len(shardFaultNames) {
-		return shardFaultNames[k]
-	}
-	return "shard-fault(?)"
-}
-
-// ShardFault is one scripted failure of one shard.
-type ShardFault struct {
-	// Shard is the target shard index.
-	Shard int
-	// Kind is the failure mode.
-	Kind ShardFaultKind
-	// Arg parameterizes the fault: for ShardCrashAtByte it is the
-	// checkpoint-store byte budget before the disk dies; for
-	// ShardWedgeQueue and ShardPanicWorker it is how many verdicts the
-	// shard delivers before the fault arms.
-	Arg uint64
-}
-
-// ShardScript is a deterministic kill-a-shard scenario: a set of
-// scripted shard faults a fleet applies to the first life (generation
-// 0) of each targeted shard. Restarted generations run clean, so every
-// script converges to a healthy fleet — the chaos harness proves the
-// road back, not just the outage.
-type ShardScript struct {
-	Faults []ShardFault
-}
-
-// ForShard returns the scripted faults targeting shard idx.
-func (s *ShardScript) ForShard(idx int) []ShardFault {
-	if s == nil {
-		return nil
-	}
-	var out []ShardFault
-	for _, f := range s.Faults {
-		if f.Shard == idx {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// ParseShardScript parses the CLI chaos syntax: comma-separated
-// shard:mode:arg triples, e.g. "1:wedge:25,0:crash:4096,2:panic:10".
-// Modes: crash (arg = checkpoint byte budget), wedge and panic (arg =
-// verdicts delivered before the fault arms). An empty string is a nil
-// script.
-func ParseShardScript(s string) (*ShardScript, error) {
-	if s == "" {
-		return nil, nil
-	}
-	script := &ShardScript{}
-	for _, part := range strings.Split(s, ",") {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("monitor: bad shard fault %q (want shard:mode:arg)", part)
-		}
-		shard, err := strconv.Atoi(fields[0])
-		if err != nil || shard < 0 {
-			return nil, fmt.Errorf("monitor: bad shard index in %q", part)
-		}
-		var kind ShardFaultKind
-		switch fields[1] {
-		case "crash", "crash-at-byte":
-			kind = ShardCrashAtByte
-		case "wedge", "wedge-queue":
-			kind = ShardWedgeQueue
-		case "panic", "panic-worker":
-			kind = ShardPanicWorker
-		default:
-			return nil, fmt.Errorf("monitor: unknown shard fault mode %q (want crash, wedge or panic)", fields[1])
-		}
-		arg, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("monitor: bad shard fault arg in %q: %v", part, err)
-		}
-		script.Faults = append(script.Faults, ShardFault{Shard: shard, Kind: kind, Arg: arg})
-	}
-	return script, nil
 }
 
 // mixFault folds a fault context into one well-mixed 64-bit value

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"reflect"
 	"testing"
 	"time"
 )
@@ -83,39 +82,6 @@ func TestInjectorUntilRecovers(t *testing.T) {
 	for w := 3; w < 6; w++ {
 		if f := in.Fault(FaultContext{Detector: 1, Window: w}); f.Kind != FaultNone {
 			t.Fatalf("call %d: detector should have recovered, got %v", w, f.Kind)
-		}
-	}
-}
-
-// TestParseShardScript: the CLI chaos syntax round-trips into shard
-// faults, and malformed scripts fail loudly instead of silently
-// running the wrong scenario.
-func TestParseShardScript(t *testing.T) {
-	s, err := ParseShardScript("1:wedge:25, 0:crash-at-byte:4096,2:panic:10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []ShardFault{
-		{Shard: 1, Kind: ShardWedgeQueue, Arg: 25},
-		{Shard: 0, Kind: ShardCrashAtByte, Arg: 4096},
-		{Shard: 2, Kind: ShardPanicWorker, Arg: 10},
-	}
-	if !reflect.DeepEqual(s.Faults, want) {
-		t.Fatalf("parsed %+v, want %+v", s.Faults, want)
-	}
-	if got := s.ForShard(0); len(got) != 1 || got[0].Kind != ShardCrashAtByte {
-		t.Fatalf("ForShard(0) = %+v", got)
-	}
-	if got := s.ForShard(9); got != nil {
-		t.Fatalf("ForShard(9) = %+v, want nil", got)
-	}
-
-	if s, err := ParseShardScript(""); s != nil || err != nil {
-		t.Fatalf("empty script parsed to %+v, %v", s, err)
-	}
-	for _, bad := range []string{"1:wedge", "x:wedge:1", "-1:wedge:1", "1:meteor:1", "1:wedge:many"} {
-		if _, err := ParseShardScript(bad); err == nil {
-			t.Errorf("script %q parsed without error", bad)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"rhmd/internal/checkpoint"
@@ -112,16 +111,9 @@ func (e *Engine) SwapPool(r *core.RHMD) (epoch uint64, err error) {
 	// restore lands on exactly the old or the new generation.
 	e.ckptMu.RLock()
 	if e.ckpt != nil {
-		payload, jerr := json.Marshal(walPoolSwap{Epoch: epoch, Fingerprint: fp})
-		if jerr != nil {
+		if err := e.logWAL(checkpoint.KindPoolSwap, walPoolSwap{Epoch: epoch, Fingerprint: fp}); err != nil {
 			e.ckptMu.RUnlock()
-			e.ins.ckptFailures.Inc()
-			return 0, fmt.Errorf("monitor: WAL-logging pool swap: %w", jerr)
-		}
-		if aerr := e.ckpt.Append(checkpoint.KindPoolSwap, payload); aerr != nil {
-			e.ckptMu.RUnlock()
-			e.ins.ckptFailures.Inc()
-			return 0, fmt.Errorf("monitor: WAL-logging pool swap: %w", aerr)
+			return 0, fmt.Errorf("monitor: WAL-logging pool swap: %w", err)
 		}
 	}
 	nh.attach(e.ins)

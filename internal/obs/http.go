@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -23,6 +24,23 @@ func (r *Registry) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", ContentTypePrometheus)
 		_ = r.WritePrometheus(w)
+	})
+}
+
+// JSONHandler serves the status document doc returns as indented
+// JSON — the /fleet, /drift and /slo endpoints. GET and HEAD only: any
+// other method is answered 405.
+func JSONHandler(doc func() any) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != http.MethodGet && req.Method != http.MethodHead {
+			w.Header().Set("Allow", "GET, HEAD")
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(doc())
 	})
 }
 

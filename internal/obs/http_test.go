@@ -10,6 +10,22 @@ import (
 	"time"
 )
 
+// TestJSONHandler: a status endpoint serves its document as indented
+// JSON to GET and refuses other methods with 405 and an Allow header.
+func TestJSONHandler(t *testing.T) {
+	h := JSONHandler(func() any { return map[string]int{"serving": 2} })
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/fleet", nil))
+	if rr.Code != 200 || rr.Body.String() != "{\n  \"serving\": 2\n}\n" {
+		t.Fatalf("GET = %d %q, want 200 and the indented document", rr.Code, rr.Body.String())
+	}
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/fleet", nil))
+	if rr.Code != 405 || rr.Header().Get("Allow") != "GET, HEAD" {
+		t.Fatalf("POST = %d (Allow %q), want 405 (GET, HEAD)", rr.Code, rr.Header().Get("Allow"))
+	}
+}
+
 // TestListenAndServe boots the real server on an ephemeral port — the
 // exact path cmd/rhmd-monitor takes — scrapes it, and shuts it down.
 func TestListenAndServe(t *testing.T) {

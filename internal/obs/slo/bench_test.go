@@ -72,7 +72,7 @@ func BenchmarkTick(b *testing.B) {
 	reg := fleetRegistry(b)
 	clock, advance := fixedClock(testBase)
 	eng, err := slo.New(slo.Config{Source: reg, Metrics: obs.NewRegistry(), Now: clock,
-		Objectives: slo.FleetObjectives(0, 2)})
+		Objectives: slo.FleetObjectives(0, 2, 0.65, 0.30)})
 	if err != nil {
 		b.Fatal(err)
 	}

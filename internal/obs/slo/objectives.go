@@ -119,16 +119,16 @@ func LatencyObjective(target float64, threshold time.Duration) Objective {
 //   - durability: ≥99.99% of processed verdicts durably committed to
 //     the WAL (undurable outcomes burn the budget).
 //   - drift-accuracy / drift-agreement: the drift guard's EWMAs stay
-//     above its own intervention floors.
+//     above accuracyFloor and agreementFloor, the floors the guard
+//     itself fires drift at.
 //   - fleet-serving: at least 75% of the fleet's shards serve.
 //
 // The bound objectives read NaN and idle harmlessly on a registry that
 // lacks their gauge (no drift guard wired, or a bare engine's
-// registry). Thresholds mirror the subsystems' own defaults
-// (driftguard floors 0.65/0.30) so /slo agrees with the layers it
-// watches. A latencyThreshold ≤ 0 means 50ms; shards only names the
-// fleet size in fleet-serving's description.
-func FleetObjectives(latencyThreshold time.Duration, shards int) []Objective {
+// registry). Pass the guard's configured floors so /slo agrees with
+// the layer it watches. A latencyThreshold ≤ 0 means 50ms; shards only
+// names the fleet size in fleet-serving's description.
+func FleetObjectives(latencyThreshold time.Duration, shards int, accuracyFloor, agreementFloor float64) []Objective {
 	if latencyThreshold <= 0 {
 		latencyThreshold = 50 * time.Millisecond
 	}
@@ -150,10 +150,10 @@ func FleetObjectives(latencyThreshold time.Duration, shards int) []Objective {
 			CounterSumSeries(programs, []string{"processed"}, []string{"undurable"})),
 		BoundMin("drift-accuracy",
 			"drift-guard labeled-accuracy EWMA above the retrain floor",
-			0.99, 0.65, GaugeSeries("rhmd_drift_accuracy_ewma")),
+			0.99, accuracyFloor, GaugeSeries("rhmd_drift_accuracy_ewma")),
 		BoundMin("drift-agreement",
 			"drift-guard ensemble-agreement EWMA above the drift floor",
-			0.99, 0.30, GaugeSeries("rhmd_drift_agreement_ewma")),
+			0.99, agreementFloor, GaugeSeries("rhmd_drift_agreement_ewma")),
 		BoundMin("fleet-serving",
 			fmt.Sprintf("fraction of %d shards serving stays ≥ %.0f%%", shards, 100*minServingFrac),
 			0.99, minServingFrac, GaugeSeries("rhmd_fleet_serving_fraction")),

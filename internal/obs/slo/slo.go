@@ -57,8 +57,8 @@ func (s AlertState) String() string {
 //     histogram-derived counts, monotone gauge funcs) from a snapshot;
 //     the windowed error ratio is ΔBad/ΔTotal across the window.
 //   - bound: Value samples an instantaneous series (a gauge) once per
-//     tick; a sample violates when it falls below Min or above Max,
-//     and the windowed error ratio is violating samples / samples.
+//     tick; a sample violates when it falls below Min, and the
+//     windowed error ratio is violating samples / samples.
 //     NaN samples mean "no data" and are not counted either way.
 //
 // Both reduce to a bad-fraction over a window, so burn-rate math is
@@ -76,11 +76,9 @@ type Objective struct {
 	Bad   func(obs.Snapshot) float64
 	Total func(obs.Snapshot) float64
 
-	// Value, Min and Max are the bound indicator. Min/Max are open
-	// bounds when NaN.
+	// Value and Min are the bound indicator.
 	Value func(obs.Snapshot) float64
 	Min   float64
-	Max   float64
 }
 
 // EventRatio builds an event-ratio objective.
@@ -91,7 +89,7 @@ func EventRatio(name, description string, target float64, bad, total func(obs.Sn
 // BoundMin builds a bound objective that violates when value < min.
 func BoundMin(name, description string, target, min float64, value func(obs.Snapshot) float64) Objective {
 	return Objective{Name: name, Description: description, Target: target,
-		Value: value, Min: min, Max: math.NaN()}
+		Value: value, Min: min}
 }
 
 func (o *Objective) validate() error {
@@ -283,8 +281,8 @@ func newInstruments(reg *obs.Registry, objectives []Objective) *instruments {
 }
 
 // Engine evaluates the configured objectives over registry snapshots.
-// Tick is not safe for concurrent use with itself; Status and Handler
-// are safe to call concurrently with Tick.
+// Tick is not safe for concurrent use with itself; Status is safe to
+// call concurrently with Tick.
 type Engine struct {
 	cfg Config
 	ins *instruments
@@ -386,7 +384,7 @@ func (e *Engine) Tick() {
 			v := o.Value(snap)
 			if !math.IsNaN(v) {
 				s.tot[i]++
-				if (!math.IsNaN(o.Min) && v < o.Min) || (!math.IsNaN(o.Max) && v > o.Max) {
+				if v < o.Min {
 					s.bad[i]++
 				}
 			}

@@ -66,7 +66,7 @@ func TestNoTrafficStaysOK(t *testing.T) {
 	eng, err := slo.New(slo.Config{
 		Source:     reg,
 		Now:        clock,
-		Objectives: slo.FleetObjectives(0, 1),
+		Objectives: slo.FleetObjectives(0, 1, 0.65, 0.30),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +153,28 @@ func TestBoundObjectiveNaN(t *testing.T) {
 	}
 	if got := eng2.State("floor"); got != slo.StateOK {
 		t.Fatalf("recovered gauge still alerting: %v", got)
+	}
+}
+
+// TestFleetObjectivesUseDriftFloors: the drift objectives judge the
+// guard's EWMAs by the floors they are given, the ones the guard runs
+// with. An agreement EWMA of 0.5 clears the default 0.30 floor but not
+// a 0.99 one, so every sample after the first counts bad.
+func TestFleetObjectivesUseDriftFloors(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Gauge("rhmd_drift_agreement_ewma", "agreement").Set(0.5)
+	clock, advance := fixedClock(testBase)
+	eng, err := slo.New(slo.Config{Source: reg, Now: clock, Objectives: slo.FleetObjectives(0, 1, 0.65, 0.99)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Tick()
+	advance(time.Minute)
+	eng.Tick()
+	for _, o := range eng.Status().Objectives {
+		if o.Name == "drift-agreement" && o.BadRatio != 1 {
+			t.Fatalf("agreement EWMA 0.5 under a 0.99 floor: bad ratio %v, want 1", o.BadRatio)
+		}
 	}
 }
 
@@ -282,13 +304,14 @@ func TestHandler(t *testing.T) {
 	eng, err := slo.New(slo.Config{
 		Source:     reg,
 		Now:        clock,
-		Objectives: slo.FleetObjectives(0, 1),
+		Objectives: slo.FleetObjectives(0, 1, 0.65, 0.30),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Tick()
-	h := eng.Handler()
+	// /slo as rhmd-monitor mounts it.
+	h := obs.JSONHandler(func() any { return eng.Status() })
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/slo", nil))
@@ -306,12 +329,6 @@ func TestHandler(t *testing.T) {
 	if st.Windows.FastShort != "5m0s" || st.Windows.SlowLong != "6h0m0s" {
 		t.Errorf("GET /slo windows = %+v, want the documented 5m/1h/30m/6h set", st.Windows)
 	}
-
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("POST", "/slo", nil))
-	if rr.Code != 405 {
-		t.Fatalf("POST /slo = %d, want 405", rr.Code)
-	}
 }
 
 // TestRunSamplesAtStart: Run takes its first sample when it starts, not
@@ -326,7 +343,7 @@ func TestRunSamplesAtStart(t *testing.T) {
 		Metrics:    sloReg,
 		Now:        clock,
 		Interval:   time.Hour,
-		Objectives: slo.FleetObjectives(0, 1),
+		Objectives: slo.FleetObjectives(0, 1, 0.65, 0.30),
 	})
 	if err != nil {
 		t.Fatal(err)

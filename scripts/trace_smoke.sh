@@ -9,7 +9,9 @@
 # /fleet, and /slo lists the six standard objectives. Runs once with the
 # default single shard and once with -shards 2 over a checkpoint root
 # and an -incident-dir, where /incidents must answer with its listing.
-# Run via `make trace-smoke`.
+# A last run exercises the black box: a fatal start-up error over a
+# checkpoint root must exit 1 and leave trace-crash.json holding a JSON
+# array. Run via `make trace-smoke`.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -140,3 +142,21 @@ smoke() {
 
 smoke one 1 -slo
 smoke fleet 2 -checkpoint-dir "$workdir/ckpt" -slo -incident-dir "$workdir/inc"
+
+# Black box: an address that cannot be bound fails after the fleet is
+# built over the checkpoint root, so the fatal exit dumps the kept
+# traces (none yet) there as a JSON array.
+code=0
+"$workdir/rhmd-monitor" -benign 2 -malware 2 -len 20000 -checkpoint-dir "$workdir/crash" \
+  -metrics-addr no:such:addr >"$workdir/crash.log" 2>&1 || code=$?
+dump="$workdir/crash/trace-crash.json"
+case "$(tr -d ' \t\n' <"$dump" 2>/dev/null)" in
+  \[*\]) ;;
+  *) code="$code, no JSON array in $dump" ;;
+esac
+if [ "$code" != 1 ]; then
+  echo "trace-smoke[black-box]: exit $code, want 1 and a trace-crash.json array" >&2
+  cat "$workdir/crash.log" >&2
+  exit 1
+fi
+echo "trace-smoke[black-box]: OK (exit 1, trace-crash.json holds a JSON array)"
