@@ -68,11 +68,13 @@ fuzz:
 	$(GO) test -run FuzzLoadRHMD -fuzz FuzzLoadRHMD -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime 30s ./internal/checkpoint/
 
-# Durability suite: every-byte-boundary crash injection, corruption
-# fallback, sealed model files, the SIGKILL-and-restart recovery test
-# and rhmd-monitor's black-box crash dump, under -race.
+# Durability suite: every-byte-boundary crash injection (single and
+# batched appends), corruption fallback, sealed model files, the
+# SIGKILL-and-restart recovery test, withheld undurable verdicts, the
+# group commit's durable-before-visible proof and rhmd-monitor's
+# black-box crash dump, under -race.
 crashtest:
-	$(GO) test -race -run 'Crash|Corrupt|Kill|Torn|Fallback|Trailer|BlackBox' -v ./internal/checkpoint/ ./internal/monitor/ ./cmd/rhmd-monitor/
+	$(GO) test -race -run 'Crash|Corrupt|Kill|Torn|Fallback|Trailer|BlackBox|Undurable|GroupCommit' -v ./internal/checkpoint/ ./internal/monitor/ ./cmd/rhmd-monitor/
 
 # Kill-a-shard chaos suite, under -race: scripted shard deaths (dead
 # disk, wedged queue, crashed worker) plus restore-under-load, proving

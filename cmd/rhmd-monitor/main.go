@@ -99,14 +99,19 @@ func main() {
 	hold := flag.Duration("hold", 0, "keep the observability endpoint up this long after the run drains (for scrapers and smoke tests)")
 	drift := flag.Bool("drift", false, "run the live drift guard: watch agreement/accuracy EWMAs on the verdict stream, retrain in the background when drift fires, hot-swap the pool with canary rollback")
 	driftWindow := flag.Int("drift-window", 48, "verdicts required before drift can fire (EWMA warm-up, with -drift)")
-	driftAgreement := flag.Float64("drift-agreement", 0.30, "inter-detector agreement floor (vote-margin EWMA) that fires drift (with -drift)")
-	driftAccuracy := flag.Float64("drift-accuracy", 0.65, "labeled-accuracy EWMA floor that fires drift (with -drift)")
+	driftAgreement := flag.Float64("drift-agreement", driftguard.DefaultAgreementFloor, "inter-detector agreement floor (vote-margin EWMA) that fires drift (with -drift), in (0, 1]")
+	driftAccuracy := flag.Float64("drift-accuracy", driftguard.DefaultAccuracyFloor, "labeled-accuracy EWMA floor that fires drift (with -drift), in (0, 1]")
 	driftAlpha := flag.Float64("drift-alpha", 0.05, "EWMA smoothing factor for the drift signals (with -drift)")
 	driftCanary := flag.Int("drift-canary", 32, "new-generation verdicts the post-swap canary collects before commit/rollback (with -drift)")
 	driftPoolDir := flag.String("drift-pool-dir", "", "archive every pool generation here as pool-<fingerprint>.json and resolve swap WAL entries from it on restore (with -drift)")
 	sloOn := flag.Bool("slo", false, "evaluate the standard SLO objectives (verdict latency, shed rate, durability, drift EWMAs, fleet serving) with multi-window burn-rate alerting on /slo")
 	incidentDir := flag.String("incident-dir", "", "capture fingerprinted incident bundles (registry diff, kept traces, drift/fleet status, runtime deltas) into this directory on SLO pages/tickets, shard deaths and drift rollbacks; served on /incidents")
 	flag.Parse()
+	if err := driftFloors(*driftAccuracy, *driftAgreement); err != nil {
+		fmt.Fprintf(os.Stderr, "rhmd-monitor: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// In -json mode stdout carries exactly one JSON document; everything
 	// informational moves to stderr.
@@ -637,6 +642,20 @@ func parseInjector(inject, until string, rate float64, deadline time.Duration, s
 		in.SetProfile(idx, p)
 	}
 	return in, nil
+}
+
+// driftFloors refuses a drift floor outside (0, 1]. The drift guard and
+// the SLO objectives judge the same EWMAs against these floors, and the
+// guard runs a floor ≤ 0 at its default, so such a floor would be
+// judged at two values.
+func driftFloors(accuracy, agreement float64) error {
+	if !(accuracy > 0 && accuracy <= 1) {
+		return fmt.Errorf("-drift-accuracy %v outside (0, 1]", accuracy)
+	}
+	if !(agreement > 0 && agreement <= 1) {
+		return fmt.Errorf("-drift-agreement %v outside (0, 1]", agreement)
+	}
+	return nil
 }
 
 // onFatal, when set, flushes the black-box trace dump before a fatal

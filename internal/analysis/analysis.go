@@ -159,9 +159,10 @@ var Scopes = map[string][]string{
 	// identical corpora or A/B comparisons measure different work.
 	"determinism": {"internal/prog", "internal/rng", "internal/experiments", "internal/game", "internal/obs/span", "internal/scenario"},
 	// The fsync-before-rename protocol is the durability layer's
-	// contract; persistence helpers in hmd/core and the monitor's
-	// checkpoint path route through it.
-	"fsyncrename": {"internal/checkpoint", "internal/hmd", "internal/core", "internal/monitor"},
+	// contract: the checkpoint store implements it (every model file
+	// goes through checkpoint.WriteSealed), and the monitor's
+	// checkpoint path routes through it.
+	"fsyncrename": {"internal/checkpoint", "internal/monitor"},
 	// Goroutine lifecycle matters where the serving stack launches
 	// long-lived workers: the monitor engine, the fleet, the drift
 	// guard's background retrains, obs HTTP serving, and the

@@ -10,6 +10,13 @@ type Store struct{}
 
 func (s *Store) Append(kind byte, payload []byte) error { return nil }
 
+type Entry struct {
+	Kind    byte
+	Payload []byte
+}
+
+func (s *Store) AppendBatch(entries []Entry) error { return nil }
+
 type gen struct{ epoch uint64 }
 
 type engine struct {
@@ -84,4 +91,19 @@ func publishAfterHelper(e *engine, g *gen) error {
 func publishBeforeHelper(e *engine, g *gen) error {
 	e.pool.Store(g) // want "before the WAL append"
 	return e.logWAL(nil)
+}
+
+// publishAfterBatch group-commits the change, then publishes.
+func publishAfterBatch(e *engine, g *gen) error {
+	if err := e.ckpt.AppendBatch([]Entry{{Kind: 1}}); err != nil {
+		return err
+	}
+	e.pool.Store(g)
+	return nil
+}
+
+// publishBeforeBatch publishes before the group commit logs the change.
+func publishBeforeBatch(e *engine, g *gen) error {
+	e.pool.Store(g) // want "before the WAL append"
+	return e.ckpt.AppendBatch([]Entry{{Kind: 1}})
 }

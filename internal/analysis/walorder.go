@@ -10,13 +10,13 @@ package analysis
 //
 // The analysis is edge-sensitive dataflow over the CFG with one
 // function-wide WAL state: PENDING at entry, APPENDED after any
-// Store.Append call (or a call to a same-package function that makes
-// one, such as a shared WAL-logging helper), and ABSENT on the branch
-// where a nil-check proved there is no checkpoint store attached (the
-// nil-ckpt deployment legitimately skips the WAL). An atomic publish is reported when
-// PENDING is still a possible state — i.e. some path reaches it with
-// neither an append nor nil-evidence. Functions with no Append are
-// ignored: plain pool installs (restore-time installGen, fleet-level
+// Store.Append or Store.AppendBatch call (or a call to a same-package
+// function that makes one, such as a shared WAL-logging helper), and
+// ABSENT on the branch where a nil-check proved there is no checkpoint
+// store attached (the nil-ckpt deployment legitimately skips the WAL).
+// An atomic publish is reported when PENDING is still a possible state
+// — i.e. some path reaches it with neither an append nor nil-evidence.
+// Functions with no append are ignored: plain pool installs (restore-time installGen, fleet-level
 // epoch bumps) delegate WAL writes elsewhere.
 
 import (
@@ -149,11 +149,11 @@ func walOrderBody(pass *Pass, isWALAppend func(*ast.CallExpr) bool, body *ast.Bl
 	})
 }
 
-// isStoreAppend matches store.Append(kind, payload) on a checkpoint
-// Store value.
+// isStoreAppend matches store.Append(kind, payload) and the group
+// commit store.AppendBatch(entries) on a checkpoint Store value.
 func isStoreAppend(pass *Pass, call *ast.CallExpr) bool {
 	recv, name, ok := methodCall(call)
-	return ok && name == "Append" && typeNamed(pass.TypeOf(recv), "Store")
+	return ok && (name == "Append" || name == "AppendBatch") && typeNamed(pass.TypeOf(recv), "Store")
 }
 
 // isAtomicPublish matches .Store(...) on any sync/atomic type —

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,16 +12,18 @@ import (
 // crashScript drives a fixed store workload against fsys, recording
 // which operations completed successfully before the injected crash.
 // The sequence mirrors the engine's life: initial snapshot, incremental
-// events, periodic snapshot, more events. It stops at the first error,
-// exactly like a process that just died.
+// events, periodic snapshot, more events. Each generation's events go
+// out in the given batches, a one-record batch through Append and a
+// longer one through AppendBatch. It stops at the first error, exactly
+// like a process that just died.
 type crashScript struct {
 	saved1, saved2 bool
-	// appended1/appended2 are the payloads whose Append returned
-	// success in generation 1 / 2.
+	// appended1/appended2 are the payloads of every batch whose append
+	// returned success in generation 1 / 2.
 	appended1, appended2 []string
 }
 
-func runCrashScript(dir string, fsys FS) *crashScript {
+func runCrashScript(dir string, fsys FS, gen1, gen2 [][]string) *crashScript {
 	out := &crashScript{}
 	s, err := Open(dir, Options{FS: fsys})
 	if err != nil {
@@ -30,23 +33,37 @@ func runCrashScript(dir string, fsys FS) *crashScript {
 		return out
 	}
 	out.saved1 = true
-	for _, p := range []string{"g1-e1", "g1-e2"} {
-		if err := s.Append(KindVerdict, []byte(p)); err != nil {
-			return out
-		}
-		out.appended1 = append(out.appended1, p)
+	if !appendBatches(s, gen1, &out.appended1) {
+		return out
 	}
 	if _, err := s.Save([]byte("state-2")); err != nil {
 		return out
 	}
 	out.saved2 = true
-	for _, p := range []string{"g2-e1", "g2-e2"} {
-		if err := s.Append(KindVerdict, []byte(p)); err != nil {
-			return out
-		}
-		out.appended2 = append(out.appended2, p)
-	}
+	appendBatches(s, gen2, &out.appended2)
 	return out
+}
+
+// appendBatches appends each batch in turn and collects the payloads of
+// the ones that succeed into done; false means an append failed.
+func appendBatches(s *Store, batches [][]string, done *[]string) bool {
+	for _, b := range batches {
+		var err error
+		if len(b) == 1 {
+			err = s.Append(KindVerdict, []byte(b[0]))
+		} else {
+			entries := make([]Entry, len(b))
+			for i, p := range b {
+				entries[i] = Entry{Kind: KindVerdict, Payload: []byte(p)}
+			}
+			err = s.AppendBatch(entries)
+		}
+		if err != nil {
+			return false
+		}
+		*done = append(*done, b...)
+	}
+	return true
 }
 
 // isPrefix reports whether got is a prefix of want.
@@ -68,30 +85,48 @@ func isSuperPrefix(got, want []string, n int) bool {
 	return isPrefix(got, want) && len(got) >= n
 }
 
-// TestCrashInjectionEveryByteBoundary is the crash-injection harness of
-// the PR: it learns the total write cost of the scripted workload, then
-// re-runs it once per possible crash point — every written byte and
-// every metadata operation — and after each simulated death recovers
-// from the surviving files with a clean filesystem. The invariant is
-// the checkpoint contract:
+// TestCrashInjectionEveryByteBoundary is the crash-injection harness
+// over single-record appends (see sweepCrashPoints).
+func TestCrashInjectionEveryByteBoundary(t *testing.T) {
+	sweepCrashPoints(t, [][]string{{"g1-e1"}, {"g1-e2"}}, [][]string{{"g2-e1"}, {"g2-e2"}})
+}
+
+// TestCrashInjectionBatchedAppends sweeps every crash point of a run
+// that group-commits: multi-record batches between the snapshots. A
+// crash inside a batch's write must restore to a prefix of whole
+// records, and every record of a batch whose AppendBatch returned nil
+// must be replayed.
+func TestCrashInjectionBatchedAppends(t *testing.T) {
+	sweepCrashPoints(t,
+		[][]string{{"g1-e1", "g1-e2", "g1-e3"}, {"g1-e4"}, {"g1-e5", "g1-e6"}},
+		[][]string{{"g2-e1", "g2-e2"}, {"g2-e3", "g2-e4", "g2-e5"}})
+}
+
+// sweepCrashPoints learns the total write cost of the scripted
+// workload, then re-runs it once per possible crash point — every
+// written byte and every metadata operation — and after each simulated
+// death recovers from the surviving files with a clean filesystem. The
+// invariant is the checkpoint contract:
 //
 //   - Restore yields the pre-checkpoint or post-checkpoint state, never
 //     a partial one: the snapshot is exactly "state-1" or "state-2" (or
 //     nothing, if the crash predates the first durable snapshot);
-//   - every Append that reported success before the crash is replayed
+//   - every append that reported success before the crash is replayed
 //     (durability), and replayed entries are a clean prefix of the
-//     attempted ones (no invented or reordered history);
+//     attempted ones (no invented, torn or reordered history);
 //   - a successful second Save is never rolled back by the crash.
-func TestCrashInjectionEveryByteBoundary(t *testing.T) {
+func sweepCrashPoints(t *testing.T, gen1, gen2 [][]string) {
+	t.Helper()
+	run := func(dir string, fsys FS) *crashScript { return runCrashScript(dir, fsys, gen1, gen2) }
 	probe := NewFailingFS(OSFS{}, 1<<30)
-	runCrashScript(t.TempDir(), probe)
+	run(t.TempDir(), probe)
 	total := probe.Spent()
 	if total < 100 {
 		t.Fatalf("implausibly cheap workload: %d units", total)
 	}
 
-	attempted1 := []string{"g1-e1", "g1-e2"}
-	attempted2 := []string{"g2-e1", "g2-e2"}
+	attempted1 := slices.Concat(gen1...)
+	attempted2 := slices.Concat(gen2...)
 	root := t.TempDir()
 	for budget := 0; budget < total; budget++ {
 		dir := fmt.Sprintf("%s/b%04d", root, budget)
@@ -99,7 +134,7 @@ func TestCrashInjectionEveryByteBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		fsys := NewFailingFS(OSFS{}, budget)
-		script := runCrashScript(dir, fsys)
+		script := run(dir, fsys)
 		if !fsys.Crashed() {
 			t.Fatalf("budget %d: script finished without hitting the crash point", budget)
 		}

@@ -12,7 +12,9 @@
 //     generation or the complete new one on disk — never a torn mix.
 //   - Between snapshots, incremental events (verdicts, breaker
 //     transitions) are appended to a per-generation WAL and fsynced, so
-//     recovery replays work done since the last snapshot.
+//     recovery replays work done since the last snapshot. AppendBatch
+//     group-commits: every record of a batch goes out in one write and
+//     one fsync.
 //   - Restore walks snapshot generations newest-first, falls back past
 //     any generation that fails validation (counting each fallback),
 //     and replays the valid prefix of the chosen generation's WAL; a
@@ -56,7 +58,7 @@ type Options struct {
 const keep = 2
 
 // Store is a snapshot+WAL checkpoint directory. All methods are safe
-// for concurrent use; Append from engine workers may interleave with a
+// for concurrent use; appends from the engine may interleave with a
 // periodic Save.
 type Store struct {
 	dir string
@@ -73,7 +75,8 @@ type Store struct {
 // Instrument (nil until then — a store is usable without metrics).
 type instruments struct {
 	saves       *obs.Counter
-	appends     *obs.Counter
+	appends     *obs.Counter // WAL records
+	syncs       *obs.Counter // WAL fsyncs, one per AppendBatch
 	restores    *obs.Counter
 	fallbacks   *obs.Counter
 	saveLatency *obs.Histogram
@@ -117,6 +120,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	s.ins = &instruments{
 		saves:     ops.With("save"),
 		appends:   ops.With("wal_append"),
+		syncs:     ops.With("wal_sync"),
 		restores:  ops.With("restore"),
 		fallbacks: ops.With("corruption_fallback"),
 		saveLatency: reg.Histogram("rhmd_checkpoint_save_seconds",
@@ -262,9 +266,22 @@ func (s *Store) pruneLocked() {
 }
 
 // Append durably logs one incremental event against the current
-// generation. The record is fsynced before Append returns: an event the
-// caller acts on is an event recovery will replay.
+// generation: AppendBatch with a single record.
 func (s *Store) Append(kind byte, payload []byte) error {
+	return s.AppendBatch([]Entry{{Kind: kind, Payload: payload}})
+}
+
+// AppendBatch durably logs entries, in order, against the current
+// generation with one write and one fsync (group commit). When it
+// returns nil every record of the batch is durable: an event the caller
+// acts on is an event recovery will replay. On error none of the batch
+// may be acted on, though a torn write can leave a prefix of whole
+// records that recovery replays.
+func (s *Store) AppendBatch(entries []Entry) error {
+	var buf []byte
+	for _, e := range entries {
+		buf = appendRecord(buf, e.Kind, e.Payload)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
@@ -272,15 +289,16 @@ func (s *Store) Append(kind byte, payload []byte) error {
 			return err
 		}
 	}
-	if _, err := s.wal.Write(appendRecord(nil, kind, payload)); err != nil {
-		return fmt.Errorf("checkpoint: appending WAL record: %w", err)
+	if _, err := s.wal.Write(buf); err != nil {
+		return fmt.Errorf("checkpoint: appending WAL records: %w", err)
 	}
 	if err := s.wal.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: syncing WAL: %w", err)
 	}
 	if s.ins != nil {
-		s.ins.appends.Inc()
-		s.ins.walEntries.Add(1)
+		s.ins.appends.Add(uint64(len(entries)))
+		s.ins.syncs.Inc()
+		s.ins.walEntries.Add(float64(len(entries)))
 	}
 	return nil
 }

@@ -255,6 +255,10 @@ func TestInstrumentedStoreCounts(t *testing.T) {
 	s.Instrument(reg)
 	mustSave(t, s, "x")
 	mustAppend(t, s, KindVerdict, "v")
+	// A batch counts each record and one fsync.
+	if err := s.AppendBatch([]Entry{{KindVerdict, []byte("a")}, {KindVerdict, []byte("b")}, {KindBreaker, []byte("c")}}); err != nil {
+		t.Fatal(err)
+	}
 	corruptFile(t, filepath.Join(dir, snapName(1)), truncateHalf)
 	mustSave(t, s, "y") // gen 2, valid
 	corruptFile(t, filepath.Join(dir, snapName(2)), flipByte)
@@ -269,7 +273,8 @@ func TestInstrumentedStoreCounts(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		`rhmd_checkpoint_ops_total{op="save"} 2`,
-		`rhmd_checkpoint_ops_total{op="wal_append"} 1`,
+		`rhmd_checkpoint_ops_total{op="wal_append"} 4`,
+		`rhmd_checkpoint_ops_total{op="wal_sync"} 2`,
 		`rhmd_checkpoint_ops_total{op="corruption_fallback"} 2`,
 	} {
 		if !strings.Contains(text, want) {

@@ -75,6 +75,14 @@ type Swapper interface {
 // so ignoring ctx costs shutdown latency, never correctness.
 type Retrainer func(ctx context.Context, corpus []*prog.Program) (*core.RHMD, error)
 
+// The drift floors a zero Config field selects. They are exported so a
+// caller that judges the same EWMAs elsewhere (the SLO objectives, a
+// CLI flag default) uses the floors the guard runs at.
+const (
+	DefaultAccuracyFloor  = 0.65
+	DefaultAgreementFloor = 0.30
+)
+
 // Config tunes the guard. The zero value of every numeric field selects
 // a sensible default; Swapper and Retrain are required.
 type Config struct {
@@ -90,10 +98,11 @@ type Config struct {
 	Archive *Archive
 
 	// AccuracyFloor fires drift when the labeled-accuracy EWMA falls
-	// below it (default 0.65).
+	// below it (default DefaultAccuracyFloor).
 	AccuracyFloor float64
 	// AgreementFloor fires drift when the vote-margin EWMA falls below
-	// it (default 0.30). Margin 1 = unanimous windows, 0 = split votes.
+	// it (default DefaultAgreementFloor). Margin 1 = unanimous windows,
+	// 0 = split votes.
 	AgreementFloor float64
 	// Alpha is the EWMA smoothing factor (default 0.05).
 	Alpha float64
@@ -132,10 +141,10 @@ func (c *Config) fill() error {
 		return fmt.Errorf("driftguard: Config needs a Swapper and a Retrain func")
 	}
 	if c.AccuracyFloor <= 0 {
-		c.AccuracyFloor = 0.65
+		c.AccuracyFloor = DefaultAccuracyFloor
 	}
 	if c.AgreementFloor <= 0 {
-		c.AgreementFloor = 0.30
+		c.AgreementFloor = DefaultAgreementFloor
 	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.05

@@ -23,9 +23,9 @@ import (
 // kill-restart tests:
 //
 //   - every verdict the engine has delivered (a Report handed to the
-//     Results consumer) is durable before it is visible: the WAL append
-//     is fsynced before the report is sent, so a consumer-observed
-//     count is always recoverable;
+//     Results consumer) is durable before it is visible: the committer
+//     fsyncs the batch holding the verdict's WAL record before it sends
+//     the report, so a consumer-observed count is always recoverable;
 //   - every breaker transition that changed the live pool (quarantine
 //     or restore, with its weight renormalization) is WAL-logged, so a
 //     restored engine resumes with the same degraded switching
@@ -38,8 +38,8 @@ import (
 //     successor engine on a registry that still carries its
 //     predecessor's series (a restarted fleet shard) continues them.
 //
-// Exactness comes from ckptMu: verdict commits and breaker transitions
-// take it shared (increment counters + append WAL as one unit), the
+// Exactness comes from ckptMu: verdict batches and breaker transitions
+// take it shared (append WAL + increment counters as one unit), the
 // snapshot capture takes it exclusive (capture state + rotate WAL as
 // one unit). An event is therefore in the snapshot or in the replayed
 // WAL — never both, never neither.
@@ -390,52 +390,47 @@ func (e *Engine) applyEntry(entry checkpoint.Entry, st *EngineState) error {
 	return nil
 }
 
-// commitVerdict applies a finished program's accounting and durably
-// logs it, as one unit relative to snapshot capture. The WAL append
-// runs first: a verdict whose append failed is withheld (counted
-// undurable, never delivered), so everything a consumer acks is
-// provably recoverable. Every window of a delivered program lands in a
-// bucket whether or not the program failed mid-trace; the program
-// itself lands in processed, failed, or undurable. tr/ws are the
-// verdict's trace and its open wal-fsync span (nil when untraced): a
-// failed WAL append marks both, so losing a verdict's durability
-// always leaves a kept trace behind.
-func (e *Engine) commitVerdict(rep Report, tr *span.Trace, ws *span.Span) (durable bool) {
+// commit durably logs a batch of finished verdicts with one WAL append
+// and applies their accounting, as one unit relative to snapshot
+// capture. The append runs first: when it fails, every verdict of the
+// batch is withheld and counted undurable, and no other counter moves,
+// since a restore would resurrect counters the WAL knows nothing about.
+// Every window of a committed program lands in a bucket whether or not
+// the program failed mid-trace; the program itself lands in processed
+// or failed. A volatile engine skips only the append.
+func (e *Engine) commit(batch []handoff) error {
 	e.ckptMu.RLock()
 	defer e.ckptMu.RUnlock()
 	if e.ckpt != nil {
-		err := e.logWAL(checkpoint.KindVerdict, walVerdict{
-			Failed:   rep.Err != nil,
-			Malware:  rep.Malware,
-			Windows:  rep.Windows,
-			Flagged:  rep.Flagged,
-			Degraded: rep.Degraded,
-			Dropped:  rep.Dropped,
-		})
-		if err != nil {
-			// A failed append costs this one verdict, not the engine:
-			// surface it on the trace and keep serving. The verdict is
-			// withheld and accounted only as undurable, since the
-			// counters below would be resurrected by a restore the WAL
-			// knows nothing about.
-			tr.Flag(span.ReasonErrored)
-			if ws != nil {
-				ws.Err = err.Error()
+		recs := make([]any, len(batch))
+		for i, h := range batch {
+			recs[i] = walVerdict{
+				Failed:   h.rep.Err != nil,
+				Malware:  h.rep.Malware,
+				Windows:  h.rep.Windows,
+				Flagged:  h.rep.Flagged,
+				Degraded: h.rep.Degraded,
+				Dropped:  h.rep.Dropped,
 			}
-			e.ins.undurable.Inc()
-			return false
+		}
+		if err := e.logWAL(checkpoint.KindVerdict, recs...); err != nil {
+			e.ins.undurable.Add(uint64(len(batch)))
+			return err
 		}
 	}
-	e.ins.windows.Add(uint64(rep.Windows))
-	e.ins.flagged.Add(uint64(rep.Flagged))
-	e.ins.degraded.Add(uint64(rep.Degraded))
-	e.ins.dropped.Add(uint64(rep.Dropped))
-	if rep.Err != nil {
-		e.ins.failed.Inc()
-	} else {
-		e.ins.programs.Inc()
+	for _, h := range batch {
+		rep := h.rep
+		e.ins.windows.Add(uint64(rep.Windows))
+		e.ins.flagged.Add(uint64(rep.Flagged))
+		e.ins.degraded.Add(uint64(rep.Degraded))
+		e.ins.dropped.Add(uint64(rep.Dropped))
+		if rep.Err != nil {
+			e.ins.failed.Inc()
+		} else {
+			e.ins.programs.Inc()
+		}
 	}
-	return true
+	return nil
 }
 
 // commitTransition runs the breaker state machine for one
@@ -460,13 +455,19 @@ func (e *Engine) commitTransition(g *poolGen, idx int, ok bool, latency time.Dur
 	_ = e.logWAL(checkpoint.KindBreaker, walBreaker{Detector: idx, Restore: restored}) // a failure is counted
 }
 
-// logWAL appends v, JSON-encoded, to the WAL as one record of the given
-// kind and counts a failure on rhmd_monitor_checkpoint_failures_total.
-// Callers hold ckptMu shared and have checked that a store is attached.
-func (e *Engine) logWAL(kind byte, v any) error {
-	payload, err := json.Marshal(v)
+// logWAL JSON-encodes each value as one WAL record of the given kind,
+// appends them as one batch (one fsync), and counts a failure on
+// rhmd_monitor_checkpoint_failures_total. Callers hold ckptMu shared
+// and have checked that a store is attached.
+func (e *Engine) logWAL(kind byte, vs ...any) error {
+	entries := make([]checkpoint.Entry, len(vs))
+	var err error
+	for i := 0; i < len(vs) && err == nil; i++ {
+		entries[i].Kind = kind
+		entries[i].Payload, err = json.Marshal(vs[i])
+	}
 	if err == nil {
-		err = e.ckpt.Append(kind, payload)
+		err = e.ckpt.AppendBatch(entries)
 	}
 	if err != nil {
 		e.ins.ckptFailures.Inc()

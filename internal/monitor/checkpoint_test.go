@@ -3,12 +3,14 @@ package monitor
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -385,5 +387,177 @@ func TestBareEngineWithholdsUndurableVerdicts(t *testing.T) {
 	}
 	if info == nil || info.Verdicts < uint64(delivered) {
 		t.Fatalf("restore %+v recovers fewer than the %d delivered verdicts", info, delivered)
+	}
+}
+
+// hookFS is a checkpoint.FS that calls onSync before each fsync of a
+// WAL file with records pending, passing how many records that fsync
+// makes durable. Tests hold or break the disk through it.
+type hookFS struct {
+	checkpoint.FS
+	onSync func(records int)
+}
+
+func (h *hookFS) Create(name string) (checkpoint.File, error) {
+	f, err := h.FS.Create(name)
+	return h.wrap(name, f), err
+}
+
+func (h *hookFS) OpenAppend(name string) (checkpoint.File, error) {
+	f, err := h.FS.OpenAppend(name)
+	return h.wrap(name, f), err
+}
+
+// wrap hooks WAL files only: snapshot files are synced too, and a
+// hook that panics must not fire in the final snapshot.
+func (h *hookFS) wrap(name string, f checkpoint.File) checkpoint.File {
+	base := filepath.Base(name)
+	if !strings.HasPrefix(base, "wal-") || !strings.HasSuffix(base, ".log") {
+		return f
+	}
+	return &hookFile{File: f, fs: h}
+}
+
+// hookFile counts the WAL records written since its last fsync. The
+// store writes and syncs its WAL under its own mutex, so the count
+// needs no lock.
+type hookFile struct {
+	checkpoint.File
+	fs      *hookFS
+	pending int
+}
+
+func (f *hookFile) Write(p []byte) (int, error) {
+	rest := p
+	if bytes.HasPrefix(rest, []byte("RHWL")) {
+		rest = rest[13:] // the file header
+	}
+	// Each record is kind(1) | len(4, LE) | crc32(4) | payload.
+	for len(rest) >= 9 {
+		f.pending++
+		rest = rest[min(len(rest), 9+int(binary.LittleEndian.Uint32(rest[1:5]))):]
+	}
+	return f.File.Write(p)
+}
+
+func (f *hookFile) Sync() error {
+	if n := f.pending; n > 0 {
+		f.pending = 0
+		f.fs.onSync(n)
+	}
+	return f.File.Sync()
+}
+
+// TestGroupCommitDurableBeforeVisible holds the first verdict fsync of
+// a two-worker engine. While it is held no report reaches Results, yet
+// the workers keep handing finished verdicts to the committer, so the
+// next fsync after the release makes more than one verdict durable.
+// After the stream every delivered verdict is exactly one WAL record.
+func TestGroupCommitDurableBeforeVisible(t *testing.T) {
+	f := getFixture(t)
+	r, err := core.New(f.pool, 0x6C0A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var perSync []int
+	held, release := make(chan struct{}), make(chan struct{})
+	fsys := &hookFS{FS: checkpoint.OSFS{}, onSync: func(records int) {
+		mu.Lock()
+		perSync = append(perSync, records)
+		first := len(perSync) == 1
+		mu.Unlock()
+		if first {
+			close(held)
+			<-release
+		}
+	}}
+	store, err := checkpoint.Open(t.TempDir(), checkpoint.Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	var once sync.Once
+	unhold := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unhold) // runs first: a failed check must not leave the store locked
+	e, err := New(r, Config{Workers: 2, QueueDepth: len(f.programs), TraceLen: f.traceLen,
+		WindowDeadline: 2 * time.Second, Checkpoint: store, CheckpointEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	for _, p := range f.programs {
+		if !e.Submit(p) {
+			t.Fatalf("submit of %q shed with a roomy queue", p.Name)
+		}
+	}
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no verdict fsync within 30s")
+	}
+	// Both workers finish a program and hand it off behind the held
+	// fsync.
+	for wait := time.Now().Add(30 * time.Second); len(e.commits) < cap(e.commits); time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatalf("%d of %d hand-offs queued behind the held fsync after 30s", len(e.commits), cap(e.commits))
+		}
+	}
+	select {
+	case rep := <-e.Results():
+		t.Fatalf("report %q delivered while the first verdict fsync was held", rep.Program)
+	default:
+	}
+	unhold()
+	e.Close()
+	delivered := 0
+	for range e.Results() {
+		delivered++
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(perSync) < 2 || perSync[1] < 2 {
+		t.Fatalf("records per WAL fsync %v: the fsync after the release must carry more than one verdict", perSync)
+	}
+	appends := e.Registry().Snapshot().CounterWith("rhmd_checkpoint_ops_total", "wal_append")
+	if delivered != len(f.programs) || appends != uint64(delivered) {
+		t.Fatalf("%d of %d programs delivered, %d WAL records appended", delivered, len(f.programs), appends)
+	}
+}
+
+// TestCommitterCrashIsContained breaks the disk with a panicking fsync.
+// The committer's crash is counted and reported through
+// OnWorkerCrash, nothing is delivered, and the engine still drains and
+// closes Results.
+func TestCommitterCrashIsContained(t *testing.T) {
+	f := getFixture(t)
+	r, err := core.New(f.pool, 0xC0CC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := &hookFS{FS: checkpoint.OSFS{}, onSync: func(int) { panic("disk controller fault") }}
+	store, err := checkpoint.Open(t.TempDir(), checkpoint.Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	crashes := make(chan error, 4)
+	e, err := New(r, Config{Workers: 2, QueueDepth: len(f.programs), TraceLen: f.traceLen,
+		WindowDeadline: 2 * time.Second, Checkpoint: store, CheckpointEvery: time.Hour,
+		OnWorkerCrash: func(err error) { crashes <- err },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(runStream(t, e, f.programs)); got != 0 {
+		t.Fatalf("%d reports delivered after the committer crashed on the first fsync", got)
+	}
+	if st := e.Stats(); st.WorkerCrashes != 1 || st.ProgramsProcessed+st.ProgramsFailed != 0 {
+		t.Fatalf("stats after a committer crash: %d crashes, %d verdicts counted; want 1 and 0",
+			st.WorkerCrashes, st.ProgramsProcessed+st.ProgramsFailed)
+	}
+	if err := <-crashes; !strings.Contains(err.Error(), "committer") {
+		t.Fatalf("OnWorkerCrash got %v, want the committer's crash", err)
 	}
 }

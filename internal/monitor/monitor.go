@@ -93,7 +93,8 @@ type Config struct {
 	// Spans, when non-nil, records a per-verdict span tree for every
 	// submission — enqueue, queue wait, worker pickup, feature
 	// extraction, each switching draw (detector + renormalized weight),
-	// each window's classification, the vote, and the WAL fsync — and
+	// each window's classification, the vote, and the group commit
+	// (hand-off to durable, the batch wait included) — and
 	// tail-samples which trees to keep (see internal/obs/span). Nil
 	// disables verdict tracing; every span call is nil-safe so the hot
 	// path carries no flag checks.
@@ -103,11 +104,12 @@ type Config struct {
 	// OpenMetrics exposition renders them, so 0.0.4 scrapes are
 	// byte-identical either way.
 	Exemplars bool
-	// Checkpoint, when non-nil, makes the engine durable: verdicts and
-	// breaker transitions are write-ahead-logged as they happen,
-	// snapshots are flushed every CheckpointEvery and once more on
-	// drain, and a crashed engine resumes via Restore. One engine per
-	// store. A verdict whose WAL append failed is withheld: counted
+	// Checkpoint, when non-nil, makes the engine durable: verdicts
+	// (group-committed, one fsync per batch) and breaker transitions
+	// are write-ahead-logged as they happen, snapshots are flushed
+	// every CheckpointEvery and once more on drain, and a crashed
+	// engine resumes via Restore. One engine per store. A verdict whose
+	// WAL append failed is withheld: counted
 	// (rhmd_monitor_programs_total{outcome="undurable"}) but never
 	// delivered, so everything a consumer acks is recoverable.
 	Checkpoint *checkpoint.Store
@@ -116,10 +118,12 @@ type Config struct {
 	CheckpointEvery time.Duration
 	// OnWorkerCrash, when non-nil, is called each time a worker
 	// goroutine dies to a panic that escaped per-program recovery (for
-	// example FaultWorkerCrash). The engine absorbs the crash — the
-	// remaining workers keep serving — but never replaces the worker;
-	// a fleet supervisor uses the callback as its shard-death signal.
-	// Called from the dying worker goroutine; must not block.
+	// example FaultWorkerCrash), and when the verdict committer dies to
+	// a panic. The engine absorbs a worker crash — the remaining workers
+	// keep serving — but never replaces the worker; after a committer
+	// crash nothing more is delivered. A fleet supervisor uses the
+	// callback as its shard-death signal. Called from the dying
+	// goroutine; must not block.
 	OnWorkerCrash func(err error)
 	// ResolvePool, when non-nil, lets Restore rebuild pool generations
 	// other than the one the engine was constructed with: given the
@@ -230,6 +234,16 @@ type submission struct {
 	ts time.Time
 }
 
+// handoff is one finished verdict on its way from a worker to the
+// committer. The trace changes owner with it, the channel send being
+// the happens-before edge as at submission.
+type handoff struct {
+	rep Report
+	tr  *span.Trace
+	ws  *span.Span // the open wal-fsync span
+	ts  time.Time  // the submit instant
+}
+
 // Engine streams programs through an RHMD pool. Construct with New,
 // start workers with Start, feed with Submit, consume Results, and
 // Close to drain.
@@ -246,10 +260,18 @@ type Engine struct {
 
 	queue   chan submission
 	results chan Report
-	wg      sync.WaitGroup
-	reg     *obs.Registry
-	ins     *instruments
-	spans   *span.Recorder
+	wg      sync.WaitGroup // the workers
+
+	// commits carries finished verdicts from the workers to the
+	// committer, the only sender on results; its capacity, Workers,
+	// lets every worker hand off without waiting on an fsync.
+	// committed is closed when the committer returns.
+	commits   chan handoff
+	committed chan struct{}
+
+	reg   *obs.Registry
+	ins   *instruments
+	spans *span.Recorder
 
 	// ckpt is the durability store (nil = volatile engine). ckptMu
 	// orders verdict/transition commits (shared) against snapshot
@@ -286,14 +308,16 @@ func New(r *core.RHMD, cfg Config) (*Engine, error) {
 		reg = obs.NewRegistry()
 	}
 	e := &Engine{
-		cfg:     cfg,
-		queue:   make(chan submission, cfg.QueueDepth),
-		results: make(chan Report, cfg.QueueDepth),
-		reg:     reg,
-		ins:     newInstruments(reg, r),
-		spans:   cfg.Spans,
-		ckpt:    cfg.Checkpoint,
-		done:    make(chan struct{}),
+		cfg:       cfg,
+		queue:     make(chan submission, cfg.QueueDepth),
+		results:   make(chan Report, cfg.QueueDepth),
+		commits:   make(chan handoff, cfg.Workers),
+		committed: make(chan struct{}),
+		reg:       reg,
+		ins:       newInstruments(reg, r),
+		spans:     cfg.Spans,
+		ckpt:      cfg.Checkpoint,
+		done:      make(chan struct{}),
 	}
 	g := &poolGen{
 		rhmd:   r,
@@ -317,9 +341,10 @@ func New(r *core.RHMD, cfg Config) (*Engine, error) {
 // obs.NewMux to expose /metrics for this engine.
 func (e *Engine) Registry() *obs.Registry { return e.reg }
 
-// Start launches the worker pool. Cancelling ctx stops workers promptly
-// (in-flight programs finish their current window attempt and are
-// reported with ctx's error). Start is idempotent.
+// Start launches the worker pool and the verdict committer. Cancelling
+// ctx stops workers promptly (in-flight programs finish their current
+// window attempt and are committed with ctx's error, undelivered).
+// Start is idempotent.
 func (e *Engine) Start(ctx context.Context) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -332,15 +357,19 @@ func (e *Engine) Start(ctx context.Context) {
 		e.wg.Add(1)
 		go e.worker(ctx)
 	}
+	go e.committer(ctx)
 	if e.ckpt != nil {
 		go e.checkpointLoop(ctx, e.cfg.CheckpointEvery)
 	}
 	go func() {
 		e.wg.Wait()
-		// Flush a final generation after the last worker drains, so a
+		// The workers are gone, so no more hand-offs. Once the committer
+		// has released the last verdict, flush a final generation, so a
 		// graceful shutdown restores to the exact terminal state; only
 		// then is the result stream closed, making "Results closed" ⇒
 		// "final checkpoint durable" for consumers.
+		close(e.commits)
+		<-e.committed
 		if e.ckpt != nil {
 			_, _ = e.Checkpoint() // a failure is counted and flags its own trace
 		}
@@ -468,14 +497,13 @@ func gaugeCount(g *obs.Gauge) uint64 {
 	return uint64(v)
 }
 
-// worker consumes the queue until it closes or ctx is cancelled. A
-// panic that escapes per-program recovery (a deliberate
-// FaultWorkerCrash, or a real bug in the commit path) is absorbed
-// here: the worker dies — it is never replaced — but the engine
-// survives, counts the crash, and notifies Config.OnWorkerCrash so a
-// supervisor can decide the shard's fate. Containment over silent
-// continuation: a worker that crashed mid-commit must not keep
-// touching shared state.
+// worker consumes the queue until it closes or ctx is cancelled,
+// handing each finished verdict to the committer and taking the next
+// program at once. A panic that escapes per-program recovery (a
+// deliberate FaultWorkerCrash, or a real bug) is absorbed here: the
+// worker dies — it is never replaced — but the engine survives, counts
+// the crash, and notifies Config.OnWorkerCrash so a supervisor can
+// decide the shard's fate.
 func (e *Engine) worker(ctx context.Context) {
 	defer e.wg.Done()
 	// Every exit — drain, cancellation, or crash — retires the worker
@@ -483,15 +511,10 @@ func (e *Engine) worker(ctx context.Context) {
 	defer e.ins.workersLive.Dec()
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("monitor: worker crashed: %v", r)
-			e.ins.panics.Inc()
-			e.ins.workerCrashes.Inc()
 			// The crash happened mid-program (nothing else panics), so
 			// the in-flight slot this worker held is released.
 			e.ins.inflight.Dec()
-			if e.cfg.OnWorkerCrash != nil {
-				e.cfg.OnWorkerCrash(err)
-			}
+			e.crashed(fmt.Errorf("monitor: worker crashed: %v", r))
 		}
 	}()
 	for {
@@ -509,40 +532,91 @@ func (e *Engine) worker(ctx context.Context) {
 			wk := tr.StartSpan(span.StageWorker, nil)
 			rep := e.process(ctx, sub.p, tr, wk)
 			tr.EndSpan(wk)
-			// Commit (count + WAL-log) before the report becomes
-			// visible: a consumer-observed verdict is always durable.
-			ws := tr.StartSpan(span.StageWALFsync, nil)
-			durable := e.commitVerdict(rep, tr, ws)
-			tr.EndSpan(ws)
-			// End-to-end verdict latency, submit → durable commit. It is
-			// observed for every terminal outcome (including withheld
-			// undurable verdicts), so percentile estimates cover exactly
-			// the work the engine performed.
-			e.ins.verdictLatency.ObserveSince(sub.ts)
-			if rep.Err != nil {
-				tr.Flag(span.ReasonErrored)
-				if r := tr.Root(); r != nil {
-					r.Err = rep.Err.Error()
-				}
+			// The wal-fsync span runs from the hand-off until the batch
+			// holding the verdict is durable. The committer drains until
+			// the workers are gone, so this send never strands a worker.
+			e.commits <- handoff{rep: rep, tr: tr, ws: tr.StartSpan(span.StageWALFsync, nil), ts: sub.ts}
+		}
+	}
+}
+
+// crashed accounts a goroutine lost to a panic that escaped
+// per-program recovery and notifies Config.OnWorkerCrash.
+func (e *Engine) crashed(err error) {
+	e.ins.panics.Inc()
+	e.ins.workerCrashes.Inc()
+	if e.cfg.OnWorkerCrash != nil {
+		e.cfg.OnWorkerCrash(err)
+	}
+}
+
+// committer is the engine's one delivery path. It takes a finished
+// verdict from the workers together with every other one already
+// queued, so a batch is whatever queued during the previous fsync —
+// there is no timer and no size setting. It commits the batch (one WAL
+// append, then the counters, under ckptMu shared) and only then
+// releases the verdicts in hand-off order, with ckptMu no longer held,
+// so a slow Results consumer never blocks a snapshot. A panic is
+// absorbed like a worker's, and nothing more is delivered: the
+// committer then drains the hand-offs without acting on them, so no
+// worker blocks on it.
+func (e *Engine) committer(ctx context.Context) {
+	defer close(e.committed)
+	defer func() {
+		if r := recover(); r != nil {
+			e.crashed(fmt.Errorf("monitor: verdict committer crashed: %v", r))
+			for range e.commits {
 			}
-			if !durable {
-				// Strict durability: an unlogged verdict is never acked.
-				// The program was classified but its result is withheld
-				// (and counted); the consumer sees either a durable
-				// verdict or nothing.
-				tr.SetVerdict("undurable")
-				tr.Finish()
-				e.ins.inflight.Dec()
-				continue
+		}
+	}()
+	batch := make([]handoff, 0, e.cfg.Workers+1)
+	for h := range e.commits {
+		batch = append(batch[:0], h)
+		// Only the committer receives, so the n queued hand-offs are
+		// there to take without blocking.
+		for n := len(e.commits); n > 0; n-- {
+			batch = append(batch, <-e.commits)
+		}
+		e.release(ctx, batch, e.commit(batch))
+	}
+}
+
+// release ends each verdict of a committed batch in hand-off order: it
+// closes the wal-fsync span, observes the end-to-end latency (submit to
+// durable, for every outcome, withheld verdicts included, so
+// percentiles cover exactly the work the engine performed), finishes
+// the trace and sends the report on Results. When the batch failed to
+// log (err != nil) each verdict is withheld and its trace is kept with
+// the error: the consumer sees either a durable verdict or nothing.
+// Once ctx is cancelled nothing more is delivered.
+func (e *Engine) release(ctx context.Context, batch []handoff, err error) {
+	for _, h := range batch {
+		rep, tr := h.rep, h.tr
+		verdict := verdictLabel(rep)
+		if err != nil {
+			verdict = "undurable"
+			tr.Flag(span.ReasonErrored)
+			if h.ws != nil {
+				h.ws.Err = err.Error()
 			}
-			tr.SetVerdict(verdictLabel(rep))
-			rep.TraceID = tr.Finish()
-			e.ins.inflight.Dec()
-			select {
-			case e.results <- rep:
-			case <-ctx.Done():
-				return
+		}
+		tr.EndSpan(h.ws)
+		e.ins.verdictLatency.ObserveSince(h.ts)
+		if rep.Err != nil {
+			tr.Flag(span.ReasonErrored)
+			if r := tr.Root(); r != nil {
+				r.Err = rep.Err.Error()
 			}
+		}
+		tr.SetVerdict(verdict)
+		rep.TraceID = tr.Finish()
+		e.ins.inflight.Dec()
+		if err != nil || ctx.Err() != nil {
+			continue
+		}
+		select {
+		case e.results <- rep:
+		case <-ctx.Done():
 		}
 	}
 }

@@ -133,7 +133,7 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 		g.health.windowDone()
 		e.progress.Add(1)
 		// Window outcomes accumulate on the report only; the registry
-		// counters are committed at verdict time (commitVerdict) so the
+		// counters are committed at verdict time (Engine.commit) so the
 		// checkpoint layer sees each program's accounting atomically.
 		if !ok {
 			rep.Dropped++

@@ -45,7 +45,7 @@ const (
 	StageDraw       = "draw"       // one switching draw (detector, weight)
 	StageClassify   = "classify"   // one window's classification, retries included
 	StageVote       = "vote"       // majority aggregation over windows
-	StageWALFsync   = "wal-fsync"  // verdict WAL append + fsync
+	StageWALFsync   = "wal-fsync"  // hand-off to the committer → verdict batch durable
 	StageCheckpoint = "checkpoint" // root: one snapshot generation flush
 	StagePoolSwap   = "pool-swap"  // root: one detector-pool generation swap
 	StageSLOAlert   = "slo-alert"  // root: one SLO alert-state transition
