@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet lint build test race bench perfgate trace-smoke fuzz crashtest chaostest drifttest check clean
+.PHONY: all fmt vet lint build test race bench perfgate trace-smoke fuzz crashtest chaostest drifttest reprotest check clean
 
 all: check
 
@@ -99,6 +99,13 @@ drifttest:
 		$(GO) test -race -v ./internal/driftguard/
 	$(GO) test -race -run 'Swap' -v ./internal/monitor/ ./internal/fleet/
 	$(GO) test -race -run 'RetrainPool' -v ./internal/game/
+
+# Reproduction pin: a fresh full-scale, seed-42 rhmd-bench run must
+# rewrite every committed results/*.csv byte for byte; the target names
+# each file that differs (about 3 minutes on 2 vCPUs; CI runs it in the
+# reprotest job). See scripts/reprotest.sh.
+reprotest:
+	./scripts/reprotest.sh
 
 check: fmt vet lint build race
 

@@ -139,7 +139,7 @@ func main() {
 	check(err)
 	fmt.Fprintf(info, "deployed %s\n", r)
 
-	injector, err := parseInjector(*inject, *until, *rate, *deadline, *seed, len(pool))
+	injector, err := parseInjector(*inject, *until, *rate, *seed, len(pool))
 	check(err)
 
 	// The fleet registry is built here so the span recorder's
@@ -281,7 +281,7 @@ func main() {
 	}
 	if sloW.eng != nil {
 		fmt.Fprintf(info, "slo: %d objectives (page at %.1fx burn, ticket at %.1fx)\n",
-			len(sloW.eng.Objectives()), slo.DefaultFastBurn, slo.DefaultSlowBurn)
+			len(sloW.eng.Objectives()), slo.FastBurn, slo.SlowBurn)
 	}
 
 	var guard *driftguard.Guard
@@ -578,7 +578,7 @@ func parsePeriods(s string) ([]int, error) {
 // parseInjector assembles per-detector fault profiles from the -inject,
 // -until and -rate flags. Each detector's rate is split evenly across
 // its listed modes.
-func parseInjector(inject, until string, rate float64, deadline time.Duration, seed uint64, poolSize int) (monitor.FaultInjector, error) {
+func parseInjector(inject, until string, rate float64, seed uint64, poolSize int) (monitor.FaultInjector, error) {
 	if inject == "" {
 		return nil, nil
 	}
@@ -623,7 +623,7 @@ func parseInjector(inject, until string, rate float64, deadline time.Duration, s
 	}
 	in := monitor.NewInjector(seed ^ 0xFA17)
 	for idx, ms := range modes {
-		p := monitor.Profile{Latency: 8 * deadline, Until: recover[idx]}
+		p := monitor.Profile{Until: recover[idx]}
 		share := rate / float64(len(ms))
 		for _, m := range ms {
 			switch m {

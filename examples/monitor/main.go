@@ -50,17 +50,16 @@ func main() {
 
 	// Sabotage two base detectors: detector 1 fails hard and stays down,
 	// detector 4 panics/stalls for its first 10 windows, then recovers.
-	deadline := 25 * time.Millisecond
 	inj := monitor.NewInjector(7)
 	inj.SetProfile(1, monitor.Profile{ErrorRate: 1})
-	inj.SetProfile(4, monitor.Profile{PanicRate: 0.5, LatencyRate: 0.5, Latency: 8 * deadline, Until: 10})
+	inj.SetProfile(4, monitor.Profile{PanicRate: 0.5, LatencyRate: 0.5, Until: 10})
 	fmt.Println("injected faults: detector 1 errors forever; detector 4 panics/stalls, recovers after 10 windows")
 
 	eng, err := monitor.New(rhmd, monitor.Config{
 		Workers:        2,
 		QueueDepth:     len(live),
 		TraceLen:       cfg.TraceLen,
-		WindowDeadline: deadline,
+		WindowDeadline: 25 * time.Millisecond,
 		ProbeAfter:     32,
 		Injector:       inj,
 	})

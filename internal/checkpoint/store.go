@@ -68,7 +68,12 @@ type Store struct {
 	gen    uint64 // generation of the current snapshot + open WAL
 	maxGen uint64 // highest generation ever seen on disk (valid or not)
 	wal    File   // open WAL for gen; nil until first Append/Save
-	ins    *instruments
+	// walSynced is the WAL's length at its last successful sync;
+	// walTorn marks a write or sync that failed after it, leaving a
+	// tail the next append must cut before it writes.
+	walSynced int
+	walTorn   bool
+	ins       *instruments
 }
 
 // instruments is the store's registry-backed accounting, attached via
@@ -194,6 +199,7 @@ func (s *Store) Save(payload []byte) (uint64, error) {
 		s.wal.Close() //rhmd:ignore errclose WAL is superseded by the durable snapshot; nothing left to lose
 		s.wal = nil
 	}
+	s.walTorn = false // the torn tail belongs to the superseded WAL
 	s.gen = next
 	s.maxGen = next
 	if err := s.openWALLocked(); err != nil {
@@ -233,7 +239,7 @@ func (s *Store) openWALLocked() error {
 		f.Close() //rhmd:ignore errclose best-effort cleanup; the dir-sync error is already being returned
 		return fmt.Errorf("checkpoint: syncing dir after WAL create: %w", err)
 	}
-	s.wal = f
+	s.wal, s.walSynced, s.walTorn = f, headerSize, false
 	return nil
 }
 
@@ -275,8 +281,11 @@ func (s *Store) Append(kind byte, payload []byte) error {
 // generation with one write and one fsync (group commit). When it
 // returns nil every record of the batch is durable: an event the caller
 // acts on is an event recovery will replay. On error none of the batch
-// may be acted on, though a torn write can leave a prefix of whole
-// records that recovery replays.
+// may be acted on, though a crash before the next append can leave a
+// prefix of whole records that recovery replays. The next append first
+// cuts whatever a failed one left behind: a torn record must never sit
+// in front of records that were acknowledged, because replay stops at
+// the first torn record.
 func (s *Store) AppendBatch(entries []Entry) error {
 	var buf []byte
 	for _, e := range entries {
@@ -284,17 +293,27 @@ func (s *Store) AppendBatch(entries []Entry) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
+	switch {
+	case s.walTorn:
+		// Checked first: a cut that failed leaves no handle, and
+		// openWALLocked would truncate the synced records too.
+		if err := s.cutWALLocked(); err != nil {
+			return err
+		}
+	case s.wal == nil:
 		if err := s.openWALLocked(); err != nil {
 			return err
 		}
 	}
 	if _, err := s.wal.Write(buf); err != nil {
+		s.walTorn = true
 		return fmt.Errorf("checkpoint: appending WAL records: %w", err)
 	}
 	if err := s.wal.Sync(); err != nil {
+		s.walTorn = true
 		return fmt.Errorf("checkpoint: syncing WAL: %w", err)
 	}
+	s.walSynced += len(buf)
 	if s.ins != nil {
 		s.ins.appends.Add(uint64(len(entries)))
 		s.ins.syncs.Inc()
@@ -381,11 +400,11 @@ func (s *Store) Restore() (*RestoreResult, error) {
 	// exactly the replayed prefix (atomically — the torn tail must not
 	// survive) and reopen it for append.
 	s.gen = res.Gen
-	if s.wal != nil {
-		s.wal.Close() //rhmd:ignore errclose stale handle from before restore; rewriteWALLocked rebuilds the file
-		s.wal = nil
+	buf := appendHeader(make([]byte, 0, headerSize+len(res.Entries)*32), walMagic, s.gen)
+	for _, e := range res.Entries {
+		buf = appendRecord(buf, e.Kind, e.Payload)
 	}
-	if err := s.rewriteWALLocked(res.Entries); err != nil {
+	if err := s.rewriteWALLocked(buf); err != nil {
 		return nil, err
 	}
 	if s.ins != nil {
@@ -399,24 +418,39 @@ func (s *Store) Restore() (*RestoreResult, error) {
 	return res, nil
 }
 
-// rewriteWALLocked replaces the current generation's WAL with exactly
-// the given entries via an atomic rename, then reopens it for append.
-// WAL files are small (one generation's worth of events), so the
-// rewrite is cheap and sidesteps truncate-in-place torn states.
-func (s *Store) rewriteWALLocked(entries []Entry) error {
+// cutWALLocked puts the current generation's WAL back to its length at
+// the last successful sync, after a failed write or sync left an
+// unknown tail behind it.
+func (s *Store) cutWALLocked() error {
 	path := filepath.Join(s.dir, walName(s.gen))
-	buf := appendHeader(make([]byte, 0, headerSize+len(entries)*32), walMagic, s.gen)
-	for _, e := range entries {
-		buf = appendRecord(buf, e.Kind, e.Payload)
+	data, err := s.fs.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("checkpoint: reading WAL %s to cut a failed append: %w", path, err)
 	}
-	if err := WriteFileAtomic(s.fs, path, buf); err != nil {
+	if len(data) < s.walSynced {
+		return fmt.Errorf("checkpoint: WAL %s holds %d bytes, %d were synced", path, len(data), s.walSynced)
+	}
+	return s.rewriteWALLocked(data[:s.walSynced])
+}
+
+// rewriteWALLocked replaces the current generation's WAL with exactly
+// data (header included) via an atomic rename, then reopens it for
+// append. WAL files are small (one generation's worth of events), so
+// the rewrite is cheap and sidesteps truncate-in-place torn states.
+func (s *Store) rewriteWALLocked(data []byte) error {
+	if s.wal != nil {
+		s.wal.Close() //rhmd:ignore errclose stale handle; the rewrite below replaces its file
+		s.wal = nil
+	}
+	path := filepath.Join(s.dir, walName(s.gen))
+	if err := WriteFileAtomic(s.fs, path, data); err != nil {
 		return err
 	}
 	f, err := s.fs.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("checkpoint: reopening WAL %s: %w", path, err)
 	}
-	s.wal = f
+	s.wal, s.walSynced, s.walTorn = f, len(data), false
 	return nil
 }
 

@@ -245,6 +245,93 @@ func TestTornWALTailIsCut(t *testing.T) {
 	}
 }
 
+// flakyFS is the real filesystem with one scripted transient failure:
+// once armed, the next write tears after half its bytes, or the next
+// sync fails after a whole write, and then the disk works again, as
+// after an ENOSPC that frees up. The store calls it under its own
+// mutex, so the flags need no lock.
+type flakyFS struct {
+	OSFS
+	tearWrite, failSync bool
+}
+
+func (f *flakyFS) Create(name string) (File, error) {
+	file, err := f.OSFS.Create(name)
+	return &flakyFile{File: file, fs: f}, err
+}
+
+func (f *flakyFS) OpenAppend(name string) (File, error) {
+	file, err := f.OSFS.OpenAppend(name)
+	return &flakyFile{File: file, fs: f}, err
+}
+
+type flakyFile struct {
+	File
+	fs *flakyFS
+}
+
+func (w *flakyFile) Write(p []byte) (int, error) {
+	if w.fs.tearWrite {
+		w.fs.tearWrite = false
+		n, _ := w.File.Write(p[:len(p)/2])
+		return n, errors.New("injected transient write error")
+	}
+	return w.File.Write(p)
+}
+
+func (w *flakyFile) Sync() error {
+	if w.fs.failSync {
+		w.fs.failSync = false
+		return errors.New("injected transient sync error")
+	}
+	return w.File.Sync()
+}
+
+// TestTornAppendIsCutBeforeNextAppend: one append fails on a transient
+// disk error and the disk recovers. The next append first cuts what the
+// failed one left behind, so a restore replays every append that
+// returned nil and none that failed, and finds no torn tail.
+func TestTornAppendIsCutBeforeNextAppend(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(*flakyFS)
+	}{
+		{"torn write", func(f *flakyFS) { f.tearWrite = true }},
+		{"failed sync", func(f *flakyFS) { f.failSync = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fsys := &flakyFS{}
+			s, err := Open(dir, Options{FS: fsys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustSave(t, s, "base")
+			mustAppend(t, s, KindVerdict, "e1")
+			tc.arm(fsys)
+			if err := s.Append(KindVerdict, []byte("e2")); err == nil {
+				t.Fatal("append on a failing disk returned nil")
+			}
+			mustAppend(t, s, KindVerdict, "e3")
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s2.Restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := entryStrings(res.Entries); res.TornWAL || len(got) != 2 || got[0] != "e1" || got[1] != "e3" {
+				t.Fatalf("restore replayed %v (torn tail %v), want [e1 e3] and no torn tail", got, res.TornWAL)
+			}
+		})
+	}
+}
+
 func TestInstrumentedStoreCounts(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()

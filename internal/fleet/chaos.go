@@ -149,14 +149,14 @@ func newChaosInjector(inner monitor.FaultInjector, mode monitor.FaultKind, after
 }
 
 // Fault implements monitor.FaultInjector.
-func (c *chaosInjector) Fault(fc monitor.FaultContext) monitor.Fault {
+func (c *chaosInjector) Fault(fc monitor.FaultContext) monitor.FaultKind {
 	if c.armed.Load() {
-		return monitor.Fault{Kind: c.mode}
+		return c.mode
 	}
 	if c.inner != nil {
 		return c.inner.Fault(fc)
 	}
-	return monitor.Fault{}
+	return monitor.FaultNone
 }
 
 // observe is called by the shard's pump after each delivered verdict;

@@ -130,8 +130,8 @@ func TestChaosKillShardCrashAtByte(t *testing.T) {
 	var fl *Fleet
 	fl, err := New(f.rhmd, Config{
 		Shards: 3, CheckpointDir: t.TempDir(), Script: script,
-		SupervisorEvery: 5 * time.Millisecond, WedgeTimeout: 5 * time.Second,
-		Engine: engineTemplate(f), Metrics: reg,
+		WedgeTimeout: 5 * time.Second,
+		Engine:       engineTemplate(f), Metrics: reg,
 		OnShardDeath: func(shard int, reason string) {
 			if deaths.Add(1) == 1 {
 				defer close(outage)
@@ -285,8 +285,8 @@ func TestChaosWedgedShardRestarts(t *testing.T) {
 	}}
 	fl, err := New(f.rhmd, Config{
 		Shards: 3, Script: script,
-		SupervisorEvery: 10 * time.Millisecond, WedgeTimeout: 300 * time.Millisecond,
-		Engine: engineTemplate(f),
+		WedgeTimeout: 300 * time.Millisecond,
+		Engine:       engineTemplate(f),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,19 +314,16 @@ func TestChaosWedgedShardRestarts(t *testing.T) {
 }
 
 // TestChaosPanicWorkerRestarts: a scripted worker crash panics through
-// per-program recovery on shard 2; the crash signal reaches the
-// supervisor, which restarts the shard onto a clean generation.
+// per-program recovery on shard 2; the crash callback restarts the
+// shard onto a clean generation, exactly once although every worker of
+// the dying generation crashes.
 func TestChaosPanicWorkerRestarts(t *testing.T) {
 	f := getFixture(t)
 	target := 2
 	script := &ShardScript{Faults: []ShardFault{
 		{Shard: target, Kind: ShardPanicWorker, Arg: 3},
 	}}
-	fl, err := New(f.rhmd, Config{
-		Shards: 3, Script: script,
-		SupervisorEvery: 10 * time.Millisecond,
-		Engine:          engineTemplate(f),
-	})
+	fl, err := New(f.rhmd, Config{Shards: 3, Script: script, Engine: engineTemplate(f)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,4 +339,7 @@ func TestChaosPanicWorkerRestarts(t *testing.T) {
 	})
 	counts, _ := h.finish()
 	requireUnique(t, counts)
+	if final := shardHealth(t, fl, target); final.Restarts != 1 || final.LastRestart != "worker-crash" {
+		t.Fatalf("crashed shard restarted %d times (last %q), want once for worker-crash", final.Restarts, final.LastRestart)
+	}
 }

@@ -42,8 +42,6 @@ type Config struct {
 	// in-flight programs) without delivering a single verdict before
 	// the supervisor declares it wedged and restarts it (default 2s).
 	WedgeTimeout time.Duration
-	// SupervisorEvery is the health-poll interval (default 25ms).
-	SupervisorEvery time.Duration
 	// Metrics is the fleet registry (nil = a fresh private one). It
 	// carries the fleet's own families (shard states, restarts,
 	// reroutes, sheds) and every shard engine's and checkpoint store's
@@ -68,6 +66,9 @@ const (
 	// restartRetries is how many rebuild attempts a restart gets after
 	// the first before the shard is parked degraded.
 	restartRetries = 3
+	// supervisorEvery is the supervisor's health-poll interval and the
+	// pause between rebuild attempts.
+	supervisorEvery = 25 * time.Millisecond
 )
 
 func (c *Config) fill() {
@@ -76,9 +77,6 @@ func (c *Config) fill() {
 	}
 	if c.WedgeTimeout <= 0 {
 		c.WedgeTimeout = 2 * time.Second
-	}
-	if c.SupervisorEvery <= 0 {
-		c.SupervisorEvery = 25 * time.Millisecond
 	}
 }
 
@@ -102,7 +100,6 @@ type Fleet struct {
 	ins       *fleetInstruments
 
 	results chan monitor.Report
-	crashCh chan int // shard indices whose workers crashed
 
 	pumpWG   sync.WaitGroup
 	closedCh chan struct{}
@@ -148,7 +145,6 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 		ring:     newRing(cfg.Shards),
 		reg:      reg,
 		results:  make(chan monitor.Report, cfg.Shards*8),
-		crashCh:  make(chan int, cfg.Shards*16),
 		closedCh: make(chan struct{}),
 		supStop:  make(chan struct{}),
 		supDone:  make(chan struct{}),
@@ -189,7 +185,7 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 // newGeneration builds one engine life for a shard: instruments in the
 // shard's registry view, the shard's own checkpoint store (with the
 // chaos filesystem when scripted), the scripted fault injector, and a
-// crash callback wired to the supervisor. Durable generations restore
+// crash callback that restarts the shard. Durable generations restore
 // the shard's snapshot+WAL before returning, recording the verdict
 // count the checkpoint holds as the shard's zero-acked-loss baseline.
 // The generation's checkpoint-failure count starts at the shard's
@@ -210,15 +206,10 @@ func (f *Fleet) newGeneration(sh *shard, gen uint64) (*monitor.Engine, *checkpoi
 		store = st
 		cfg.Checkpoint = store
 	}
-	idx := sh.idx
-	cfg.OnWorkerCrash = func(error) {
-		// Non-blocking from the dying worker goroutine; a full channel
-		// means the supervisor already has plenty of death notices.
-		select {
-		case f.crashCh <- idx:
-		default:
-		}
-	}
+	// kill only claims the restart and starts its goroutine, so the
+	// dying goroutine never blocks; a second crash of the same
+	// generation finds the restart already claimed.
+	cfg.OnWorkerCrash = func(error) { f.kill(sh, "worker-crash") }
 	eng, err := monitor.New(f.rhmd, cfg)
 	if err == nil && store != nil {
 		var ri *monitor.RestoreInfo
@@ -361,9 +352,10 @@ func (f *Fleet) pump(sh *shard, gen uint64, eng *monitor.Engine, done chan struc
 	}
 }
 
-// supervise is the shard health loop: it reacts to worker-crash
-// signals immediately and polls every serving shard for the two slow
-// deaths — checkpoint failures past the limit, and a wedged queue.
+// supervise is the shard health loop: it polls every serving shard
+// for the two slow deaths — checkpoint failures past the limit, and a
+// wedged queue (a worker crash restarts its shard from the crash
+// callback; see newGeneration).
 // Wedge detection keys on the engine's window-granular Progress
 // counter, not on delivered verdicts: a slow shard still ticks every
 // window it extracts or classifies, while a wedged one (workers
@@ -372,7 +364,7 @@ func (f *Fleet) pump(sh *shard, gen uint64, eng *monitor.Engine, done chan struc
 // progress for WedgeTimeout.
 func (f *Fleet) supervise() {
 	defer close(f.supDone)
-	tick := time.NewTicker(f.cfg.SupervisorEvery)
+	tick := time.NewTicker(supervisorEvery)
 	defer tick.Stop()
 	type progress struct {
 		gen       uint64
@@ -388,8 +380,6 @@ func (f *Fleet) supervise() {
 		select {
 		case <-f.supStop:
 			return
-		case idx := <-f.crashCh:
-			f.kill(f.shards[idx], "worker-crash")
 		case <-tick.C:
 			for i, sh := range f.shards {
 				if sh.shardState() != Serving {
@@ -489,7 +479,7 @@ func (f *Fleet) restart(sh *shard, reason string) {
 	for attempt := 0; attempt <= restartRetries; attempt++ {
 		if attempt > 0 {
 			select {
-			case <-time.After(f.cfg.SupervisorEvery):
+			case <-time.After(supervisorEvery):
 			case <-f.ctx.Done():
 				return
 			}

@@ -44,7 +44,6 @@ func TestFleetSLOsReadShardSeries(t *testing.T) {
 			now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 			eng, err := slo.New(slo.Config{
 				Source:     reg,
-				Metrics:    obs.NewRegistry(),
 				Now:        func() time.Time { return now },
 				Objectives: slo.FleetObjectives(time.Microsecond, shards, 0.65, 0.30),
 			})

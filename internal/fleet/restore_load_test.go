@@ -18,8 +18,8 @@ func TestRestoreUnderLoad(t *testing.T) {
 	target := 0
 	fl, err := New(f.rhmd, Config{
 		Shards: 3, CheckpointDir: t.TempDir(),
-		SupervisorEvery: 10 * time.Millisecond, WedgeTimeout: 5 * time.Second,
-		Engine: engineTemplate(f),
+		WedgeTimeout: 5 * time.Second,
+		Engine:       engineTemplate(f),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,9 @@ import (
 // host, one load-generator key) name them "<stream>#<unique suffix>";
 // the ring hashes only the stream part, so the whole stream lives on —
 // and fails over with — one shard, while every program keeps a unique
-// identity in reports. The scenario DSL's hot-key shapes depend on
-// this.
+// identity in reports. scenario.Compile names its events this way,
+// each on its own stream, so a benchmark corpus of repeated programs
+// still spreads over every shard.
 func StreamKey(name string) string {
 	if i := strings.IndexByte(name, '#'); i >= 0 {
 		return name[:i]

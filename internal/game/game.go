@@ -35,14 +35,6 @@ type Config struct {
 	Level       prog.InjectLevel
 	// Seed drives all stochastic choices.
 	Seed uint64
-	// Streams, when non-nil, supplies the keyed rng stream for each
-	// named purpose ("game-retrain", "game-mix", "game-generations",
-	// "game-retrain-pool") instead of the default derivation from Seed.
-	// The injection seam keeps every stochastic choice caller-owned —
-	// driftguard retrains stay deterministic, and the determinism
-	// analyzer keeps this package in scope with no package-level PRNG
-	// state to flag.
-	Streams func(key string) *rng.Source
 }
 
 func (c Config) validate() error {
@@ -50,16 +42,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("game: invalid config %+v", c)
 	}
 	return nil
-}
-
-// stream returns the keyed rng stream for a named purpose: the injected
-// Streams seam when set, otherwise the historical derivation from Seed
-// (bit-identical to the pre-seam behavior).
-func (c Config) stream(key string) *rng.Source {
-	if c.Streams != nil {
-		return c.Streams(key)
-	}
-	return rng.NewKeyed(c.Seed, key)
 }
 
 // split separates a program list into benign and malware.
@@ -167,7 +149,7 @@ func Retrain(train, test []*prog.Program, percents []float64, cfg Config) ([]Ret
 
 	// Evasive variants (the same transformation for train and test
 	// malware, as the attacker ships one evasion strategy).
-	r := cfg.stream("game-retrain")
+	r := rng.NewKeyed(cfg.Seed, "game-retrain")
 	plan, err := attack.BuildPlan(victim, cfg.Strategy, cfg.InjectCount, cfg.Level, r)
 	if err != nil {
 		return nil, err
@@ -222,7 +204,7 @@ func Retrain(train, test []*prog.Program, percents []float64, cfg Config) ([]Ret
 			nEv = evTrainW.Len()
 		}
 		evPart := &dataset.WindowData{Kind: cfg.Kind, Period: cfg.Period}
-		perm := cfg.stream("game-mix").Perm(evTrainW.Len())
+		perm := rng.NewKeyed(cfg.Seed, "game-mix").Perm(evTrainW.Len())
 		for _, i := range perm[:nEv] {
 			evPart.X = append(evPart.X, evTrainW.X[i])
 			evPart.Y = append(evPart.Y, 1)
@@ -301,7 +283,7 @@ func Generations(train, test []*prog.Program, nGens int, cfg Config) ([]Generati
 	curTestProgs := testMal
 	var prevEvTestW *dataset.WindowData
 
-	r := cfg.stream("game-generations")
+	r := rng.NewKeyed(cfg.Seed, "game-generations")
 	var results []GenerationResult
 
 	for gen := 1; gen <= nGens; gen++ {

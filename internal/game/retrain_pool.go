@@ -8,6 +8,7 @@ import (
 	"rhmd/internal/hmd"
 	"rhmd/internal/par"
 	"rhmd/internal/prog"
+	"rhmd/internal/rng"
 )
 
 // PoolRetrainResult is the outcome of one online pool retraining round.
@@ -26,9 +27,9 @@ type PoolRetrainResult struct {
 // retraining defense, used by internal/driftguard when live drift
 // fires. The pool shape is preserved (same specs at the same positions,
 // same switching probabilities, same key), so the result is always a
-// valid Engine.SwapPool candidate. All stochastic choices flow through
-// Config's Streams/Seed seam; cfg.Algo/Kind/Period/InjectCount are not
-// consulted (the specs come from the base pool).
+// valid Engine.SwapPool candidate. All stochastic choices derive from
+// cfg.Seed; cfg.Algo/Kind/Period/InjectCount are not consulted (the
+// specs come from the base pool).
 func RetrainPool(base *core.RHMD, corpus []*prog.Program, traceLen int, cfg Config) (*PoolRetrainResult, error) {
 	if base == nil || base.Size() == 0 {
 		return nil, fmt.Errorf("game: RetrainPool needs a non-empty base pool")
@@ -61,10 +62,10 @@ func RetrainPool(base *core.RHMD, corpus []*prog.Program, traceLen int, cfg Conf
 		return nil, fmt.Errorf("game: extracting replay windows: %w", err)
 	}
 
-	// Per-detector training seeds come off the injected stream in
+	// Per-detector training seeds come off the seeded stream in
 	// detector order, so the whole round is a pure function of (base,
 	// corpus, cfg); the detectors then train concurrently.
-	r := cfg.stream("game-retrain-pool")
+	r := rng.NewKeyed(cfg.Seed, "game-retrain-pool")
 	seeds := make([]uint64, len(base.Detectors))
 	for i := range seeds {
 		seeds[i] = r.Uint64()

@@ -9,7 +9,6 @@ import (
 	"rhmd/internal/features"
 	"rhmd/internal/hmd"
 	"rhmd/internal/prog"
-	"rhmd/internal/rng"
 )
 
 // basePool trains a compact three-detector pool (all kinds at one
@@ -70,37 +69,6 @@ func TestRetrainPoolShapeAndDeterminism(t *testing.T) {
 	if b := run(9); b.Pool.Fingerprint() != a.Pool.Fingerprint() {
 		t.Fatalf("same seed produced different pools: %016x vs %016x",
 			a.Pool.Fingerprint(), b.Pool.Fingerprint())
-	}
-}
-
-// TestRetrainPoolStreamsSeam: an injected Streams hook owns every
-// stochastic choice — the named stream is requested, and supplying the
-// default derivation through the seam reproduces the Seed-only result
-// bit for bit.
-func TestRetrainPoolStreamsSeam(t *testing.T) {
-	f := getFixture(t)
-	base := basePool(t)
-	direct, err := RetrainPool(base, f.test, f.traceLen, Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	seamed, err := RetrainPool(base, f.test, f.traceLen, Config{
-		Seed: 7, // must be ignored once Streams is set
-		Streams: func(key string) *rng.Source {
-			keys = append(keys, key)
-			return rng.NewKeyed(42, key)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys[0] != "game-retrain-pool" {
-		t.Fatalf("streams requested %v, want [game-retrain-pool]", keys)
-	}
-	if seamed.Pool.Fingerprint() != direct.Pool.Fingerprint() {
-		t.Fatalf("seam-equivalent stream diverged: %016x vs %016x",
-			seamed.Pool.Fingerprint(), direct.Pool.Fingerprint())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,7 +34,7 @@ func durableEngine(t *testing.T, dir string, key uint64, injector FaultInjector)
 		t.Fatal(err)
 	}
 	e, err := New(r, Config{Workers: 4, QueueDepth: 64, TraceLen: f.traceLen,
-		WindowDeadline: 2 * time.Second, FailureThreshold: 2, ProbeAfter: 1 << 30,
+		WindowDeadline: 2 * time.Second, ProbeAfter: 1 << 30,
 		Injector: injector, Checkpoint: store,
 		CheckpointEvery: time.Hour, // periodic ticks off; saves come from drain/final flush
 	})
@@ -392,10 +393,13 @@ func TestBareEngineWithholdsUndurableVerdicts(t *testing.T) {
 
 // hookFS is a checkpoint.FS that calls onSync before each fsync of a
 // WAL file with records pending, passing how many records that fsync
-// makes durable. Tests hold or break the disk through it.
+// makes durable, and asks tear, when set, before each WAL write of
+// records whether to tear it after half its bytes. Tests hold or break
+// the disk through it.
 type hookFS struct {
 	checkpoint.FS
 	onSync func(records int)
+	tear   func(records int) bool
 }
 
 func (h *hookFS) Create(name string) (checkpoint.File, error) {
@@ -433,10 +437,16 @@ func (f *hookFile) Write(p []byte) (int, error) {
 		rest = rest[13:] // the file header
 	}
 	// Each record is kind(1) | len(4, LE) | crc32(4) | payload.
+	records := 0
 	for len(rest) >= 9 {
-		f.pending++
+		records++
 		rest = rest[min(len(rest), 9+int(binary.LittleEndian.Uint32(rest[1:5]))):]
 	}
+	if records > 0 && f.fs.tear != nil && f.fs.tear(records) {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errors.New("injected transient write error")
+	}
+	f.pending += records
 	return f.File.Write(p)
 }
 
@@ -523,6 +533,97 @@ func TestGroupCommitDurableBeforeVisible(t *testing.T) {
 	appends := e.Registry().Snapshot().CounterWith("rhmd_checkpoint_ops_total", "wal_append")
 	if delivered != len(f.programs) || appends != uint64(delivered) {
 		t.Fatalf("%d of %d programs delivered, %d WAL records appended", delivered, len(f.programs), appends)
+	}
+}
+
+// TestUndurableBatchOnTransientDiskError: acked ⇒ recoverable when the
+// disk fails once and recovers. The third verdict batch's WAL write
+// tears; that batch is counted undurable, the verdicts after it are
+// still delivered, and the directory as it stands once they are — a
+// crash image, taken before the drain's final snapshot rotates the WAL
+// — restores exactly the delivered verdicts.
+func TestUndurableBatchOnTransientDiskError(t *testing.T) {
+	f := getFixture(t)
+	r, err := core.New(f.pool, 0x7EA2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The store writes its WAL under its own mutex, so the counts need
+	// no lock until the engine drains.
+	writes, afterTear := 0, 0
+	fsys := &hookFS{FS: checkpoint.OSFS{}, onSync: func(int) {}, tear: func(records int) bool {
+		writes++
+		if writes > 3 {
+			afterTear += records
+		}
+		return writes == 3
+	}}
+	dir := t.TempDir()
+	store, err := checkpoint.Open(dir, checkpoint.Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	e, err := New(r, Config{Workers: 2, QueueDepth: len(f.programs), TraceLen: f.traceLen,
+		WindowDeadline: 2 * time.Second, Checkpoint: store, CheckpointEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	for _, p := range f.programs {
+		if !e.Submit(p) {
+			t.Fatalf("submit of %q shed with a roomy queue", p.Name)
+		}
+	}
+	delivered := 0
+	for deadline := time.Now().Add(time.Minute); uint64(delivered)+e.Stats().ProgramsUndurable < uint64(len(f.programs)); {
+		select {
+		case <-e.Results():
+			delivered++
+		case <-time.After(time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatalf("%d delivered and %d undurable of %d programs after a minute",
+					delivered, e.Stats().ProgramsUndurable, len(f.programs))
+			}
+		}
+	}
+	image := t.TempDir()
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		data, err := os.ReadFile(filepath.Join(dir, n.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, n.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Close()
+	for range e.Results() {
+	}
+
+	if st := e.Stats(); st.ProgramsUndurable == 0 || writes <= 3 || afterTear == 0 {
+		t.Fatalf("%d undurable verdicts, %d WAL writes, %d records after the torn write; want a torn batch with verdicts logged after it",
+			st.ProgramsUndurable, writes, afterTear)
+	}
+	imgStore, err := checkpoint.Open(image, checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = imgStore.Close() })
+	e2, err := New(r, Config{TraceLen: f.traceLen, Checkpoint: imgStore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := e2.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info == nil || info.Verdicts != uint64(delivered) {
+		t.Fatalf("restore %+v from the crash image, want exactly the %d delivered verdicts", info, delivered)
 	}
 }
 

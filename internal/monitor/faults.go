@@ -3,7 +3,6 @@ package monitor
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"rhmd/internal/rng"
 )
@@ -22,10 +21,9 @@ const (
 	FaultError
 	// FaultPanic makes the classification call panic.
 	FaultPanic
-	// FaultLatency stalls the classification attempt for Fault.Latency,
-	// waited out on the worker through Config.Sleep, before letting it
-	// proceed; a stall that reaches the engine's window deadline is cut
-	// there and fails the attempt with ErrDeadline.
+	// FaultLatency stalls the classification attempt for the engine's
+	// whole window deadline, waited out on the worker through
+	// Config.Sleep, and then fails it with ErrDeadline.
 	FaultLatency
 	// FaultCorrupt replaces the feature vector with NaNs before scoring,
 	// modelling silent corruption of the counter bus. The engine detects
@@ -60,13 +58,6 @@ func (k FaultKind) String() string {
 // FaultError.
 var ErrInjected = errors.New("monitor: injected detector fault")
 
-// Fault is one injected failure: the mode plus its latency (for
-// FaultLatency).
-type Fault struct {
-	Kind    FaultKind
-	Latency time.Duration
-}
-
 // FaultContext identifies one classification attempt, so injectors can
 // make deterministic decisions that do not depend on goroutine
 // interleaving: the same (detector, program, window, attempt) tuple
@@ -86,7 +77,7 @@ type FaultContext struct {
 // FaultInjector decides, per classification attempt, which fault (if
 // any) to inject. Implementations must be safe for concurrent use.
 type FaultInjector interface {
-	Fault(fc FaultContext) Fault
+	Fault(fc FaultContext) FaultKind
 }
 
 // Profile configures the fault behaviour of one detector under an
@@ -98,8 +89,6 @@ type Profile struct {
 	PanicRate   float64
 	LatencyRate float64
 	CorruptRate float64
-	// Latency is the stall injected by FaultLatency.
-	Latency time.Duration
 	// Until, when positive, limits the profile to the first Until calls
 	// the injector observes for this detector — the detector "recovers"
 	// afterwards, which is how tests exercise half-open probing.
@@ -145,7 +134,7 @@ func (in *Injector) SetDefault(p Profile) {
 }
 
 // Fault implements FaultInjector.
-func (in *Injector) Fault(fc FaultContext) Fault {
+func (in *Injector) Fault(fc FaultContext) FaultKind {
 	in.mu.Lock()
 	p, ok := in.profiles[fc.Detector]
 	if !ok {
@@ -164,21 +153,21 @@ func (in *Injector) Fault(fc FaultContext) Fault {
 	in.mu.Unlock()
 
 	if p.Until > 0 && calls >= p.Until {
-		return Fault{}
+		return FaultNone
 	}
 	r := rng.NewKeyed(in.seed^mixFault(fc), "monitor-fault")
 	u := r.Float64()
 	switch {
 	case u < p.ErrorRate:
-		return Fault{Kind: FaultError}
+		return FaultError
 	case u < p.ErrorRate+p.PanicRate:
-		return Fault{Kind: FaultPanic}
+		return FaultPanic
 	case u < p.ErrorRate+p.PanicRate+p.LatencyRate:
-		return Fault{Kind: FaultLatency, Latency: p.Latency}
+		return FaultLatency
 	case u < p.ErrorRate+p.PanicRate+p.LatencyRate+p.CorruptRate:
-		return Fault{Kind: FaultCorrupt}
+		return FaultCorrupt
 	}
-	return Fault{}
+	return FaultNone
 }
 
 // mixFault folds a fault context into one well-mixed 64-bit value

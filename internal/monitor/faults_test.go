@@ -1,14 +1,11 @@
 package monitor
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestInjectorDeterministicPerContext(t *testing.T) {
 	a := NewInjector(7)
 	b := NewInjector(7)
-	p := Profile{ErrorRate: 0.25, PanicRate: 0.25, LatencyRate: 0.25, CorruptRate: 0.1, Latency: time.Millisecond}
+	p := Profile{ErrorRate: 0.25, PanicRate: 0.25, LatencyRate: 0.25, CorruptRate: 0.1}
 	a.SetDefault(p)
 	b.SetDefault(p)
 	for w := 0; w < 200; w++ {
@@ -35,22 +32,19 @@ func TestInjectorDeterministicPerContext(t *testing.T) {
 
 func TestInjectorRates(t *testing.T) {
 	in := NewInjector(99)
-	in.SetProfile(2, Profile{ErrorRate: 0.5, LatencyRate: 0.2, Latency: time.Millisecond})
+	in.SetProfile(2, Profile{ErrorRate: 0.5, LatencyRate: 0.2})
 	var errs, lats, none int
 	const n = 4000
 	for w := 0; w < n; w++ {
-		switch f := in.Fault(FaultContext{Detector: 2, ProgSeed: 1234, Window: w}); f.Kind {
+		switch f := in.Fault(FaultContext{Detector: 2, ProgSeed: 1234, Window: w}); f {
 		case FaultError:
 			errs++
 		case FaultLatency:
 			lats++
-			if f.Latency != time.Millisecond {
-				t.Fatalf("latency fault lost its duration: %v", f.Latency)
-			}
 		case FaultNone:
 			none++
 		default:
-			t.Fatalf("unconfigured fault kind %v", f.Kind)
+			t.Fatalf("unconfigured fault kind %v", f)
 		}
 	}
 	if got := float64(errs) / n; got < 0.45 || got > 0.55 {
@@ -61,8 +55,8 @@ func TestInjectorRates(t *testing.T) {
 	}
 	// Unconfigured detectors see no faults.
 	for w := 0; w < 50; w++ {
-		if f := in.Fault(FaultContext{Detector: 0, Window: w}); f.Kind != FaultNone {
-			t.Fatalf("detector without profile got fault %v", f.Kind)
+		if f := in.Fault(FaultContext{Detector: 0, Window: w}); f != FaultNone {
+			t.Fatalf("detector without profile got fault %v", f)
 		}
 	}
 }
@@ -71,17 +65,17 @@ func TestInjectorUntilRecovers(t *testing.T) {
 	in := NewInjector(5)
 	in.SetProfile(1, Profile{ErrorRate: 1, Until: 3})
 	for w := 0; w < 3; w++ {
-		if f := in.Fault(FaultContext{Detector: 1, Window: w}); f.Kind != FaultError {
-			t.Fatalf("call %d: want forced error, got %v", w, f.Kind)
+		if f := in.Fault(FaultContext{Detector: 1, Window: w}); f != FaultError {
+			t.Fatalf("call %d: want forced error, got %v", w, f)
 		}
 	}
 	// Retries of the last faulted window do not advance the counter.
-	if f := in.Fault(FaultContext{Detector: 1, Window: 2, Attempt: 1}); f.Kind != FaultError {
-		t.Fatalf("retry after cutoff boundary got %v", f.Kind)
+	if f := in.Fault(FaultContext{Detector: 1, Window: 2, Attempt: 1}); f != FaultError {
+		t.Fatalf("retry after cutoff boundary got %v", f)
 	}
 	for w := 3; w < 6; w++ {
-		if f := in.Fault(FaultContext{Detector: 1, Window: w}); f.Kind != FaultNone {
-			t.Fatalf("call %d: detector should have recovered, got %v", w, f.Kind)
+		if f := in.Fault(FaultContext{Detector: 1, Window: w}); f != FaultNone {
+			t.Fatalf("call %d: detector should have recovered, got %v", w, f)
 		}
 	}
 }

@@ -52,28 +52,12 @@ type Config struct {
 	// WindowDeadline bounds one classification attempt; a stalled
 	// detector counts as a fault (default 25ms).
 	WindowDeadline time.Duration
-	// MaxRetries is the number of re-attempts after a failed
-	// classification (default 2, i.e. three attempts total; negative
-	// disables retries).
-	MaxRetries int
-	// RetryBackoff is the base backoff before the first retry, doubling
-	// per attempt with deterministic equal-jitter (the actual wait for
-	// attempt k is uniform in [b/2, b) for b = RetryBackoff·2^(k-1),
-	// derived from the attempt's fault context so reruns reproduce the
-	// same schedule). Default 500µs.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential backoff (default
-	// 32×RetryBackoff).
-	RetryBackoffMax time.Duration
 	// Sleep is the injected clock seam the retry backoff and injected
 	// FaultLatency stalls wait through, on the worker (nil = a real
-	// timer honoring ctx). A stall waits at most WindowDeadline. Tests
+	// timer honoring ctx). A stall waits exactly WindowDeadline. Tests
 	// substitute a recording fake to assert the schedule without
 	// waiting it out.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// FailureThreshold is the consecutive-failure count that opens a
-	// detector's breaker (default 3).
-	FailureThreshold int
 	// ProbeAfter is the quarantine cooldown, measured in pool-wide
 	// processed windows, before a half-open probe (default 64). Counting
 	// windows instead of wall-clock keeps tests deterministic.
@@ -134,6 +118,23 @@ type Config struct {
 	ResolvePool func(epoch, fingerprint uint64) (*core.RHMD, error)
 }
 
+// The retry schedule and the breaker's trip point are constants: no
+// deployment has run another value.
+const (
+	// maxRetries is the number of re-attempts after a failed
+	// classification: three attempts in all.
+	maxRetries = 2
+	// backoffBase is the backoff before the first retry. It doubles per
+	// attempt with deterministic equal jitter: the wait before attempt
+	// k is uniform in [b/2, b) for b = backoffBase·2^(k-1), derived
+	// from the attempt's fault context so reruns reproduce the same
+	// schedule.
+	backoffBase = 500 * time.Microsecond
+	// failureThreshold is the consecutive-failure count that opens a
+	// detector's breaker.
+	failureThreshold = 3
+)
+
 func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -147,22 +148,8 @@ func (c *Config) fill() {
 	if c.WindowDeadline <= 0 {
 		c.WindowDeadline = 25 * time.Millisecond
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 500 * time.Microsecond
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 32 * c.RetryBackoff
-	}
 	if c.Sleep == nil {
 		c.Sleep = sleepCtx
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
 	}
 	if c.ProbeAfter <= 0 {
 		c.ProbeAfter = 64
@@ -321,7 +308,7 @@ func New(r *core.RHMD, cfg Config) (*Engine, error) {
 	}
 	g := &poolGen{
 		rhmd:   r,
-		health: newHealthBoard(r, cfg.FailureThreshold, uint64(cfg.ProbeAfter)),
+		health: newHealthBoard(r, failureThreshold, uint64(cfg.ProbeAfter)),
 	}
 	g.health.attach(e.ins)
 	e.pool.Store(g)

@@ -118,13 +118,14 @@ func TestEngineMatchesBatchDecisions(t *testing.T) {
 	}
 }
 
-// acceptanceInjector is the ISSUE's fault scenario: detector 1 fails
-// permanently with transient errors; detector 4 fails with a mix of
-// panics and stalls for its first probeRecover windows, then recovers.
-func acceptanceInjector(deadline time.Duration, recoverAfter uint64) *Injector {
+// acceptanceInjector is the acceptance fault scenario: detector 1
+// fails permanently with transient errors; detector 4 fails with a mix
+// of panics and stalls for its first recoverAfter windows, then
+// recovers.
+func acceptanceInjector(recoverAfter uint64) *Injector {
 	in := NewInjector(77)
 	in.SetProfile(1, Profile{ErrorRate: 1})
-	in.SetProfile(4, Profile{PanicRate: 0.5, LatencyRate: 0.5, Latency: 8 * deadline, Until: recoverAfter})
+	in.SetProfile(4, Profile{PanicRate: 0.5, LatencyRate: 0.5, Until: recoverAfter})
 	return in
 }
 
@@ -152,7 +153,7 @@ func TestGracefulDegradationUnderFaults(t *testing.T) {
 			TraceLen:       f.traceLen,
 			WindowDeadline: deadline,
 			ProbeAfter:     40,
-			Injector:       acceptanceInjector(deadline, 4),
+			Injector:       acceptanceInjector(4),
 		})
 		if err != nil {
 			t.Fatal(err)

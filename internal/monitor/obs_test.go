@@ -198,7 +198,7 @@ func TestFaultEventsReachTracerAndMetrics(t *testing.T) {
 	deadline := 30 * time.Millisecond
 	e, err := New(r, Config{Workers: 1, QueueDepth: len(f.programs), TraceLen: f.traceLen,
 		WindowDeadline: deadline, ProbeAfter: 40,
-		Injector: acceptanceInjector(deadline, 4), Metrics: reg, Spans: rec})
+		Injector: acceptanceInjector(4), Metrics: reg, Spans: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func (e *Engine) SwapPool(r *core.RHMD) (epoch uint64, err error) {
 		tr.Finish()
 	}()
 
-	nh := newHealthBoard(r, e.cfg.FailureThreshold, uint64(e.cfg.ProbeAfter))
+	nh := newHealthBoard(r, failureThreshold, uint64(e.cfg.ProbeAfter))
 
 	// Log, then publish, under one shared ckptMu hold. Checkpoint takes
 	// ckptMu exclusively around capture + WAL rotation, so it can never
@@ -140,7 +140,7 @@ func (e *Engine) installGen(epoch uint64, r *core.RHMD) error {
 	if err := validateSwap(old.rhmd, r); err != nil {
 		return err
 	}
-	nh := newHealthBoard(r, e.cfg.FailureThreshold, uint64(e.cfg.ProbeAfter))
+	nh := newHealthBoard(r, failureThreshold, uint64(e.cfg.ProbeAfter))
 	nh.attach(e.ins)
 	e.pool.Store(&poolGen{epoch: epoch, rhmd: r, health: nh})
 	old.health.retire()

@@ -45,7 +45,7 @@ func TestVerdictTracesAreWellFormedTrees(t *testing.T) {
 	e, err := New(r, Config{
 		Workers: 4, QueueDepth: len(f.programs), TraceLen: f.traceLen,
 		WindowDeadline: deadline, ProbeAfter: 40,
-		Injector:   acceptanceInjector(deadline, 4),
+		Injector:   acceptanceInjector(4),
 		Metrics:    reg,
 		Spans:      rec,
 		Exemplars:  true,

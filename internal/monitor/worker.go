@@ -204,7 +204,7 @@ func (e *Engine) classify(ctx context.Context, g *poolGen, p *prog.Program, ws *
 	vec := ws.Rows(d.Spec.Kind)[w]
 	start := time.Now()
 	var lastErr error
-	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		fc := FaultContext{
 			Detector: idx,
 			ProgSeed: p.Seed,
@@ -218,18 +218,18 @@ func (e *Engine) classify(ctx context.Context, g *poolGen, p *prog.Program, ws *
 			if cs != nil {
 				cs.Attempt = attempt
 			}
-			if err := e.cfg.Sleep(ctx, e.retryBackoff(fc, attempt)); err != nil {
+			if err := e.cfg.Sleep(ctx, retryBackoff(fc, attempt)); err != nil {
 				return 0, err
 			}
 		}
 		// The injector is consulted here, on the worker goroutine, so the
 		// shard-killing faults act on the worker itself; the detector-level
 		// faults ride into classifyOnce with the attempt.
-		var fault Fault
+		fault := FaultNone
 		if e.cfg.Injector != nil {
 			fault = e.cfg.Injector.Fault(fc)
 		}
-		switch fault.Kind {
+		switch fault {
 		case FaultWedge:
 			// Block the worker, not the scored call: the window deadline
 			// cannot rescue a wedge, only engine teardown can.
@@ -258,22 +258,15 @@ func (e *Engine) classify(ctx context.Context, g *poolGen, p *prog.Program, ws *
 	return 0, lastErr
 }
 
-// retryBackoff returns the jittered wait before retry attempt k (k ≥ 1):
-// exponential doubling from Config.RetryBackoff capped at
-// RetryBackoffMax, with equal jitter — uniform in [b/2, b) — drawn
-// deterministically from the attempt's fault context. The same
-// (detector, program, window, attempt) tuple always waits the same
-// time, so a rerun reproduces the schedule regardless of worker
-// interleaving, while distinct attempts desynchronize instead of
-// retrying in lockstep.
-func (e *Engine) retryBackoff(fc FaultContext, attempt int) time.Duration {
-	b := e.cfg.RetryBackoff
-	for i := 1; i < attempt && b < e.cfg.RetryBackoffMax; i++ {
-		b <<= 1
-	}
-	if b > e.cfg.RetryBackoffMax {
-		b = e.cfg.RetryBackoffMax
-	}
+// retryBackoff returns the jittered wait before retry attempt k
+// (1 ≤ k ≤ maxRetries): exponential doubling from backoffBase, with
+// equal jitter — uniform in [b/2, b) — drawn deterministically from the
+// attempt's fault context. The same (detector, program, window,
+// attempt) tuple always waits the same time, so a rerun reproduces the
+// schedule regardless of worker interleaving, while distinct attempts
+// desynchronize instead of retrying in lockstep.
+func retryBackoff(fc FaultContext, attempt int) time.Duration {
+	b := backoffBase << (attempt - 1)
 	half := b / 2
 	// 53 uniform bits of the mixed context → frac in [0, 1).
 	frac := float64(mixFault(fc)>>11) / (1 << 53)
@@ -292,30 +285,27 @@ func (e *Engine) exemplarID(tr *span.Trace) string {
 
 // classifyOnce is a single deadline-bounded attempt, scored inline on
 // the worker: a panicking detector is recovered into an error, and an
-// injected stall is waited out through Config.Sleep, capped at the
-// window deadline — a stall that reaches the deadline fails the attempt
-// with ErrDeadline. fault is the attempt's injected detector fault,
-// resolved by the caller (FaultNone when no injector is configured).
-func (e *Engine) classifyOnce(ctx context.Context, fc FaultContext, fault Fault, score func([]float64) float64, threshold float64, vec []float64) (dec int, err error) {
+// injected stall is waited out through Config.Sleep for the whole
+// window deadline, then fails the attempt with ErrDeadline. fault is
+// the attempt's injected detector fault, resolved by the caller
+// (FaultNone when no injector is configured).
+func (e *Engine) classifyOnce(ctx context.Context, fc FaultContext, fault FaultKind, score func([]float64) float64, threshold float64, vec []float64) (dec int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.ins.panics.Inc()
 			dec, err = 0, fmt.Errorf("monitor: detector %d panicked: %v", fc.Detector, r)
 		}
 	}()
-	switch fault.Kind {
+	switch fault {
 	case FaultError:
 		return 0, ErrInjected
 	case FaultPanic:
 		panic("injected detector fault")
 	case FaultLatency:
-		stall := min(fault.Latency, e.cfg.WindowDeadline)
-		if err := e.cfg.Sleep(ctx, stall); err != nil {
+		if err := e.cfg.Sleep(ctx, e.cfg.WindowDeadline); err != nil {
 			return 0, err
 		}
-		if stall == e.cfg.WindowDeadline {
-			return 0, ErrDeadline
-		}
+		return 0, ErrDeadline
 	case FaultCorrupt:
 		vec = make([]float64, len(vec))
 		for i := range vec {

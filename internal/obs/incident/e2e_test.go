@@ -124,8 +124,8 @@ func TestBurnRateTrajectory(t *testing.T) {
 	if got := transitions[1].BurnFast; math.Abs(got-100.0/6) > 0.01 {
 		t.Errorf("page transition gating burn = %v, want ≈16.67", got)
 	}
-	if got := transitions[1].BurnFast; got < slo.DefaultFastBurn {
-		t.Errorf("page fired below the documented threshold: %v < %v", got, slo.DefaultFastBurn)
+	if got := transitions[1].BurnFast; got < slo.FastBurn {
+		t.Errorf("page fired below the documented threshold: %v < %v", got, slo.FastBurn)
 	}
 
 	tick(29, 0.010) // recovery

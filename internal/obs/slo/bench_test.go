@@ -66,25 +66,24 @@ func fleetRegistry(b *testing.B) *obs.Registry {
 
 // BenchmarkTick is the SLO engine's cost per evaluation: one Tick with
 // FleetObjectives over a 2-shard fleet's registry, at steady state, with
-// a full 6 h slow-long window of 10 s samples behind it. At the default
-// 10 s interval the engine's share of one core is ns/op ÷ 10¹⁰.
+// a full 6 h slow-long window of 10 s samples behind it. At the 10 s
+// interval the engine's share of one core is ns/op ÷ 10¹⁰.
 func BenchmarkTick(b *testing.B) {
 	reg := fleetRegistry(b)
 	clock, advance := fixedClock(testBase)
-	eng, err := slo.New(slo.Config{Source: reg, Metrics: obs.NewRegistry(), Now: clock,
+	eng, err := slo.New(slo.Config{Source: reg, Now: clock,
 		Objectives: slo.FleetObjectives(0, 2, 0.65, 0.30)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const interval = 10 * time.Second
-	for i := 0; i < int(slo.DefaultWindows().SlowLong/interval); i++ {
+	for i := 0; i < int(slo.SlowLong/slo.Interval); i++ {
 		eng.Tick()
-		advance(interval)
+		advance(slo.Interval)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Tick()
-		advance(interval)
+		advance(slo.Interval)
 	}
 }

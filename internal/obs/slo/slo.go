@@ -107,32 +107,24 @@ func (o *Objective) validate() error {
 	return nil
 }
 
-// Windows are the four alert windows: the fast rule (page) pairs a
-// short and a long window, the slow rule (ticket) a longer pair. The
-// defaults are the Google SRE workbook's recommended multiwindow
-// setup: 5m+1h page at 14.4× burn, 30m+6h ticket at 6× burn.
-type Windows struct {
-	FastShort time.Duration
-	FastLong  time.Duration
-	SlowShort time.Duration
-	SlowLong  time.Duration
-}
-
-// DefaultWindows returns the documented 5m+1h / 30m+6h window set.
-func DefaultWindows() Windows {
-	return Windows{
-		FastShort: 5 * time.Minute,
-		FastLong:  time.Hour,
-		SlowShort: 30 * time.Minute,
-		SlowLong:  6 * time.Hour,
-	}
-}
-
-// Default burn-rate thresholds: 14.4× consumes a 30-day budget in ~2
-// days (page), 6× in 5 days (ticket).
+// The alert windows, burn-rate thresholds and Run's tick period are
+// constants: the Google SRE workbook's multiwindow setup. The fast rule
+// pages when both FastShort and FastLong burn at FastBurn× or more,
+// which consumes a 30-day budget in about 2 days; the slow rule files a
+// ticket when both SlowShort and SlowLong burn at SlowBurn× or more
+// (5 days). Tests steer time through Config.Now, not through these.
 const (
-	DefaultFastBurn = 14.4
-	DefaultSlowBurn = 6.0
+	FastShort = 5 * time.Minute
+	FastLong  = time.Hour
+	SlowShort = 30 * time.Minute
+	SlowLong  = 6 * time.Hour
+
+	FastBurn = 14.4
+	SlowBurn = 6.0
+
+	// Interval is Run's tick period. Tick itself may be called at any
+	// cadence; windows are measured in time, not ticks.
+	Interval = 10 * time.Second
 )
 
 // Transition is one objective's alert-state change, the event the
@@ -159,21 +151,11 @@ type Transition struct {
 // Config tunes an Engine. Source, Now and at least one objective are
 // required.
 type Config struct {
-	// Source is the registry the objectives read.
+	// Source is the registry the objectives read; the engine's own
+	// rhmd_slo_* instruments register in it too.
 	Source *obs.Registry
-	// Metrics receives the rhmd_slo_* instruments (nil = Source).
-	Metrics *obs.Registry
 	// Now is the injected clock; the engine never reads the wall clock.
 	Now func() time.Time
-	// Interval is Run's tick period (default 10s). Tick itself may be
-	// called at any cadence; windows are measured in time, not ticks.
-	Interval time.Duration
-	// Windows are the four alert windows (zero fields take defaults).
-	Windows Windows
-	// FastBurn and SlowBurn are the burn-rate thresholds (defaults
-	// 14.4 and 6).
-	FastBurn float64
-	SlowBurn float64
 	// Objectives are the SLIs under evaluation.
 	Objectives []Objective
 	// Spans, when non-nil, records each transition as an always-kept
@@ -203,31 +185,6 @@ func (c *Config) fill() error {
 			return fmt.Errorf("slo: duplicate objective name %q", c.Objectives[i].Name)
 		}
 		seen[c.Objectives[i].Name] = true
-	}
-	if c.Metrics == nil {
-		c.Metrics = c.Source
-	}
-	if c.Interval <= 0 {
-		c.Interval = 10 * time.Second
-	}
-	w := &c.Windows
-	if w.FastShort <= 0 {
-		w.FastShort = DefaultWindows().FastShort
-	}
-	if w.FastLong <= 0 {
-		w.FastLong = DefaultWindows().FastLong
-	}
-	if w.SlowShort <= 0 {
-		w.SlowShort = DefaultWindows().SlowShort
-	}
-	if w.SlowLong <= 0 {
-		w.SlowLong = DefaultWindows().SlowLong
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = DefaultFastBurn
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = DefaultSlowBurn
 	}
 	return nil
 }
@@ -303,21 +260,21 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:    cfg,
-		ins:    newInstruments(cfg.Metrics, cfg.Objectives),
+		ins:    newInstruments(cfg.Source, cfg.Objectives),
 		states: make([]AlertState, len(cfg.Objectives)),
 		lastTr: make([]*Transition, len(cfg.Objectives)),
 	}
 	return e, nil
 }
 
-// Run samples once at once, then ticks the engine at Config.Interval
-// until stop closes. The start sample anchors every window at the
-// run's beginning, so one more Tick after a run shorter than an
-// Interval still evaluates all of it. The CLI's serving loop; tests
-// drive Tick directly.
+// Run samples once at once, then ticks the engine every Interval until
+// stop closes. The start sample anchors every window at the run's
+// beginning, so one more Tick after a run shorter than an Interval
+// still evaluates all of it. The CLI's serving loop; tests drive Tick
+// directly.
 func (e *Engine) Run(stop <-chan struct{}) {
 	e.Tick()
-	tick := time.NewTicker(e.cfg.Interval)
+	tick := time.NewTicker(Interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -395,7 +352,7 @@ func (e *Engine) Tick() {
 	e.history = append(e.history, s)
 	// Prune: keep one sample at or before the slow-long edge so the
 	// longest window always has a left endpoint.
-	cutoff := now.Add(-e.cfg.Windows.SlowLong)
+	cutoff := now.Add(-SlowLong)
 	for len(e.history) >= 2 && !e.history[1].at.After(cutoff) {
 		e.history = e.history[1:]
 	}
@@ -427,12 +384,11 @@ func (e *Engine) Tick() {
 func (e *Engine) evaluateLocked(i int, now time.Time) (ObjectiveStatus, *Transition) {
 	o := &e.cfg.Objectives[i]
 	budget := 1 - o.Target
-	w := e.cfg.Windows
 
-	burnFS, _ := e.burnOver(e.history, w.FastShort, i, budget)
-	burnFL, _ := e.burnOver(e.history, w.FastLong, i, budget)
-	burnSS, _ := e.burnOver(e.history, w.SlowShort, i, budget)
-	burnSL, slRatio := e.burnOver(e.history, w.SlowLong, i, budget)
+	burnFS, _ := e.burnOver(e.history, FastShort, i, budget)
+	burnFL, _ := e.burnOver(e.history, FastLong, i, budget)
+	burnSS, _ := e.burnOver(e.history, SlowShort, i, budget)
+	burnSL, slRatio := e.burnOver(e.history, SlowLong, i, budget)
 
 	// Both windows of a rule must exceed its threshold, so the gating
 	// value is the pair's minimum.
@@ -442,9 +398,9 @@ func (e *Engine) evaluateLocked(i int, now time.Time) (ObjectiveStatus, *Transit
 
 	next := StateOK
 	switch {
-	case gateFast >= e.cfg.FastBurn:
+	case gateFast >= FastBurn:
 		next = StatePage
-	case gateSlow >= e.cfg.SlowBurn:
+	case gateSlow >= SlowBurn:
 		next = StateTicket
 	}
 
@@ -473,7 +429,7 @@ func (e *Engine) evaluateLocked(i int, now time.Time) (ObjectiveStatus, *Transit
 			From:      cur, To: next,
 			FromState: cur.String(), ToState: next.String(),
 			At:              now,
-			Reason:          transitionReason(cur, next, gateFast, gateSlow, e.cfg),
+			Reason:          transitionReason(cur, next, gateFast, gateSlow),
 			BurnFast:        gateFast,
 			BurnSlow:        gateSlow,
 			BudgetRemaining: budgetLeft,
@@ -490,18 +446,17 @@ func (e *Engine) evaluateLocked(i int, now time.Time) (ObjectiveStatus, *Transit
 	return st, fired
 }
 
-func transitionReason(from, to AlertState, gateFast, gateSlow float64, cfg Config) string {
-	w := cfg.Windows
+func transitionReason(from, to AlertState, gateFast, gateSlow float64) string {
 	switch to {
 	case StatePage:
 		return fmt.Sprintf("fast burn %.1f ≥ %.1f over both %s and %s",
-			gateFast, cfg.FastBurn, w.FastShort, w.FastLong)
+			gateFast, FastBurn, FastShort, FastLong)
 	case StateTicket:
 		return fmt.Sprintf("slow burn %.1f ≥ %.1f over both %s and %s (fast burn %.1f < %.1f)",
-			gateSlow, cfg.SlowBurn, w.SlowShort, w.SlowLong, gateFast, cfg.FastBurn)
+			gateSlow, SlowBurn, SlowShort, SlowLong, gateFast, FastBurn)
 	default:
 		return fmt.Sprintf("recovered from %s: fast burn %.1f < %.1f, slow burn %.1f < %.1f",
-			from, gateFast, cfg.FastBurn, gateSlow, cfg.SlowBurn)
+			from, gateFast, FastBurn, gateSlow, SlowBurn)
 	}
 }
 
@@ -565,12 +520,12 @@ type Status struct {
 func (e *Engine) Status() Status {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := Status{At: e.at, Interval: e.cfg.Interval.String(),
-		FastBurn: e.cfg.FastBurn, SlowBurn: e.cfg.SlowBurn}
-	st.Windows.FastShort = e.cfg.Windows.FastShort.String()
-	st.Windows.FastLong = e.cfg.Windows.FastLong.String()
-	st.Windows.SlowShort = e.cfg.Windows.SlowShort.String()
-	st.Windows.SlowLong = e.cfg.Windows.SlowLong.String()
+	st := Status{At: e.at, Interval: Interval.String(),
+		FastBurn: FastBurn, SlowBurn: SlowBurn}
+	st.Windows.FastShort = FastShort.String()
+	st.Windows.FastLong = FastLong.String()
+	st.Windows.SlowShort = SlowShort.String()
+	st.Windows.SlowLong = SlowLong.String()
 	st.Objectives = append(st.Objectives, e.last...)
 	sort.Slice(st.Objectives, func(i, j int) bool { return st.Objectives[i].Name < st.Objectives[j].Name })
 	return st

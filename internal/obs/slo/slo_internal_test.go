@@ -82,8 +82,6 @@ func TestHistoryPrune(t *testing.T) {
 	eng, err := New(Config{
 		Source: reg,
 		Now:    func() time.Time { return now },
-		Windows: Windows{FastShort: time.Minute, FastLong: 2 * time.Minute,
-			SlowShort: 2 * time.Minute, SlowLong: 3 * time.Minute},
 		Objectives: []Objective{EventRatio("x", "", 0.9,
 			func(obs.Snapshot) float64 { return 0 }, CounterSeries("rhmd_x_total"))},
 	})
@@ -93,16 +91,16 @@ func TestHistoryPrune(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.Inc()
 		eng.Tick()
-		now = now.Add(time.Minute)
+		now = now.Add(time.Hour)
 	}
-	// With 1m ticks and a 3m slow-long window, steady state is the
-	// current sample, three in-window samples behind it, and the edge.
-	if got := len(eng.history); got > 5 {
-		t.Fatalf("history holds %d samples after 50 ticks; prune is not bounding it (want ≤ 5)", got)
+	// With 1h ticks and the 6h slow-long window, steady state is the
+	// current sample, five in-window samples behind it, and the edge.
+	if got := len(eng.history); got > 7 {
+		t.Fatalf("history holds %d samples after 50 ticks; prune is not bounding it (want ≤ 7)", got)
 	}
 	edge := eng.history[0].at
-	cutoff := eng.history[len(eng.history)-1].at.Add(-3 * time.Minute)
-	if edge.After(cutoff) && len(eng.history) >= 5 {
+	cutoff := eng.history[len(eng.history)-1].at.Add(-SlowLong)
+	if edge.After(cutoff) && len(eng.history) >= 7 {
 		t.Fatalf("oldest retained sample %v is after the slow-long edge %v", edge, cutoff)
 	}
 }

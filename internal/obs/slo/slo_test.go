@@ -99,12 +99,10 @@ func TestBoundObjectiveNaN(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock, advance := fixedClock(testBase)
 	eng, err := slo.New(slo.Config{
-		Source:   reg,
-		Now:      clock,
-		Windows:  slo.Windows{FastShort: time.Second, FastLong: 2 * time.Second, SlowShort: 3 * time.Second, SlowLong: 4 * time.Second},
-		FastBurn: 2, SlowBurn: 1.5,
+		Source: reg,
+		Now:    clock,
 		Objectives: []slo.Objective{
-			slo.BoundMin("floor", "", 0.5, 0.65, slo.GaugeSeries("rhmd_missing_gauge")),
+			slo.BoundMin("floor", "", 0.99, 0.65, slo.GaugeSeries("rhmd_missing_gauge")),
 		},
 	})
 	if err != nil {
@@ -112,24 +110,22 @@ func TestBoundObjectiveNaN(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		eng.Tick()
-		advance(time.Second)
+		advance(time.Minute)
 	}
 	if got := eng.State("floor"); got != slo.StateOK {
 		t.Fatalf("bound objective over a missing gauge = %v, want StateOK", got)
 	}
 
 	// Same objective with the gauge present and sitting below the
-	// floor: every sample violates, ratio 1, burn 1/(1−0.5) = 2 over
+	// floor: every sample violates, ratio 1, burn 1/(1−0.99) = 100 over
 	// every window once two samples exist — a page.
 	g := reg.Gauge("rhmd_present_gauge", "g")
 	g.Set(0.2)
 	eng2, err := slo.New(slo.Config{
-		Source:   reg,
-		Now:      clock,
-		Windows:  slo.Windows{FastShort: time.Second, FastLong: 2 * time.Second, SlowShort: 3 * time.Second, SlowLong: 4 * time.Second},
-		FastBurn: 2, SlowBurn: 1.5,
+		Source: reg,
+		Now:    clock,
 		Objectives: []slo.Objective{
-			slo.BoundMin("floor", "", 0.5, 0.65, slo.GaugeSeries("rhmd_present_gauge")),
+			slo.BoundMin("floor", "", 0.99, 0.65, slo.GaugeSeries("rhmd_present_gauge")),
 		},
 	})
 	if err != nil {
@@ -139,16 +135,17 @@ func TestBoundObjectiveNaN(t *testing.T) {
 	if got := eng2.State("floor"); got != slo.StateOK {
 		t.Fatalf("one violating sample already alerts: %v (partial windows must need a delta)", got)
 	}
-	advance(time.Second)
+	advance(time.Minute)
 	eng2.Tick()
 	if got := eng2.State("floor"); got != slo.StatePage {
 		t.Fatalf("gauge below floor for two samples = %v, want StatePage", got)
 	}
-	// Recovery: the gauge climbs above the floor; violations age out of
-	// the windows and the objective returns to OK.
+	// Recovery: the gauge climbs above the floor; once the violations
+	// are a slow short window old, both short windows are clean and the
+	// objective returns to OK.
 	g.Set(0.9)
-	for i := 0; i < 6; i++ {
-		advance(time.Second)
+	for i := 0; i < int(slo.SlowShort/time.Minute); i++ {
+		advance(time.Minute)
 		eng2.Tick()
 	}
 	if got := eng2.State("floor"); got != slo.StateOK {
@@ -225,11 +222,9 @@ func TestTransitionTelemetry(t *testing.T) {
 
 	var hooked []slo.Transition
 	eng, err := slo.New(slo.Config{
-		Source:   reg,
-		Now:      clock,
-		Windows:  slo.Windows{FastShort: time.Second, FastLong: 2 * time.Second, SlowShort: 3 * time.Second, SlowLong: 4 * time.Second},
-		FastBurn: 2, SlowBurn: 1.5,
-		Objectives: []slo.Objective{slo.EventRatio("avail", "availability", 0.5,
+		Source: reg,
+		Now:    clock,
+		Objectives: []slo.Objective{slo.EventRatio("avail", "availability", 0.99,
 			slo.CounterSeries("rhmd_bad_total"), slo.CounterSeries("rhmd_all_total"))},
 		Spans:        spans,
 		OnTransition: func(tr slo.Transition) { hooked = append(hooked, tr) },
@@ -239,16 +234,16 @@ func TestTransitionTelemetry(t *testing.T) {
 	}
 
 	eng.Tick() // baseline, no traffic
-	advance(time.Second)
+	advance(time.Minute)
 	bad.Add(10)
 	tot.Add(10)
-	eng.Tick() // 100% bad over every window: burn 2 ≥ 2 → page
+	eng.Tick() // 100% bad over every window: burn 100 ≥ 14.4 → page
 	if got := eng.State("avail"); got != slo.StatePage {
 		t.Fatalf("state after total failure = %v, want StatePage", got)
 	}
-	advance(time.Second)
-	tot.Add(10)
-	eng.Tick() // fast windows recover → back to OK (slow burn 1 < 1.5)
+	advance(slo.FastShort)
+	tot.Add(1000)
+	eng.Tick() // the fast short window holds no bad event → back to OK (slow burn 0.99 < 6)
 	if got := eng.State("avail"); got != slo.StateOK {
 		t.Fatalf("state after recovery = %v, want StateOK", got)
 	}
@@ -262,8 +257,8 @@ func TestTransitionTelemetry(t *testing.T) {
 	if hooked[1].ToState != "ok" || !strings.Contains(hooked[1].Reason, "recovered") {
 		t.Errorf("second transition to %q (%q), want ok/recovered", hooked[1].ToState, hooked[1].Reason)
 	}
-	if hooked[0].At != testBase.Add(time.Second) {
-		t.Errorf("page transition at %v, want %v", hooked[0].At, testBase.Add(time.Second))
+	if hooked[0].At != testBase.Add(time.Minute) {
+		t.Errorf("page transition at %v, want %v", hooked[0].At, testBase.Add(time.Minute))
 	}
 
 	kept := spans.Snapshot()
@@ -322,12 +317,13 @@ func TestHandler(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
 		t.Fatalf("GET /slo returned unparsable JSON: %v", err)
 	}
-	if len(st.Objectives) != 6 || st.FastBurn != slo.DefaultFastBurn {
-		t.Fatalf("GET /slo = %d objectives, fast burn %v; want 6 and %v",
-			len(st.Objectives), st.FastBurn, slo.DefaultFastBurn)
+	if len(st.Objectives) != 6 || st.FastBurn != 14.4 || st.SlowBurn != 6 {
+		t.Fatalf("GET /slo = %d objectives, burn thresholds %v and %v; want 6, 14.4 and 6",
+			len(st.Objectives), st.FastBurn, st.SlowBurn)
 	}
-	if st.Windows.FastShort != "5m0s" || st.Windows.SlowLong != "6h0m0s" {
-		t.Errorf("GET /slo windows = %+v, want the documented 5m/1h/30m/6h set", st.Windows)
+	if w := st.Windows; st.Interval != "10s" || w.FastShort != "5m0s" || w.FastLong != "1h0m0s" ||
+		w.SlowShort != "30m0s" || w.SlowLong != "6h0m0s" {
+		t.Errorf("GET /slo interval %s, windows %+v; want 10s and the documented 5m/1h/30m/6h set", st.Interval, w)
 	}
 }
 
@@ -336,13 +332,10 @@ func TestHandler(t *testing.T) {
 // the Tick that follows it.
 func TestRunSamplesAtStart(t *testing.T) {
 	reg := obs.NewRegistry()
-	sloReg := obs.NewRegistry()
 	clock, advance := fixedClock(testBase)
 	eng, err := slo.New(slo.Config{
 		Source:     reg,
-		Metrics:    sloReg,
 		Now:        clock,
-		Interval:   time.Hour,
 		Objectives: slo.FleetObjectives(0, 1, 0.65, 0.30),
 	})
 	if err != nil {
@@ -353,10 +346,11 @@ func TestRunSamplesAtStart(t *testing.T) {
 		defer close(done)
 		eng.Run(stop)
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for sloReg.Snapshot().Counter("rhmd_slo_evaluations_total") == 0 {
+	// Half an Interval: a sample seen by then was not the ticker's.
+	deadline := time.Now().Add(slo.Interval / 2)
+	for reg.Snapshot().Counter("rhmd_slo_evaluations_total") == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("Run took no sample before its first one-hour interval")
+			t.Fatalf("Run took no sample in the first half of its %v interval", slo.Interval)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -68,10 +68,11 @@ type Config struct {
 	// uses it to compare "same useful work" executions: the dynamic
 	// overhead is Stats.Injected / Stats.Original.
 	BudgetOriginalOnly bool
-	// MaxCallDepth bounds the simulated call stack; deeper calls are
-	// elided (the call event is still emitted). Defaults to 64.
-	MaxCallDepth int
 }
+
+// maxCallDepth bounds the simulated call stack; deeper calls are
+// elided (the call event is still emitted).
+const maxCallDepth = 64
 
 // Stats summarizes an execution.
 type Stats struct {
@@ -232,11 +233,6 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 	if err := p.Validate(); err != nil {
 		return Stats{}, fmt.Errorf("trace: %w", err)
 	}
-	depth := cfg.MaxCallDepth
-	if depth <= 0 {
-		depth = 64
-	}
-
 	r := rng.NewKeyed(p.Seed, "trace")
 	mem := newMemState(rng.NewKeyed(p.Seed, "mem"), p.Mem)
 
@@ -329,7 +325,7 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 				bi++
 			}
 		case prog.TermCall:
-			if len(stack) < depth {
+			if len(stack) < maxCallDepth {
 				stack = append(stack, frame{fn: fi, block: bi + 1})
 				fi, bi = t.Callee, 0
 			} else {
