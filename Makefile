@@ -51,13 +51,13 @@ perfgate:
 # End-to-end smoke for verdict span tracing, the fleet's metrics and
 # the SLO/incident endpoints: boot rhmd-monitor with -metrics-addr
 # (which alone turns the span recorder on), -trace-out and -slo, scrape
-# /traces, /metrics, /fleet and /slo, and fail unless the kept set is
-# non-empty, the sampler's kept counter agrees, the -trace-out file
-# holds the same trace IDs, every shard has verdict latencies on
-# /metrics and a row on /fleet, and /slo lists the six standard
-# objectives. It runs once at one shard and once with -shards 2 over a
-# checkpoint root and an -incident-dir, where /incidents must list its
-# bundles. CI runs this in the bench job so the pipeline stays wired,
+# /, /traces, /metrics, /fleet and /slo, and fail unless the index page
+# at / links the endpoints, the kept set is non-empty, the sampler's
+# kept counter agrees, the -trace-out file holds the same trace IDs,
+# every shard has verdict latencies on /metrics and a row on /fleet,
+# and /slo lists the six standard objectives. It runs once at one shard
+# and once with -shards 2 over a checkpoint root and an -incident-dir,
+# where /incidents must list its bundles. CI runs this in the bench job so the pipeline stays wired,
 # not just unit-tested.
 trace-smoke:
 	./scripts/trace_smoke.sh

@@ -62,7 +62,7 @@ func main() {
 			defer cancel()
 			shutdown(sctx)
 		}()
-		fmt.Printf("observability endpoint on http://%s (/metrics, /debug/pprof)\n", addr)
+		fmt.Printf("observability endpoint on http://%s (%s)\n", addr, strings.Join(obs.Paths(reg), ", "))
 	}
 
 	if *list {

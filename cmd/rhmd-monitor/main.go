@@ -343,12 +343,8 @@ func main() {
 				}
 			}()
 		}
-		paths := []string{"/metrics"}
-		for _, m := range mounts {
-			paths = append(paths, m.Path)
-		}
-		paths = append(paths, "/debug/pprof")
-		fmt.Fprintf(info, "observability endpoint on http://%s (%s)\n", addr, strings.Join(paths, ", "))
+		paths := strings.Join(obs.Paths(fl.Registry(), mounts...), ", ")
+		fmt.Fprintf(info, "observability endpoint on http://%s (%s)\n", addr, paths)
 	}
 
 	start := time.Now()

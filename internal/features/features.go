@@ -173,37 +173,55 @@ func (c *counts) add(o *counts) {
 func (w *WindowSet) appendRow(c *counts, start, end int) {
 	n := float64(end - start)
 
-	iv := make([]float64, isa.NumOps)
+	iv := w.nextRow(Instructions, isa.NumOps)
 	for i := range iv {
 		iv[i] = c.ops[i] / n
 	}
-	mv := make([]float64, MemBins)
+	mv := w.nextRow(Memory, MemBins)
 	if c.memRefs > 0 {
 		for i := range mv {
 			mv[i] = c.mem[i] / c.memRefs
 		}
+	} else {
+		// A reused row still holds an earlier window's distribution.
+		clear(mv)
 	}
-	av := make([]float64, ArchDim)
+	av := w.nextRow(Architectural, ArchDim)
 	for i := range av {
 		av[i] = c.arch[i] / n
 	}
 
-	w.Vectors[Instructions] = append(w.Vectors[Instructions], iv)
-	w.Vectors[Memory] = append(w.Vectors[Memory], mv)
-	w.Vectors[Architectural] = append(w.Vectors[Architectural], av)
 	w.Bounds = append(w.Bounds, [2]int{start, end})
 	w.Windows++
 }
 
-// extractor implements trace.Sink. It runs the shared µarch pipeline
-// once per event and tallies the event into the open block; nextLen
-// yields the length of each successive block. Without periods every
-// block is one window of out (scheduled extraction). With periods,
-// blocks end at every period's window boundaries and each block is
-// folded into every period's open window, so one pass serves them all.
+// nextRow extends kind k's matrix by one row of dim values and returns
+// it. A row an earlier set left past the matrix's length (see
+// Extractor) is reused as it stands, so the caller overwrites every
+// value.
+func (w *WindowSet) nextRow(k Kind, dim int) []float64 {
+	rows := w.Vectors[k]
+	if n := len(rows); n < cap(rows) {
+		if row := rows[:n+1][n]; row != nil {
+			w.Vectors[k] = rows[:n+1]
+			return row
+		}
+	}
+	row := make([]float64, dim)
+	w.Vectors[k] = append(rows, row)
+	return row
+}
+
+// extractor implements trace.Sink. It runs the µarch pipeline once
+// per event and tallies the event into the open block; nextLen yields
+// the length of each successive block. Without periods every block is
+// one window of out, its length drawn from the caller's schedule next
+// (scheduled extraction). With periods, blocks end at every period's
+// window boundaries and each block is folded into every period's open
+// window, so one pass serves them all.
 type extractor struct {
-	nextLen func() int
-	pipe    *uarch.Pipeline
+	next func() int
+	pipe *uarch.Pipeline
 
 	curLen   int
 	start    int
@@ -324,6 +342,18 @@ func (x *extractor) flush() {
 	x.block = counts{}
 }
 
+// nextLen is the length of the next block: the caller's next window,
+// or the nearest period boundary.
+func (x *extractor) nextLen() int {
+	if x.periods != nil {
+		return x.nextBoundary()
+	}
+	if n := x.next(); n > 0 {
+		return n
+	}
+	return 1 // defensive: a broken schedule must not wedge extraction
+}
+
 // nextBoundary is the block length that reaches the nearest end of an
 // open period window.
 func (x *extractor) nextBoundary() int {
@@ -366,7 +396,6 @@ func ExtractPeriods(p *prog.Program, periods []int, maxInstr int) ([]*WindowSet,
 		wins[i] = &periodWindows{set: WindowSet{Period: period}}
 	}
 	x := &extractor{pipe: uarch.NewDefaultPipeline(), periods: wins}
-	x.nextLen = x.nextBoundary
 	x.curLen = x.nextBoundary()
 	if _, err := trace.Exec(p, trace.Config{MaxInstructions: maxInstr}, x); err != nil {
 		return nil, err
@@ -386,8 +415,27 @@ func ExtractPeriods(p *prog.Program, periods []int, maxInstr int) ([]*WindowSet,
 // positive value). This is how an RHMD with heterogeneous collection
 // periods observes a program — each window's length is that of the base
 // detector randomly selected for it. The trailing partial window is
-// discarded.
+// discarded. The set is the caller's: ExtractScheduled is
+// Extractor.Scheduled on an extractor used once.
 func ExtractScheduled(p *prog.Program, next func() int, maxInstr int) (*WindowSet, error) {
+	return new(Extractor).Scheduled(p, next, maxInstr)
+}
+
+// Extractor is the state scheduled extraction keeps between calls: one
+// µarch pipeline, reset for each program as the paper's detectors see
+// one running core's commit stage (§7), and the rows of the last set,
+// overwritten in place by the next. A monitor worker owns one for its
+// lifetime. The zero value is ready to use; an Extractor is not safe
+// for concurrent use.
+type Extractor struct {
+	x extractor
+}
+
+// Scheduled is ExtractScheduled on e's pipeline and rows. The set it
+// returns, and every row in it, stays valid only until the next call.
+// Every call starts from a reset pipeline and zero tallies, also after
+// a call that the schedule or the trace ended with a panic.
+func (e *Extractor) Scheduled(p *prog.Program, next func() int, maxInstr int) (*WindowSet, error) {
 	if maxInstr <= 0 {
 		return nil, fmt.Errorf("features: trace budget %d must be positive", maxInstr)
 	}
@@ -395,17 +443,10 @@ func ExtractScheduled(p *prog.Program, next func() int, maxInstr int) (*WindowSe
 	if first <= 0 {
 		return nil, fmt.Errorf("features: schedule produced non-positive window %d", first)
 	}
-	x := &extractor{
-		nextLen: func() int {
-			n := next()
-			if n <= 0 {
-				n = 1 // defensive: a broken schedule must not wedge extraction
-			}
-			return n
-		},
-		curLen: first,
-		pipe:   uarch.NewDefaultPipeline(),
-	}
+	x := &e.x
+	x.reset(next, first)
+	// The extractor keeps no reference to a finished call's schedule.
+	defer func() { x.next = nil }()
 	if _, err := trace.Exec(p, trace.Config{MaxInstructions: maxInstr}, x); err != nil {
 		return nil, err
 	}
@@ -413,6 +454,24 @@ func ExtractScheduled(p *prog.Program, next func() int, maxInstr int) (*WindowSe
 		return nil, fmt.Errorf("features: scheduled trace of %q produced no complete windows", p.Name)
 	}
 	return &x.out, nil
+}
+
+// reset readies x for a scheduled trace whose first window is first
+// instructions long: the pipeline reset (made on first use), every
+// tally and position zeroed, and the previous set's rows kept only as
+// capacity for nextRow.
+func (x *extractor) reset(next func() int, first int) {
+	pipe := x.pipe
+	if pipe == nil {
+		pipe = uarch.NewDefaultPipeline()
+	} else {
+		pipe.Reset()
+	}
+	out := WindowSet{Bounds: x.out.Bounds[:0]}
+	for k, rows := range x.out.Vectors {
+		out.Vectors[k] = rows[:0]
+	}
+	*x = extractor{next: next, pipe: pipe, curLen: first, out: out}
 }
 
 // TopDeltaIndices implements the paper's instruction-feature selection:
@@ -480,13 +539,4 @@ func Project(rows [][]float64, idx []int) [][]float64 {
 		out[r] = v
 	}
 	return out
-}
-
-// ProjectRow restricts a single vector to the selected columns.
-func ProjectRow(row []float64, idx []int) []float64 {
-	v := make([]float64, len(idx))
-	for i, c := range idx {
-		v[i] = row[c]
-	}
-	return v
 }

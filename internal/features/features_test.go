@@ -241,10 +241,6 @@ func TestProject(t *testing.T) {
 	if got[0][0] != 3 || got[0][1] != 1 || got[1][0] != 6 || got[1][1] != 4 {
 		t.Fatalf("Project = %v", got)
 	}
-	row := ProjectRow([]float64{7, 8, 9}, []int{1})
-	if len(row) != 1 || row[0] != 8 {
-		t.Fatalf("ProjectRow = %v", row)
-	}
 }
 
 func TestKindParseRoundTrip(t *testing.T) {
@@ -357,18 +353,27 @@ func TestExtractScheduledErrors(t *testing.T) {
 
 // BenchmarkExtractScheduled40K is the verdict path's extraction rung: a
 // 40,000-instruction trace under a mixed-period schedule, as a monitor
-// engine runs it for every submitted program.
+// engine runs it for every submitted program. fresh builds a new
+// pipeline and rows per call (ExtractScheduled); reused runs one warm
+// Extractor, as each monitor worker does.
 func BenchmarkExtractScheduled40K(b *testing.B) {
 	p := genProgram(b, 0, 1)
 	lens := []int{1000, 1500, 2000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := 0
-		next := func() int { k++; return lens[k%len(lens)] }
-		if _, err := ExtractScheduled(p, next, 40_000); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, extract func(func() int) (*WindowSet, error)) {
+		b.ReportAllocs()
+		b.SetBytes(40_000)
+		for i := 0; i < b.N; i++ {
+			k := 0
+			if _, err := extract(func() int { k++; return lens[k%len(lens)] }); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
-	b.SetBytes(40_000)
+	b.Run("fresh", func(b *testing.B) {
+		run(b, func(next func() int) (*WindowSet, error) { return ExtractScheduled(p, next, 40_000) })
+	})
+	b.Run("reused", func(b *testing.B) {
+		var ext Extractor
+		run(b, func(next func() int) (*WindowSet, error) { return ext.Scheduled(p, next, 40_000) })
+	})
 }

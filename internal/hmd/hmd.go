@@ -131,18 +131,20 @@ func Train(spec Spec, wd *dataset.WindowData, seed uint64) (*Detector, error) {
 	}, nil
 }
 
-// project applies the detector's feature selection to a raw vector.
-func (d *Detector) project(raw []float64) []float64 {
-	if d.FeatureIdx == nil {
-		return raw
-	}
-	return features.ProjectRow(raw, d.FeatureIdx)
-}
-
 // ScoreWindow returns the classifier score for one raw feature vector of
-// the detector's kind.
+// the detector's kind. Selection and scaling fill one vector: value j is
+// (raw[FeatureIdx[j]] − Mean[j]) / Std[j], the operations
+// Scaler.Transform performs on a projected row, in the same order.
 func (d *Detector) ScoreWindow(raw []float64) float64 {
-	return d.Model.Score(d.Scaler.Transform(d.project(raw)))
+	s := d.Scaler
+	if d.FeatureIdx == nil {
+		return d.Model.Score(s.Transform(raw))
+	}
+	z := make([]float64, len(d.FeatureIdx))
+	for j, c := range d.FeatureIdx {
+		z[j] = (raw[c] - s.Mean[j]) / s.Std[j]
+	}
+	return d.Model.Score(z)
 }
 
 // DecideWindow returns the thresholded decision (1 = malware) for one

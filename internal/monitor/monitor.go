@@ -32,6 +32,7 @@ import (
 
 	"rhmd/internal/checkpoint"
 	"rhmd/internal/core"
+	"rhmd/internal/features"
 	"rhmd/internal/obs"
 	"rhmd/internal/obs/span"
 	"rhmd/internal/prog"
@@ -486,7 +487,9 @@ func gaugeCount(g *obs.Gauge) uint64 {
 
 // worker consumes the queue until it closes or ctx is cancelled,
 // handing each finished verdict to the committer and taking the next
-// program at once. A panic that escapes per-program recovery (a
+// program at once. The worker owns one feature extractor for its
+// lifetime, so its verdicts reuse one µarch pipeline and one set of
+// window rows. A panic that escapes per-program recovery (a
 // deliberate FaultWorkerCrash, or a real bug) is absorbed here: the
 // worker dies — it is never replaced — but the engine survives, counts
 // the crash, and notifies Config.OnWorkerCrash so a supervisor can
@@ -504,6 +507,7 @@ func (e *Engine) worker(ctx context.Context) {
 			e.crashed(fmt.Errorf("monitor: worker crashed: %v", r))
 		}
 	}()
+	var ext features.Extractor
 	for {
 		select {
 		case <-ctx.Done():
@@ -517,7 +521,7 @@ func (e *Engine) worker(ctx context.Context) {
 			tr := sub.tr
 			tr.EndSpan(sub.wait)
 			wk := tr.StartSpan(span.StageWorker, nil)
-			rep := e.process(ctx, sub.p, tr, wk)
+			rep := e.process(ctx, &ext, sub.p, tr, wk)
 			tr.EndSpan(wk)
 			// The wal-fsync span runs from the hand-off until the batch
 			// holding the verdict is durable. The committer drains until

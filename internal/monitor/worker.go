@@ -31,13 +31,15 @@ func (wc workerCrash) String() string {
 }
 
 // process monitors one program end to end: schedule windows over the
-// live pool, classify each with fault handling, aggregate the
-// majority-rule verdict. A panic anywhere in tracing or extraction is
-// converted into a program-level error so one poisoned trace cannot
-// take a worker down. tr is the verdict's span trace (nil when verdict
-// tracing is off) and wk the enclosing worker span; process hangs
-// feature-extraction, draw, classify and vote spans off them.
-func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, wk *span.Span) (rep Report) {
+// live pool, extract them with the worker's ext, classify each with
+// fault handling, aggregate the majority-rule verdict. A panic anywhere
+// in tracing or extraction is converted into a program-level error so
+// one poisoned trace cannot take a worker down; ext resets itself on
+// its next call. Every window row is read before process returns, so
+// none outlives the call. tr is the verdict's span trace (nil when
+// verdict tracing is off) and wk the enclosing worker span; process
+// hangs feature-extraction, draw, classify and vote spans off them.
+func (e *Engine) process(ctx context.Context, ext *features.Extractor, p *prog.Program, tr *span.Trace, wk *span.Span) (rep Report) {
 	// One generation load per program: the whole verdict — scheduling,
 	// classification, breaker reporting — runs against this pool even if
 	// SwapPool publishes a newer generation mid-program. The report
@@ -104,7 +106,7 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 		}
 		return g.rhmd.Detectors[idx].Spec.Period
 	}
-	ws, err := features.ExtractScheduled(p, next, e.cfg.TraceLen)
+	ws, err := ext.Scheduled(p, next, e.cfg.TraceLen)
 	tr.EndSpan(feat)
 	if err != nil {
 		if feat != nil {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"html"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"time"
 )
 
@@ -54,11 +56,41 @@ type Mount struct {
 
 // NewMux assembles the introspection endpoint: /metrics (negotiated
 // Prometheus/OpenMetrics exposition), /traces (kept verdict traces; an
-// empty set until a span recorder is mounted over it), /healthz, and
-// the standard net/http/pprof handlers under /debug/pprof/ — all on one
-// private mux so importing obs never touches http.DefaultServeMux.
-// Extra mounts override defaults by path.
+// empty set until a span recorder is mounted over it), /healthz, the
+// standard net/http/pprof handlers under /debug/pprof/, and an index
+// page at / that links every path Paths lists — all on one private mux
+// so importing obs never touches http.DefaultServeMux. Extra mounts
+// override defaults by path. Every other path is 404.
 func NewMux(reg *Registry, mounts ...Mount) *http.ServeMux {
+	mux := http.NewServeMux()
+	for path, h := range routes(reg, mounts) {
+		mux.Handle(path, h)
+	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	// GET also answers HEAD; {$} matches "/" alone.
+	mux.Handle("GET /{$}", indexHandler(Paths(reg, mounts...)))
+	return mux
+}
+
+// Paths lists the paths NewMux(reg, mounts...) serves, sorted, with
+// the pprof handlers under their own index, /debug/pprof/. The index
+// page at / links them, and rhmd-monitor's start-up line prints them.
+func Paths(reg *Registry, mounts ...Mount) []string {
+	paths := []string{"/debug/pprof/"}
+	for path := range routes(reg, mounts) {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// routes maps each path NewMux serves, / and the pprof handlers aside,
+// to its handler.
+func routes(reg *Registry, mounts []Mount) map[string]http.Handler {
 	handlers := map[string]http.Handler{
 		"/traces": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -75,16 +107,20 @@ func NewMux(reg *Registry, mounts ...Mount) *http.ServeMux {
 	for _, m := range mounts {
 		handlers[m.Path] = m.Handler
 	}
-	mux := http.NewServeMux()
-	for path, h := range handlers {
-		mux.Handle(path, h)
-	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return handlers
+}
+
+// indexHandler serves the index page: one link per path.
+func indexHandler(paths []string) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		fmt.Fprintln(w, "<!DOCTYPE html>\n<title>rhmd</title>\n<ul>")
+		for _, p := range paths {
+			p = html.EscapeString(p)
+			fmt.Fprintf(w, "<li><a href=\"%s\">%s</a></li>\n", p, p)
+		}
+		fmt.Fprintln(w, "</ul>")
+	})
 }
 
 // maxRequestBody caps request bodies on the introspection endpoint. No

@@ -125,3 +125,55 @@ func TestRequestBodyCap(t *testing.T) {
 		t.Fatalf("chunked small body rejected: status %d", w.Code)
 	}
 }
+
+// TestIndexPage: GET and HEAD / answer with a page linking every path
+// the mux serves, in sorted order, /debug/pprof/ and mounts included;
+// Paths is that list. Other methods on / are refused, and every other
+// unknown path stays 404.
+func TestIndexPage(t *testing.T) {
+	mounts := []Mount{{Path: "/fleet", Handler: JSONHandler(func() any { return nil })}}
+	want := []string{"/debug/pprof/", "/fleet", "/healthz", "/metrics", "/traces"}
+	if got := Paths(NewRegistry(), mounts...); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Paths = %v, want %v", got, want)
+	}
+	mux := NewMux(NewRegistry(), mounts...)
+
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/", nil))
+	if rr.Code != 200 || !strings.HasPrefix(rr.Header().Get("Content-Type"), "text/html") {
+		t.Fatalf("GET / = %d (%s), want 200 text/html", rr.Code, rr.Header().Get("Content-Type"))
+	}
+	page, at := rr.Body.String(), 0
+	for _, p := range want {
+		link := `<a href="` + p + `">` + p + `</a>`
+		i := strings.Index(page[at:], link)
+		if i < 0 {
+			t.Fatalf("GET / lacks %s after byte %d, or lists it out of order:\n%s", link, at, page)
+		}
+		at += i + len(link)
+	}
+	for _, p := range want {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", p, nil))
+		if rr.Code != 200 {
+			t.Fatalf("GET %s (linked from /) = %d, want 200", p, rr.Code)
+		}
+	}
+
+	for _, c := range []struct {
+		method, path string
+		code         int
+	}{
+		{"HEAD", "/", 200},
+		{"POST", "/", http.StatusMethodNotAllowed},
+		{"GET", "/index.html", 404},
+		{"GET", "/nope", 404},
+		{"GET", "/events", 404},
+	} {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(c.method, c.path, nil))
+		if rr.Code != c.code {
+			t.Fatalf("%s %s = %d, want %d", c.method, c.path, rr.Code, c.code)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package uarch
 
 import (
+	"reflect"
 	"testing"
 
 	"rhmd/internal/isa"
+	"rhmd/internal/rng"
 	"rhmd/internal/trace"
 )
 
@@ -205,12 +207,27 @@ func TestPipelineProcess(t *testing.T) {
 	}
 }
 
+// TestPipelineResetIsolation: after a seeded stream of branches and
+// memory references, a reset pipeline is a new one — every PHT counter,
+// the global history and both caches' lines — so a reused pipeline
+// leaks nothing of one program into the next one's features.
 func TestPipelineResetIsolation(t *testing.T) {
 	p := NewDefaultPipeline()
-	for a := uint64(0); a < 8<<10; a += 64 {
-		p.Process(&trace.Event{Op: isa.MOVLD, Addr: 0x20000000 + a})
+	r := rng.New(207)
+	for i := 0; i < 50_000; i++ {
+		if r.Bool(0.5) {
+			p.Process(&trace.Event{Op: isa.JCC, PC: 0x400000 + uint64(r.Intn(1<<16)), Taken: r.Bool(0.6)})
+		} else {
+			p.Process(&trace.Event{Op: isa.MOVLD, Addr: 0x20000000 + uint64(r.Intn(1<<20))})
+		}
+	}
+	if reflect.DeepEqual(p, NewDefaultPipeline()) {
+		t.Fatal("the seeded stream left no state to reset")
 	}
 	p.Reset()
+	if !reflect.DeepEqual(p, NewDefaultPipeline()) {
+		t.Fatal("a reset pipeline differs from a new one")
+	}
 	out := p.Process(&trace.Event{Op: isa.MOVLD, Addr: 0x20000000})
 	if !out.L1Miss {
 		t.Fatal("reset did not invalidate cache")

@@ -2,13 +2,15 @@
 # trace_smoke.sh — end-to-end smoke for verdict span tracing, the
 # fleet's metrics and the SLO/incident endpoints: boot rhmd-monitor on an
 # ephemeral port (-metrics-addr alone turns the span recorder on) with
-# -trace-out and -slo, scrape /traces, /metrics, /fleet and /slo during
-# the -hold window, and fail unless the kept set is non-empty and shaped
-# like span trees, the -trace-out file holds the same trace IDs, /events
-# is gone, every shard has verdict latencies on /metrics and a row on
-# /fleet, and /slo lists the six standard objectives. Runs once with the
-# default single shard and once with -shards 2 over a checkpoint root
-# and an -incident-dir, where /incidents must answer with its listing.
+# -trace-out and -slo, scrape /, /traces, /metrics, /fleet and /slo
+# during the -hold window, and fail unless the index page at / links
+# the endpoints, the kept set is non-empty and shaped like span trees,
+# the -trace-out file holds the same trace IDs, /events is gone, every
+# shard has verdict latencies on /metrics and a row on /fleet, and /slo
+# lists the six standard objectives. Runs once with the default single
+# shard and once with -shards 2 over a checkpoint root and an
+# -incident-dir, where /incidents must answer with its listing and be
+# linked from /.
 # A last run exercises the black box: a fatal start-up error over a
 # checkpoint root must exit 1 and leave trace-crash.json holding a JSON
 # array. Run via `make trace-smoke`.
@@ -63,10 +65,18 @@ smoke() {
   fi
 
   traces="$run/traces.json"
+  curl -fsS "http://$addr/" >"$run/index.html"
   curl -fsS "http://$addr/traces" >"$traces"
   curl -fsS "http://$addr/metrics" >"$run/metrics.txt"
   curl -fsS "http://$addr/fleet" >"$run/fleet.json"
   curl -fsS "http://$addr/slo" >"$run/slo.json"
+
+  # The index page links every endpoint the leg mounts.
+  linked="/metrics /traces /fleet /slo"
+  [ -n "$incidents" ] && linked="$linked /incidents"
+  for path in $linked; do
+    grep -q "href=\"$path\"" "$run/index.html" || { echo "trace-smoke[$name]: / does not link $path" >&2; cat "$run/index.html" >&2; exit 1; }
+  done
 
   # Non-empty kept set with the span-tree fields present.
   grep -q '"trace_id"' "$traces" || { echo "trace-smoke[$name]: /traces has no kept traces" >&2; cat "$traces" >&2; exit 1; }
@@ -137,7 +147,7 @@ smoke() {
   monpid=""
 
   count="$(wc -l <"$run/served.ids" | tr -d ' ')"
-  echo "trace-smoke[$name]: OK ($count kept traces on /traces and in -trace-out, kept counter $kept, $shards shard(s) on /metrics and /fleet, /events 404, $report)"
+  echo "trace-smoke[$name]: OK (/ links $linked, $count kept traces on /traces and in -trace-out, kept counter $kept, $shards shard(s) on /metrics and /fleet, /events 404, $report)"
 }
 
 smoke one 1 -slo
