@@ -102,8 +102,8 @@ drifttest:
 
 # Reproduction pin: a fresh full-scale, seed-42 rhmd-bench run must
 # rewrite every committed results/*.csv byte for byte; the target names
-# each file that differs (about 3 minutes on 2 vCPUs; CI runs it in the
-# reprotest job). See scripts/reprotest.sh.
+# each file that differs (about 1.5 minutes on 2 vCPUs; CI runs it in
+# the reprotest job). See scripts/reprotest.sh.
 reprotest:
 	./scripts/reprotest.sh
 

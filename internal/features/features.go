@@ -142,45 +142,82 @@ type WindowSet struct {
 // Rows returns the feature matrix for one kind.
 func (w *WindowSet) Rows(k Kind) [][]float64 { return w.Vectors[k] }
 
-// counts are the raw event tallies of one stretch of a trace. Each
-// tally is a whole number held in a float64, so the tallies of
-// consecutive stretches add up exactly.
-type counts struct {
-	ops     [isa.NumOps]float64
-	mem     [MemBins]float64
-	memRefs float64
-	arch    [ArchDim]float64
+// tally is the raw event counts of one stretch of a trace: the opcode
+// histogram, the memory-delta bins, and the architectural counters
+// that depend on the µarch state (taken branches, mispredicts, L1 and
+// L2 misses, unaligned accesses). The other architectural counters and
+// the number of memory references depend on the opcode alone, so
+// appendRow derives them from ops (see opArch) and they stay zero here.
+type tally struct {
+	ops  [isa.NumOps]int
+	mem  [MemBins]int
+	arch [ArchDim]int
 }
 
-// add folds o's tallies into c.
-func (c *counts) add(o *counts) {
-	for i := range c.ops {
-		c.ops[i] += o.ops[i]
+// add folds o's counts into t.
+func (t *tally) add(o *tally) {
+	for i := range t.ops {
+		t.ops[i] += o.ops[i]
 	}
-	for i := range c.mem {
-		c.mem[i] += o.mem[i]
+	for i := range t.mem {
+		t.mem[i] += o.mem[i]
 	}
-	c.memRefs += o.memRefs
-	for i := range c.arch {
-		c.arch[i] += o.arch[i]
+	for i := range t.arch {
+		t.arch[i] += o.arch[i]
 	}
 }
 
-// appendRow normalizes the tallies of the window [start, end) into one
+// opArch maps each opcode to the architectural counters that count
+// every execution of it, one bit per counter index: branches (the
+// conditional ones the predictor resolves), loads, stores, calls,
+// returns, syscalls and stack ops.
+var opArch = func() (t [isa.NumOps]uint16) {
+	for i := range t {
+		op := isa.Op(i)
+		for c, counts := range [ArchDim]bool{
+			ArchBranches: op.Class() == isa.ClassBranch,
+			ArchLoads:    op.IsLoad(),
+			ArchStores:   op.IsStore(),
+			ArchCalls:    op.Class() == isa.ClassCall,
+			ArchReturns:  op.Class() == isa.ClassRet,
+			ArchSyscalls: op.Class() == isa.ClassSystem,
+			ArchStackOps: op.Class() == isa.ClassStack,
+		} {
+			if counts {
+				t[i] |= 1 << c
+			}
+		}
+	}
+	return t
+}()
+
+// appendRow normalizes the counts of the window [start, end) into one
 // feature row per kind: instruction frequencies and architectural
 // events by window length, memory bins by the number of references (a
-// distribution).
-func (w *WindowSet) appendRow(c *counts, start, end int) {
+// distribution). Every count is a whole number far below 2^53, so its
+// float64 is exact and the rows do not depend on how the window's
+// blocks were summed.
+func (w *WindowSet) appendRow(c *tally, start, end int) {
+	arch := c.arch
+	memRefs := 0
+	for op, k := range c.ops {
+		for m := opArch[op]; m != 0; m &= m - 1 {
+			arch[bits.TrailingZeros16(m)] += k
+		}
+		if isa.Op(op).IsMem() {
+			memRefs += k
+		}
+	}
 	n := float64(end - start)
 
 	iv := w.nextRow(Instructions, isa.NumOps)
 	for i := range iv {
-		iv[i] = c.ops[i] / n
+		iv[i] = float64(c.ops[i]) / n
 	}
 	mv := w.nextRow(Memory, MemBins)
-	if c.memRefs > 0 {
+	if memRefs > 0 {
 		for i := range mv {
-			mv[i] = c.mem[i] / c.memRefs
+			mv[i] = float64(c.mem[i]) / float64(memRefs)
 		}
 	} else {
 		// A reused row still holds an earlier window's distribution.
@@ -188,7 +225,7 @@ func (w *WindowSet) appendRow(c *counts, start, end int) {
 	}
 	av := w.nextRow(Architectural, ArchDim)
 	for i := range av {
-		av[i] = c.arch[i] / n
+		av[i] = float64(arch[i]) / n
 	}
 
 	w.Bounds = append(w.Bounds, [2]int{start, end})
@@ -212,22 +249,22 @@ func (w *WindowSet) nextRow(k Kind, dim int) []float64 {
 	return row
 }
 
-// extractor implements trace.Sink. It runs the µarch pipeline once
-// per event and tallies the event into the open block; nextLen yields
-// the length of each successive block. Without periods every block is
-// one window of out, its length drawn from the caller's schedule next
-// (scheduled extraction). With periods, blocks end at every period's
-// window boundaries and each block is folded into every period's open
-// window, so one pass serves them all.
+// extractor implements trace.Sink. It steps the µarch pipeline for
+// each conditional branch and memory reference and counts the event
+// into the open block; nextLen yields the length of each successive
+// block. Without periods every block is one window of out, its length
+// drawn from the caller's schedule next (scheduled extraction). With
+// periods, blocks end at every period's window boundaries and each
+// block is folded into every period's open window, so one pass serves
+// them all.
 type extractor struct {
 	next func() int
 	pipe *uarch.Pipeline
 
-	curLen   int
-	start    int
+	start    int // trace position where the open block began
+	end      int // trace position where the open block closes
 	total    int
-	count    int
-	block    counts
+	block    tally
 	lastAddr uint64
 	haveAddr bool
 
@@ -237,67 +274,44 @@ type extractor struct {
 
 // periodWindows assembles one collection period's windows from blocks.
 type periodWindows struct {
-	start int    // trace position where the open window began
-	sum   counts // tallies of the blocks folded into the open window
+	start int   // trace position where the open window began
+	sum   tally // counts of the blocks folded into the open window
 	set   WindowSet
 }
 
-// Event implements trace.Sink.
+// Event implements trace.Sink. It does per event only what depends on
+// the event: the opcode count, and for a conditional branch or a memory
+// reference the pipeline step and its outcome.
 func (x *extractor) Event(e *trace.Event) {
-	o := x.pipe.Process(e)
-
 	x.block.ops[e.Op]++
-
-	if o.IsMem {
-		x.block.memRefs++
+	if e.Op.Class() == isa.ClassBranch {
+		if e.Taken {
+			x.block.arch[ArchTakenBranches]++
+		}
+		if x.pipe.Branch(e.PC, e.Taken) {
+			x.block.arch[ArchMispredicts]++
+		}
+	}
+	if e.Op.IsMem() {
 		if x.haveAddr {
 			x.block.mem[deltaBin(x.lastAddr, e.Addr)]++
 		}
 		x.lastAddr = e.Addr
 		x.haveAddr = true
-	}
-
-	switch {
-	case o.IsBranch:
-		x.block.arch[ArchBranches]++
-		if o.Taken {
-			x.block.arch[ArchTakenBranches]++
-		}
-		if o.Mispredict {
-			x.block.arch[ArchMispredicts]++
-		}
-	}
-	if o.IsMem {
-		if o.L1Miss {
+		l1Miss, l2Miss, unaligned := x.pipe.Mem(e.Addr)
+		if l1Miss {
 			x.block.arch[ArchL1Misses]++
 		}
-		if o.L2Miss {
+		if l2Miss {
 			x.block.arch[ArchL2Misses]++
 		}
-		if o.Unaligned {
+		if unaligned {
 			x.block.arch[ArchUnaligned]++
 		}
 	}
-	if e.Op.IsLoad() {
-		x.block.arch[ArchLoads]++
-	}
-	if e.Op.IsStore() {
-		x.block.arch[ArchStores]++
-	}
-	switch e.Op.Class() {
-	case isa.ClassCall:
-		x.block.arch[ArchCalls]++
-	case isa.ClassRet:
-		x.block.arch[ArchReturns]++
-	case isa.ClassSystem:
-		x.block.arch[ArchSyscalls]++
-	case isa.ClassStack:
-		x.block.arch[ArchStackOps]++
-	}
 
-	x.count++
 	x.total++
-	if x.count >= x.curLen {
+	if x.total >= x.end {
 		x.flush()
 	}
 }
@@ -331,15 +345,14 @@ func (x *extractor) flush() {
 		w.sum.add(&x.block)
 		if x.total-w.start == w.set.Period {
 			w.set.appendRow(&w.sum, w.start, x.total)
-			w.sum = counts{}
+			w.sum = tally{}
 			w.start = x.total
 		}
 	}
 
 	x.start = x.total
-	x.count = 0
-	x.curLen = x.nextLen()
-	x.block = counts{}
+	x.end = x.total + x.nextLen()
+	x.block = tally{}
 }
 
 // nextLen is the length of the next block: the caller's next window,
@@ -396,7 +409,7 @@ func ExtractPeriods(p *prog.Program, periods []int, maxInstr int) ([]*WindowSet,
 		wins[i] = &periodWindows{set: WindowSet{Period: period}}
 	}
 	x := &extractor{pipe: uarch.NewDefaultPipeline(), periods: wins}
-	x.curLen = x.nextBoundary()
+	x.end = x.nextBoundary()
 	if _, err := trace.Exec(p, trace.Config{MaxInstructions: maxInstr}, x); err != nil {
 		return nil, err
 	}
@@ -471,7 +484,7 @@ func (x *extractor) reset(next func() int, first int) {
 	for k, rows := range x.out.Vectors {
 		out.Vectors[k] = rows[:0]
 	}
-	*x = extractor{next: next, pipe: pipe, curLen: first, out: out}
+	*x = extractor{next: next, pipe: pipe, end: first, out: out}
 }
 
 // TopDeltaIndices implements the paper's instruction-feature selection:

@@ -41,8 +41,12 @@ type Payload []Instruction
 // NewPayload builds an injection payload from opcodes. Memory opcodes are
 // given a fixed-delta address spec so the attacker controls which
 // memory-histogram bin they land in; delta applies to all memory ops in
-// the payload. Non-injectable opcodes are rejected.
+// the payload. Non-injectable opcodes and a delta outside int32 are
+// rejected.
 func NewPayload(ops []isa.Op, memDelta int64) (Payload, error) {
+	if memDelta != int64(int32(memDelta)) {
+		return nil, fmt.Errorf("prog: memory delta %d outside int32", memDelta)
+	}
 	p := make(Payload, 0, len(ops))
 	for _, op := range ops {
 		if !op.Injectable() {
@@ -50,7 +54,7 @@ func NewPayload(ops []isa.Op, memDelta int64) (Payload, error) {
 		}
 		ins := Instruction{Op: op, Injected: true}
 		if op.IsMem() {
-			ins.Mem = MemSpec{Pattern: MemFixed, Delta: memDelta}
+			ins.Mem = MemSpec{Pattern: MemFixed, Delta: int32(memDelta)}
 		}
 		p = append(p, ins)
 	}

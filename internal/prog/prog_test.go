@@ -1,8 +1,10 @@
 package prog
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rhmd/internal/isa"
 	"rhmd/internal/rng"
@@ -213,6 +215,29 @@ func TestNewPayloadRejectsUnsafeOps(t *testing.T) {
 	}
 	if _, err := NewPayload([]isa.Op{isa.SYSCALL}, 0); err == nil {
 		t.Fatal("syscall payload must be rejected")
+	}
+	for _, delta := range []int64{1 << 31, -(1 << 31) - 1} {
+		if _, err := NewPayload([]isa.Op{isa.MOVLD}, delta); err == nil {
+			t.Fatalf("memory delta %d outside int32 must be rejected", delta)
+		}
+	}
+	for _, delta := range []int64{math.MaxInt32, math.MinInt32} {
+		pl, err := NewPayload([]isa.Op{isa.MOVLD}, delta)
+		if err != nil {
+			t.Fatalf("memory delta %d: %v", delta, err)
+		}
+		if got := int64(pl[0].Mem.Delta); got != delta {
+			t.Fatalf("memory delta %d stored as %d", delta, got)
+		}
+	}
+}
+
+// TestInstructionSize: every program held in memory is mostly its
+// instructions, so a field that regrows Instruction past 16 bytes
+// grows every one of them.
+func TestInstructionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instruction{}); got != 16 {
+		t.Fatalf("Instruction is %d bytes, want 16", got)
 	}
 }
 

@@ -201,7 +201,7 @@ func (m *memState) addr(op isa.Op, spec prog.MemSpec) uint64 {
 			}
 		}
 	case prog.MemFixed:
-		a = uint64(int64(m.last) + spec.Delta)
+		a = uint64(int64(m.last) + int64(spec.Delta))
 	default:
 		// MemNone on a memory op is rejected by Validate; be defensive.
 		a = randSmallBas

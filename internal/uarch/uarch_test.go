@@ -187,23 +187,49 @@ func TestHierarchyL2FiltersL1Misses(t *testing.T) {
 	}
 }
 
+// TestPipelineProcess: Process reports each event's outcome, and the
+// direct steps the feature extractor takes, Branch for a conditional
+// branch and Mem for a memory reference, report the same outcome from
+// the same state and leave the same state behind.
 func TestPipelineProcess(t *testing.T) {
-	p := NewDefaultPipeline()
-	out := p.Process(&trace.Event{Op: isa.JCC, PC: 0x400000, Taken: true})
-	if !out.IsBranch || !out.Taken {
-		t.Fatalf("branch outcome wrong: %+v", out)
+	p, q := NewDefaultPipeline(), NewDefaultPipeline()
+	step := func(e trace.Event, want Outcome) {
+		t.Helper()
+		if got := p.Process(&e); got != want {
+			t.Fatalf("%v pc %#x addr %#x: Process = %+v, want %+v", e.Op, e.PC, e.Addr, got, want)
+		}
+		var direct Outcome
+		if e.Op.Class() == isa.ClassBranch {
+			direct.IsBranch, direct.Taken = true, e.Taken
+			direct.Mispredict = q.Branch(e.PC, e.Taken)
+		}
+		if e.Op.IsMem() {
+			direct.IsMem = true
+			direct.L1Miss, direct.L2Miss, direct.Unaligned = q.Mem(e.Addr)
+		}
+		if direct != want {
+			t.Fatalf("%v pc %#x addr %#x: Branch/Mem = %+v, Process %+v", e.Op, e.PC, e.Addr, direct, want)
+		}
 	}
-	out = p.Process(&trace.Event{Op: isa.MOVLD, PC: 0x400010, Addr: 0x10000001})
-	if !out.IsMem || !out.Unaligned || !out.L1Miss {
-		t.Fatalf("memory outcome wrong: %+v", out)
+
+	step(trace.Event{Op: isa.JCC, PC: 0x400000, Taken: true}, Outcome{IsBranch: true, Taken: true})
+	// Counters start weakly taken, so a first not-taken branch mispredicts.
+	step(trace.Event{Op: isa.LOOPCC, PC: 0x400040}, Outcome{IsBranch: true, Mispredict: true})
+	// A cold line misses both levels; this access is also unaligned.
+	step(trace.Event{Op: isa.MOVLD, PC: 0x400010, Addr: 0x10000001},
+		Outcome{IsMem: true, L1Miss: true, L2Miss: true, Unaligned: true})
+	step(trace.Event{Op: isa.MOVLD, PC: 0x400010, Addr: 0x10000004}, Outcome{IsMem: true})
+	// Eight stores to cold lines of the same L1 set (4 KiB apart) evict
+	// the first line from the 8-way L1; the L2 keeps it.
+	for k := uint64(1); k <= 8; k++ {
+		step(trace.Event{Op: isa.MOVST, PC: 0x400018, Addr: 0x10000000 + k<<12},
+			Outcome{IsMem: true, L1Miss: true, L2Miss: true})
 	}
-	out = p.Process(&trace.Event{Op: isa.MOVLD, PC: 0x400010, Addr: 0x10000004})
-	if out.Unaligned || out.L1Miss {
-		t.Fatalf("aligned warm access wrong: %+v", out)
-	}
-	out = p.Process(&trace.Event{Op: isa.ADD, PC: 0x400020})
-	if out.IsBranch || out.IsMem {
-		t.Fatalf("ALU op produced µarch events: %+v", out)
+	step(trace.Event{Op: isa.MOVLD, PC: 0x400010, Addr: 0x10000008}, Outcome{IsMem: true, L1Miss: true})
+	step(trace.Event{Op: isa.ADD, PC: 0x400020}, Outcome{})
+
+	if !reflect.DeepEqual(p, q) {
+		t.Fatal("Branch and Mem left a different pipeline state than Process")
 	}
 }
 

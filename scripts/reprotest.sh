@@ -3,8 +3,8 @@
 # seed 42, then compare each committed results/*.csv with its fresh copy
 # byte for byte. Exits 1 naming every file that differs or was not
 # regenerated. The run also writes ablation-*.csv files that results/
-# does not commit; only committed files are compared. About 3 minutes
-# on 2 vCPUs.
+# does not commit; only committed files are compared. About 1.5
+# minutes on 2 vCPUs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
