@@ -107,7 +107,7 @@ func main() {
 	sloOn := flag.Bool("slo", false, "evaluate the standard SLO objectives (verdict latency, shed rate, durability, drift EWMAs, fleet serving) with multi-window burn-rate alerting on /slo")
 	incidentDir := flag.String("incident-dir", "", "capture fingerprinted incident bundles (registry diff, kept traces, drift/fleet status, runtime deltas) into this directory on SLO pages/tickets, shard deaths and drift rollbacks; served on /incidents")
 	flag.Parse()
-	if err := driftFloors(*driftAccuracy, *driftAgreement); err != nil {
+	if err := driftFlags(*driftAccuracy, *driftAgreement, *driftAlpha, *driftWindow, *driftCanary); err != nil {
 		fmt.Fprintf(os.Stderr, "rhmd-monitor: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -640,16 +640,25 @@ func parseInjector(inject, until string, rate float64, seed uint64, poolSize int
 	return in, nil
 }
 
-// driftFloors refuses a drift floor outside (0, 1]. The drift guard and
-// the SLO objectives judge the same EWMAs against these floors, and the
-// guard runs a floor ≤ 0 at its default, so such a floor would be
-// judged at two values.
-func driftFloors(accuracy, agreement float64) error {
-	if !(accuracy > 0 && accuracy <= 1) {
-		return fmt.Errorf("-drift-accuracy %v outside (0, 1]", accuracy)
+// driftFlags refuses a drift floor or EWMA smoothing factor outside
+// (0, 1], and a warm-up or canary window below one verdict. The guard
+// runs any such value at its default, so the run would not be the one
+// the flags (and the startup line) describe; the SLO objectives judge
+// the same EWMAs against the floors as given.
+func driftFlags(accuracy, agreement, alpha float64, window, canary int) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-drift-accuracy", accuracy}, {"-drift-agreement", agreement}, {"-drift-alpha", alpha}} {
+		if !(f.v > 0 && f.v <= 1) {
+			return fmt.Errorf("%s %v outside (0, 1]", f.name, f.v)
+		}
 	}
-	if !(agreement > 0 && agreement <= 1) {
-		return fmt.Errorf("-drift-agreement %v outside (0, 1]", agreement)
+	if window < 1 {
+		return fmt.Errorf("-drift-window %d below 1", window)
+	}
+	if canary < 1 {
+		return fmt.Errorf("-drift-canary %d below 1", canary)
 	}
 	return nil
 }

@@ -20,17 +20,27 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestDriftFloorOutsideUnitIsRefused: a drift floor outside (0, 1] is
-// a usage error before anything trains. The guard would run a floor of
-// 0 at its default while /slo judged against 0.
+// TestDriftFloorOutsideUnitIsRefused: a drift floor or smoothing factor
+// outside (0, 1], or a warm-up or canary window below 1, is a usage
+// error before anything trains. The guard would run such a value at its
+// default (and /slo would judge a floor of 0 against 0).
 func TestDriftFloorOutsideUnitIsRefused(t *testing.T) {
-	for _, bad := range [][]string{{"-drift-agreement", "0"}, {"-drift-accuracy", "1.5"}} {
-		cmd := exec.Command(os.Args[0], append(bad, "-drift", "-slo", "-benign", "1", "-malware", "1", "-len", "4000")...)
+	for _, c := range []struct {
+		flag, value, why string
+	}{
+		{"-drift-agreement", "0", "outside (0, 1]"},
+		{"-drift-accuracy", "1.5", "outside (0, 1]"},
+		{"-drift-alpha", "2", "outside (0, 1]"},
+		{"-drift-alpha", "0", "outside (0, 1]"},
+		{"-drift-window", "0", "below 1"},
+		{"-drift-canary", "-3", "below 1"},
+	} {
+		cmd := exec.Command(os.Args[0], c.flag, c.value, "-drift", "-slo", "-benign", "1", "-malware", "1", "-len", "4000")
 		cmd.Env = append(os.Environ(), mainEnv+"=1")
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), bad[0]+" "+bad[1]+" outside (0, 1]") {
-			t.Fatalf("rhmd-monitor %s: %v, want exit status 2 naming the floor\n%s", strings.Join(bad, " "), err, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), c.flag+" "+c.value+" "+c.why) {
+			t.Fatalf("rhmd-monitor %s %s: %v, want exit status 2 naming the flag\n%s", c.flag, c.value, err, out)
 		}
 	}
 }

@@ -9,11 +9,8 @@ import (
 	"fmt"
 	"log"
 
-	"rhmd/internal/attack"
 	"rhmd/internal/dataset"
-	"rhmd/internal/features"
 	"rhmd/internal/game"
-	"rhmd/internal/prog"
 )
 
 func main() {
@@ -34,12 +31,9 @@ func main() {
 	train, test := groups[0], groups[1]
 
 	gcfg := game.Config{
-		Kind:        features.Instructions,
 		Period:      2000,
 		TraceLen:    cfg.TraceLen,
-		Strategy:    attack.LeastWeight,
 		InjectCount: 2,
-		Level:       prog.BlockLevel,
 		Seed:        5,
 	}
 

@@ -91,16 +91,12 @@ func (e *Ensemble) DecideTrace(p *prog.Program, traceLen int) ([]hmd.WindowDecis
 	return out, nil
 }
 
-// DetectTraced applies the program-level majority rule over the
+// DetectTraced applies the program-level hmd.Majority rule to the
 // ensemble's window decisions.
 func (e *Ensemble) DetectTraced(p *prog.Program, traceLen int) (bool, error) {
 	dec, err := e.DecideTrace(p, traceLen)
 	if err != nil {
 		return false, err
 	}
-	flagged := 0
-	for _, d := range dec {
-		flagged += d.Decision
-	}
-	return float64(flagged) >= float64(len(dec))/2, nil
+	return hmd.Majority(dec), nil
 }

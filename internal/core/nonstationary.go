@@ -101,15 +101,11 @@ func (n *NonStationary) DecideTrace(p *prog.Program, traceLen int) ([]hmd.Window
 	return out, nil
 }
 
-// DetectTraced applies the program-level majority rule.
+// DetectTraced applies the program-level hmd.Majority rule.
 func (n *NonStationary) DetectTraced(p *prog.Program, traceLen int) (bool, error) {
 	dec, err := n.DecideTrace(p, traceLen)
 	if err != nil {
 		return false, err
 	}
-	flagged := 0
-	for _, d := range dec {
-		flagged += d.Decision
-	}
-	return float64(flagged) >= float64(len(dec))/2, nil
+	return hmd.Majority(dec), nil
 }

@@ -168,18 +168,14 @@ func (r *RHMD) DecideTrace(p *prog.Program, traceLen int) ([]hmd.WindowDecision,
 	return out, nil
 }
 
-// DetectTraced applies the program-level majority rule over the
-// randomized window decisions, mirroring hmd.Detector.DetectTraced.
+// DetectTraced applies the program-level hmd.Majority rule to the
+// randomized window decisions.
 func (r *RHMD) DetectTraced(p *prog.Program, traceLen int) (bool, error) {
 	dec, err := r.DecideTrace(p, traceLen)
 	if err != nil {
 		return false, err
 	}
-	flagged := 0
-	for _, d := range dec {
-		flagged += d.Decision
-	}
-	return float64(flagged) >= float64(len(dec))/2, nil
+	return hmd.Majority(dec), nil
 }
 
 // PoolSpecs builds the canonical RHMD pools the paper evaluates: the

@@ -83,6 +83,17 @@ const (
 	DefaultAgreementFloor = 0.30
 )
 
+// The canary gate and the replay buffer, the same for every guard.
+const (
+	// canaryTolerance is how far below the pre-swap baseline the new
+	// pool's canary accuracy or agreement may fall before the guard
+	// rolls back.
+	canaryTolerance = 0.15
+	// replayCap bounds the replay buffer of recent programs the
+	// retrainer trains on.
+	replayCap = 256
+)
+
 // Config tunes the guard. The zero value of every numeric field selects
 // a sensible default; Swapper and Retrain are required.
 type Config struct {
@@ -107,22 +118,12 @@ type Config struct {
 	// Alpha is the EWMA smoothing factor (default 0.05).
 	Alpha float64
 	// MinSamples is the number of observed verdicts required before
-	// drift can fire (default 48).
+	// drift can fire (default 48). A swap, rollback or failed retrain
+	// starts a cooldown of twice as many verdicts.
 	MinSamples int
-	// Cooldown is the number of verdicts after a swap, rollback or
-	// failed retrain during which drift will not re-fire (default
-	// 2×MinSamples).
-	Cooldown int
 	// CanaryWindow is the number of new-generation verdicts the canary
 	// collects before deciding commit vs rollback (default 32).
 	CanaryWindow int
-	// CanaryTolerance is how far below the pre-swap baseline the new
-	// pool's canary accuracy or agreement may fall before the guard
-	// rolls back (default 0.15).
-	CanaryTolerance float64
-	// ReplayCap bounds the replay buffer of recent programs the
-	// retrainer trains on (default 256).
-	ReplayCap int
 
 	// Metrics receives the rhmd_drift_* instruments (nil = a private
 	// registry).
@@ -152,20 +153,15 @@ func (c *Config) fill() error {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 48
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * c.MinSamples
-	}
 	if c.CanaryWindow <= 0 {
 		c.CanaryWindow = 32
 	}
-	if c.CanaryTolerance <= 0 {
-		c.CanaryTolerance = 0.15
-	}
-	if c.ReplayCap <= 0 {
-		c.ReplayCap = 256
-	}
 	return nil
 }
+
+// cooldown is the number of verdicts after a swap, rollback or failed
+// retrain during which drift does not re-fire: 2×MinSamples.
+func (c *Config) cooldown() int { return 2 * c.MinSamples }
 
 // instruments is the guard's registry-backed accounting.
 type instruments struct {
@@ -264,7 +260,7 @@ func New(current *core.RHMD, cfg Config) (*Guard, error) {
 	g := &Guard{
 		cfg:    cfg,
 		ins:    newInstruments(reg),
-		replay: make([]*prog.Program, 0, cfg.ReplayCap),
+		replay: make([]*prog.Program, 0, replayCap),
 		prev:   current,
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
@@ -274,17 +270,17 @@ func New(current *core.RHMD, cfg Config) (*Guard, error) {
 
 // Ingest records a submitted program into the bounded replay buffer.
 // Call it for every successful Submit; it never blocks and keeps only
-// the most recent ReplayCap programs.
+// the most recent replayCap programs.
 func (g *Guard) Ingest(p *prog.Program) {
 	if p == nil {
 		return
 	}
 	g.mu.Lock()
-	if len(g.replay) < g.cfg.ReplayCap {
+	if len(g.replay) < replayCap {
 		g.replay = append(g.replay, p)
 	} else {
 		g.replay[g.next] = p
-		g.next = (g.next + 1) % g.cfg.ReplayCap
+		g.next = (g.next + 1) % replayCap
 	}
 	g.mu.Unlock()
 }
@@ -410,7 +406,7 @@ func (g *Guard) retrain(ctx context.Context, corpus []*prog.Program, reason stri
 	fail := func(detail string) {
 		g.mu.Lock()
 		g.state = Watching
-		g.cooldown = g.cfg.Cooldown
+		g.cooldown = g.cfg.cooldown()
 		g.ins.state.Set(float64(Watching))
 		g.ins.retrainFailures.Inc()
 		g.mu.Unlock()
@@ -458,9 +454,7 @@ func (g *Guard) retrain(ctx context.Context, corpus []*prog.Program, reason stri
 func (g *Guard) decideCanaryLocked() func() {
 	candAcc := float64(g.canaryCorrect) / float64(g.canarySeen)
 	candAgr := g.canaryAgrSum / float64(g.canarySeen)
-	tol := g.cfg.CanaryTolerance
-
-	if candAcc < g.baselineAcc-tol || candAgr < g.baselineAgr-tol {
+	if candAcc < g.baselineAcc-canaryTolerance || candAgr < g.baselineAgr-canaryTolerance {
 		// Regression: the retrained pool is worse than the degraded
 		// baseline it replaced. Roll back.
 		detail := fmt.Sprintf("canary regression: accuracy %.3f vs baseline %.3f, agreement %.3f vs %.3f",
@@ -472,7 +466,7 @@ func (g *Guard) decideCanaryLocked() func() {
 			// pool — it is serving and durable — but record the failure
 			// and return to Watching so drift can re-fire.
 			g.state = Watching
-			g.cooldown = g.cfg.Cooldown
+			g.cooldown = g.cfg.cooldown()
 			g.ins.state.Set(float64(Watching))
 			g.ins.retrainFailures.Inc()
 			d := detail + "; rollback swap failed: " + err.Error()
@@ -481,7 +475,7 @@ func (g *Guard) decideCanaryLocked() func() {
 		g.epoch = epoch
 		g.candidate = nil
 		g.state = Watching
-		g.cooldown = g.cfg.Cooldown
+		g.cooldown = g.cfg.cooldown()
 		// The old pool is serving again: resume from the baseline it had.
 		g.accEWMA, g.agrEWMA = g.baselineAcc, g.baselineAgr
 		g.ins.accuracy.Set(g.accEWMA)
@@ -498,7 +492,7 @@ func (g *Guard) decideCanaryLocked() func() {
 	g.prev = g.candidate
 	g.candidate = nil
 	g.state = Watching
-	g.cooldown = g.cfg.Cooldown
+	g.cooldown = g.cfg.cooldown()
 	// Seed the EWMAs with the canary's fresh estimate of the new pool.
 	g.accEWMA, g.agrEWMA = candAcc, candAgr
 	g.samples = g.canarySeen

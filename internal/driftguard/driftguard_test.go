@@ -130,14 +130,13 @@ func TestAgreementCollapseFiresAndCommits(t *testing.T) {
 	next := clonePool(t, f.rhmd)
 	sw := &fakeSwapper{}
 	g, err := New(f.rhmd, Config{
-		Swapper:         sw,
-		Retrain:         func(context.Context, []*prog.Program) (*core.RHMD, error) { return next, nil },
-		AccuracyFloor:   0.01, // effectively off: accuracy stays 1.0
-		AgreementFloor:  0.5,
-		Alpha:           0.6,
-		MinSamples:      4,
-		CanaryWindow:    3,
-		CanaryTolerance: 0.2,
+		Swapper:        sw,
+		Retrain:        func(context.Context, []*prog.Program) (*core.RHMD, error) { return next, nil },
+		AccuracyFloor:  0.01, // effectively off: accuracy stays 1.0
+		AgreementFloor: 0.5,
+		Alpha:          0.6,
+		MinSamples:     4,
+		CanaryWindow:   3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,62 +203,127 @@ func TestAgreementCollapseFiresAndCommits(t *testing.T) {
 	}
 }
 
+// TestCanaryToleranceEdge pins the rollback gate at 0.15 below the
+// pre-swap baseline: a canary 0.12 below its baseline commits, one 0.18
+// below rolls back.
+func TestCanaryToleranceEdge(t *testing.T) {
+	f := getFixture(t)
+	for _, c := range []struct {
+		correct int // of 50 canary verdicts, against a baseline of 1
+		commit  bool
+	}{
+		{44, true},  // accuracy 0.88
+		{41, false}, // accuracy 0.82
+	} {
+		next := clonePool(t, f.rhmd)
+		g, err := New(f.rhmd, Config{
+			Swapper:      &fakeSwapper{},
+			Retrain:      func(context.Context, []*prog.Program) (*core.RHMD, error) { return next, nil },
+			CanaryWindow: 50,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One correct, unanimous verdict: the baseline is accuracy 1 and
+		// agreement 1.
+		g.Observe(rep(true, 10, 10, 0))
+		g.ForceDrift("tolerance edge")
+		g.Wait()
+		if st := g.Status(); st.State != "canary" {
+			t.Fatalf("no canary after the forced drift: %+v", st)
+		}
+		// Every canary verdict is unanimous, so only accuracy can fail.
+		for i := 0; i < 50; i++ {
+			g.Observe(rep(i < c.correct, 10, 10, 1))
+		}
+		st := g.Status()
+		if c.commit && (st.Commits != 1 || st.Rollbacks != 0) {
+			t.Errorf("canary accuracy %d/50 against baseline 1 did not commit: %+v", c.correct, st)
+		}
+		if !c.commit && (st.Rollbacks != 1 || st.Commits != 0) {
+			t.Errorf("canary accuracy %d/50 against baseline 1 did not roll back: %+v", c.correct, st)
+		}
+	}
+}
+
 // TestRetrainFailureKeepsServing: a failing retrainer returns the guard
-// to Watching under cooldown, never touches the swapper, and the
-// cooldown suppresses an immediate re-fire.
+// to Watching under cooldown and never touches the swapper. The
+// cooldown suppresses a re-fire for exactly 2×MinSamples verdicts: the
+// next verdict fires again.
 func TestRetrainFailureKeepsServing(t *testing.T) {
 	f := getFixture(t)
 	sw := &fakeSwapper{}
+	const minSamples = 2
 	g, err := New(f.rhmd, Config{
 		Swapper:       sw,
 		Retrain:       func(context.Context, []*prog.Program) (*core.RHMD, error) { return nil, fmt.Errorf("no corpus") },
 		AccuracyFloor: 0.9,
 		Alpha:         1,
-		MinSamples:    2,
-		Cooldown:      10,
+		MinSamples:    minSamples,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		g.Observe(rep(false, 10, 10, 0)) // accuracy 0 with alpha 1
+	// Accuracy 0 with alpha 1: the MinSamples-th verdict fires.
+	for i := 0; i < minSamples; i++ {
+		g.Observe(rep(false, 10, 10, 0))
 	}
 	g.Wait()
 	st := g.Status()
 	if st.DriftEvents != 1 || st.RetrainFailures != 1 || st.State != "watching" {
 		t.Fatalf("retrain failure handling: %+v", st)
 	}
+	if st.Cooldown != 2*minSamples {
+		t.Fatalf("cooldown %d after a failed retrain, want 2×MinSamples = %d", st.Cooldown, 2*minSamples)
+	}
 	if len(sw.swapped()) != 0 {
 		t.Fatal("failed retrain reached the swapper")
 	}
-	// Cooldown: 5 more terrible verdicts must not re-fire.
-	for i := 0; i < 5; i++ {
+	// Every verdict inside the cooldown is as bad as the ones that
+	// fired, and none of them may re-fire.
+	for i := 0; i < 2*minSamples; i++ {
 		g.Observe(rep(false, 10, 10, 0))
+		if st := g.Status(); st.DriftEvents != 1 {
+			t.Fatalf("drift re-fired at verdict %d inside the cooldown: %+v", i+1, st)
+		}
 	}
+	// The next one fires (and fails) again.
+	g.Observe(rep(false, 10, 10, 0))
 	g.Wait()
-	if st := g.Status(); st.DriftEvents != 1 {
-		t.Fatalf("drift re-fired inside cooldown: %+v", st)
+	if st := g.Status(); st.DriftEvents != 2 || st.RetrainFailures != 2 {
+		t.Fatalf("drift did not re-fire after the cooldown: %+v", st)
+	}
+	if len(sw.swapped()) != 0 {
+		t.Fatal("failed retrain reached the swapper")
 	}
 }
 
 // TestIngestRingBounded: the replay buffer keeps only the most recent
-// ReplayCap programs.
+// 256 programs.
 func TestIngestRingBounded(t *testing.T) {
 	f := getFixture(t)
 	g, err := New(f.rhmd, Config{
-		Swapper:   &fakeSwapper{},
-		Retrain:   func(_ context.Context, c []*prog.Program) (*core.RHMD, error) { return nil, fmt.Errorf("x") },
-		ReplayCap: 4,
+		Swapper: &fakeSwapper{},
+		Retrain: func(_ context.Context, c []*prog.Program) (*core.RHMD, error) { return nil, fmt.Errorf("x") },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 300; i++ {
 		g.Ingest(&prog.Program{Name: fmt.Sprintf("p%d", i)})
 	}
 	g.Ingest(nil)
-	if got := g.Status().ReplaySize; got != 4 {
-		t.Fatalf("replay size %d, want 4", got)
+	if got := g.Status().ReplaySize; got != 256 {
+		t.Fatalf("replay size %d, want 256", got)
+	}
+	kept := map[string]bool{}
+	for _, p := range g.replay {
+		kept[p.Name] = true
+	}
+	for i := 300 - 256; i < 300; i++ {
+		if name := fmt.Sprintf("p%d", i); !kept[name] {
+			t.Fatalf("replay buffer lost %s, one of the 256 most recent", name)
+		}
 	}
 }
 

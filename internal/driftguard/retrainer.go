@@ -24,7 +24,7 @@ func NewGameRetrainer(base *core.RHMD, traceLen int, seed uint64) Retrainer {
 			return nil, err
 		}
 		round++
-		res, err := game.RetrainPool(base, corpus, traceLen, game.Config{Seed: seed + round})
+		res, err := game.RetrainPool(base, corpus, traceLen, seed+round)
 		if err != nil {
 			return nil, err
 		}

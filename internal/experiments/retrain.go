@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"rhmd/internal/attack"
-	"rhmd/internal/features"
 	"rhmd/internal/game"
 	"rhmd/internal/prog"
 )
@@ -14,12 +12,9 @@ import (
 func (e *Env) gameConfig(algo string) game.Config {
 	return game.Config{
 		Algo:        algo,
-		Kind:        features.Instructions,
 		Period:      e.Cfg.Period,
 		TraceLen:    e.Cfg.TraceLen,
-		Strategy:    attack.LeastWeight,
 		InjectCount: 2,
-		Level:       prog.BlockLevel,
 		Seed:        e.Cfg.Seed + 13,
 	}
 }

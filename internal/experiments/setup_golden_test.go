@@ -124,7 +124,7 @@ func TestSetupGolden(t *testing.T) {
 		t.Errorf("pool fingerprint %016x, want %016x: pool training changed", got, uint64(setupPoolGolden))
 	}
 
-	res, err := game.RetrainPool(pool, e.AtkTrain, e.Cfg.TraceLen, game.Config{Seed: 7})
+	res, err := game.RetrainPool(pool, e.AtkTrain, e.Cfg.TraceLen, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func noMemProgram() *prog.Program {
 		{Body: body, Term: prog.Terminator{Kind: prog.TermBranch, Target: 0, TakenProb: 0.7}},
 		{Body: body[:1], Term: prog.Terminator{Kind: prog.TermJump, Target: 0}},
 	}}}}
-	p.Layout(0x400000)
+	p.Layout()
 	return p
 }
 

@@ -18,21 +18,27 @@ import (
 	"rhmd/internal/trace"
 )
 
+// The detector feature and the evasion the paper's retraining
+// experiments use (§6): the victim reads the instruction mix, and
+// evasive malware injects copies of the instruction with the victim's
+// most negative weight before every control-flow terminator.
+const (
+	kind     = features.Instructions
+	strategy = attack.LeastWeight
+	level    = prog.BlockLevel
+)
+
 // Config parametrizes the retraining experiments.
 type Config struct {
 	// Algo is the detector under study ("lr" for Figure 11a, "nn" for
 	// 11b and 13).
 	Algo string
-	// Kind and Period define the detector; the paper's evasion
-	// experiments use the Instructions feature.
-	Kind     features.Kind
+	// Period is the detector's collection period.
 	Period   int
 	TraceLen int
-	// Strategy and InjectCount/Level define how evasive malware is
-	// built.
-	Strategy    attack.Strategy
+	// InjectCount is how many instructions evasive malware injects at
+	// each site.
 	InjectCount int
-	Level       prog.InjectLevel
 	// Seed drives all stochastic choices.
 	Seed uint64
 }
@@ -56,8 +62,9 @@ func split(programs []*prog.Program) (benign, malware []*prog.Program) {
 	return benign, malware
 }
 
-// windowsOf extracts one kind's window dataset for a program list.
-func windowsOf(programs []*prog.Program, kind features.Kind, period, traceLen int) (*dataset.WindowData, error) {
+// windowsOf extracts the studied kind's window dataset for a program
+// list.
+func windowsOf(programs []*prog.Program, period, traceLen int) (*dataset.WindowData, error) {
 	mws, err := dataset.ExtractWindows(programs, []int{period}, traceLen)
 	if err != nil {
 		return nil, err
@@ -67,7 +74,7 @@ func windowsOf(programs []*prog.Program, kind features.Kind, period, traceLen in
 
 // concat merges window datasets (labels and rows only; ProgIdx loses
 // meaning across lists and is dropped).
-func concat(kind features.Kind, period int, parts ...*dataset.WindowData) *dataset.WindowData {
+func concat(period int, parts ...*dataset.WindowData) *dataset.WindowData {
 	out := &dataset.WindowData{Kind: kind, Period: period}
 	for _, p := range parts {
 		out.X = append(out.X, p.X...)
@@ -129,7 +136,7 @@ func Retrain(train, test []*prog.Program, percents []float64, cfg Config) ([]Ret
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	spec := hmd.Spec{Kind: cfg.Kind, Period: cfg.Period, Algo: cfg.Algo}
+	spec := hmd.Spec{Kind: kind, Period: cfg.Period, Algo: cfg.Algo}
 
 	trainBen, trainMal := split(train)
 	testBen, testMal := split(test)
@@ -138,7 +145,7 @@ func Retrain(train, test []*prog.Program, percents []float64, cfg Config) ([]Ret
 	}
 
 	// Victim trained on the clean training set.
-	cleanTrain, err := windowsOf(train, cfg.Kind, cfg.Period, cfg.TraceLen)
+	cleanTrain, err := windowsOf(train, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +157,7 @@ func Retrain(train, test []*prog.Program, percents []float64, cfg Config) ([]Ret
 	// Evasive variants (the same transformation for train and test
 	// malware, as the attacker ships one evasion strategy).
 	r := rng.NewKeyed(cfg.Seed, "game-retrain")
-	plan, err := attack.BuildPlan(victim, cfg.Strategy, cfg.InjectCount, cfg.Level, r)
+	plan, err := attack.BuildPlan(victim, strategy, cfg.InjectCount, level, r)
 	if err != nil {
 		return nil, err
 	}
@@ -164,27 +171,27 @@ func Retrain(train, test []*prog.Program, percents []float64, cfg Config) ([]Ret
 	}
 
 	// Pre-extract all window sets once.
-	benTrainW, err := windowsOf(trainBen, cfg.Kind, cfg.Period, cfg.TraceLen)
+	benTrainW, err := windowsOf(trainBen, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
-	malTrainW, err := windowsOf(trainMal, cfg.Kind, cfg.Period, cfg.TraceLen)
+	malTrainW, err := windowsOf(trainMal, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
-	evTrainW, err := windowsOf(evTrainProgs, cfg.Kind, cfg.Period, cfg.TraceLen)
+	evTrainW, err := windowsOf(evTrainProgs, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
-	benTestW, err := windowsOf(testBen, cfg.Kind, cfg.Period, cfg.TraceLen)
+	benTestW, err := windowsOf(testBen, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
-	malTestW, err := windowsOf(testMal, cfg.Kind, cfg.Period, cfg.TraceLen)
+	malTestW, err := windowsOf(testMal, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
-	evTestW, err := windowsOf(evTestProgs, cfg.Kind, cfg.Period, cfg.TraceLen)
+	evTestW, err := windowsOf(evTestProgs, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
@@ -203,13 +210,13 @@ func Retrain(train, test []*prog.Program, percents []float64, cfg Config) ([]Ret
 		if nEv > evTrainW.Len() {
 			nEv = evTrainW.Len()
 		}
-		evPart := &dataset.WindowData{Kind: cfg.Kind, Period: cfg.Period}
+		evPart := &dataset.WindowData{Kind: kind, Period: cfg.Period}
 		perm := rng.NewKeyed(cfg.Seed, "game-mix").Perm(evTrainW.Len())
 		for _, i := range perm[:nEv] {
 			evPart.X = append(evPart.X, evTrainW.X[i])
 			evPart.Y = append(evPart.Y, 1)
 		}
-		mixed := concat(cfg.Kind, cfg.Period, benTrainW, malTrainW, evPart)
+		mixed := concat(cfg.Period, benTrainW, malTrainW, evPart)
 		det, err := hmd.Train(spec, mixed, cfg.Seed+uint64(pct*1000))
 		if err != nil {
 			return nil, fmt.Errorf("game: retraining at %.0f%%: %w", pct*100, err)
@@ -250,7 +257,7 @@ func Generations(train, test []*prog.Program, nGens int, cfg Config) ([]Generati
 	if nGens < 1 {
 		return nil, fmt.Errorf("game: nGens must be ≥1")
 	}
-	spec := hmd.Spec{Kind: cfg.Kind, Period: cfg.Period, Algo: cfg.Algo}
+	spec := hmd.Spec{Kind: kind, Period: cfg.Period, Algo: cfg.Algo}
 
 	trainBen, trainMal := split(train)
 	testBen, testMal := split(test)
@@ -258,22 +265,22 @@ func Generations(train, test []*prog.Program, nGens int, cfg Config) ([]Generati
 		return nil, fmt.Errorf("game: need malware in both train and test")
 	}
 
-	benTrainW, err := windowsOf(trainBen, cfg.Kind, cfg.Period, cfg.TraceLen)
+	benTrainW, err := windowsOf(trainBen, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
-	benTestW, err := windowsOf(testBen, cfg.Kind, cfg.Period, cfg.TraceLen)
+	benTestW, err := windowsOf(testBen, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
-	malTestW, err := windowsOf(testMal, cfg.Kind, cfg.Period, cfg.TraceLen)
+	malTestW, err := windowsOf(testMal, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
 
 	// Accumulating training malware window sets, one per generation of
 	// evasive malware (generation 0 = unmodified).
-	malTrainW, err := windowsOf(trainMal, cfg.Kind, cfg.Period, cfg.TraceLen)
+	malTrainW, err := windowsOf(trainMal, cfg.Period, cfg.TraceLen)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +297,7 @@ func Generations(train, test []*prog.Program, nGens int, cfg Config) ([]Generati
 		res := GenerationResult{Gen: gen, TrainSeparable: true}
 
 		// Defender: (re)train on benign + all malware generations so far.
-		trainingSet := concat(cfg.Kind, cfg.Period, append([]*dataset.WindowData{benTrainW}, trainingMalParts...)...)
+		trainingSet := concat(cfg.Period, append([]*dataset.WindowData{benTrainW}, trainingMalParts...)...)
 		det, err := hmd.Train(spec, trainingSet, cfg.Seed+uint64(gen))
 		if err != nil {
 			return results, fmt.Errorf("game: generation %d training: %w", gen, err)
@@ -314,7 +321,7 @@ func Generations(train, test []*prog.Program, nGens int, cfg Config) ([]Generati
 
 		// Attacker: stack a fresh payload against the current detector
 		// onto the previous generation's evasive malware.
-		plan, err := attack.BuildPlan(det, cfg.Strategy, cfg.InjectCount, cfg.Level, r)
+		plan, err := attack.BuildPlan(det, strategy, cfg.InjectCount, level, r)
 		if err != nil {
 			// No negative direction left: the attacker cannot evade this
 			// generation by injection. Report and stop.
@@ -330,7 +337,7 @@ func Generations(train, test []*prog.Program, nGens int, cfg Config) ([]Generati
 		if err != nil {
 			return results, err
 		}
-		evTestW, err := windowsOf(curTestProgs, cfg.Kind, cfg.Period, cfg.TraceLen)
+		evTestW, err := windowsOf(curTestProgs, cfg.Period, cfg.TraceLen)
 		if err != nil {
 			return results, err
 		}
@@ -349,7 +356,7 @@ func Generations(train, test []*prog.Program, nGens int, cfg Config) ([]Generati
 
 		// The defender will see this generation's evasive malware next
 		// round.
-		evTrainW, err := windowsOf(curTrainProgs, cfg.Kind, cfg.Period, cfg.TraceLen)
+		evTrainW, err := windowsOf(curTrainProgs, cfg.Period, cfg.TraceLen)
 		if err != nil {
 			return results, err
 		}

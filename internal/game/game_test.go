@@ -3,7 +3,6 @@ package game
 import (
 	"testing"
 
-	"rhmd/internal/attack"
 	"rhmd/internal/dataset"
 	"rhmd/internal/features"
 	"rhmd/internal/prog"
@@ -37,12 +36,9 @@ func getFixture(t testing.TB) *fixture {
 func baseConfig(algo string, traceLen int) Config {
 	return Config{
 		Algo:        algo,
-		Kind:        features.Instructions,
 		Period:      2000,
 		TraceLen:    traceLen,
-		Strategy:    attack.LeastWeight,
 		InjectCount: 2,
-		Level:       prog.BlockLevel,
 		Seed:        5,
 	}
 }
@@ -163,7 +159,7 @@ func TestConcatAndMetrics(t *testing.T) {
 		X: [][]float64{{1}, {2}}, Y: []int{0, 1}}
 	b := &dataset.WindowData{Kind: features.Instructions, Period: 100,
 		X: [][]float64{{3}}, Y: []int{1}}
-	m := concat(features.Instructions, 100, a, b)
+	m := concat(100, a, b)
 	if m.Len() != 3 || m.Y[2] != 1 {
 		t.Fatalf("concat wrong: %+v", m)
 	}

@@ -28,9 +28,8 @@ type PoolRetrainResult struct {
 // fires. The pool shape is preserved (same specs at the same positions,
 // same switching probabilities, same key), so the result is always a
 // valid Engine.SwapPool candidate. All stochastic choices derive from
-// cfg.Seed; cfg.Algo/Kind/Period/InjectCount are not consulted (the
-// specs come from the base pool).
-func RetrainPool(base *core.RHMD, corpus []*prog.Program, traceLen int, cfg Config) (*PoolRetrainResult, error) {
+// seed.
+func RetrainPool(base *core.RHMD, corpus []*prog.Program, traceLen int, seed uint64) (*PoolRetrainResult, error) {
 	if base == nil || base.Size() == 0 {
 		return nil, fmt.Errorf("game: RetrainPool needs a non-empty base pool")
 	}
@@ -64,8 +63,8 @@ func RetrainPool(base *core.RHMD, corpus []*prog.Program, traceLen int, cfg Conf
 
 	// Per-detector training seeds come off the seeded stream in
 	// detector order, so the whole round is a pure function of (base,
-	// corpus, cfg); the detectors then train concurrently.
-	r := rng.NewKeyed(cfg.Seed, "game-retrain-pool")
+	// corpus, seed); the detectors then train concurrently.
+	r := rng.NewKeyed(seed, "game-retrain-pool")
 	seeds := make([]uint64, len(base.Detectors))
 	for i := range seeds {
 		seeds[i] = r.Uint64()

@@ -40,7 +40,7 @@ func TestRetrainPoolShapeAndDeterminism(t *testing.T) {
 	f := getFixture(t)
 	base := basePool(t)
 	run := func(seed uint64) *PoolRetrainResult {
-		res, err := RetrainPool(base, f.test, f.traceLen, Config{Seed: seed})
+		res, err := RetrainPool(base, f.test, f.traceLen, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestRetrainPoolShapeAndDeterminism(t *testing.T) {
 func TestRetrainPoolValidation(t *testing.T) {
 	f := getFixture(t)
 	base := basePool(t)
-	if _, err := RetrainPool(nil, f.test, f.traceLen, Config{}); err == nil {
+	if _, err := RetrainPool(nil, f.test, f.traceLen, 0); err == nil {
 		t.Fatal("RetrainPool accepted a nil base pool")
 	}
 	var benignOnly []*prog.Program
@@ -86,10 +86,10 @@ func TestRetrainPoolValidation(t *testing.T) {
 			benignOnly = append(benignOnly, p)
 		}
 	}
-	if _, err := RetrainPool(base, benignOnly, f.traceLen, Config{}); err == nil {
+	if _, err := RetrainPool(base, benignOnly, f.traceLen, 0); err == nil {
 		t.Fatal("RetrainPool accepted a single-class corpus")
 	}
-	if _, err := RetrainPool(base, f.test, 1999, Config{}); err == nil {
+	if _, err := RetrainPool(base, f.test, 1999, 0); err == nil {
 		t.Fatal("RetrainPool accepted a trace shorter than the largest period")
 	}
 }
@@ -111,7 +111,7 @@ func TestRetrainPoolFirstError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RetrainPool(broken, f.test, f.traceLen, Config{Seed: 9})
+	_, err = RetrainPool(broken, f.test, f.traceLen, 9)
 	if err == nil || !strings.Contains(err.Error(), "retraining detector 1 ") {
 		t.Fatalf("error %v, want detector 1's", err)
 	}

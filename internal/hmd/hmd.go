@@ -156,35 +156,15 @@ func (d *Detector) DecideWindow(raw []float64) int {
 	return 0
 }
 
-// ProgramScore aggregates window decisions over one program's windows:
-// the fraction of windows flagged as malware.
-func (d *Detector) ProgramScore(rows [][]float64) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	flagged := 0
-	for _, r := range rows {
-		flagged += d.DecideWindow(r)
-	}
-	return float64(flagged) / float64(len(rows))
-}
-
-// DetectProgram applies the majority rule to a program's windows: the
-// program is detected as malware if at least half its windows are
-// flagged.
-func (d *Detector) DetectProgram(rows [][]float64) bool {
-	return d.ProgramScore(rows) >= 0.5
-}
-
-// DetectTraced extracts features for p at the detector's period and
-// applies the program-level rule — the "deploy the detector against this
+// DetectTraced runs the detector over p's trace and applies the
+// program-level Majority rule — the "deploy the detector against this
 // binary" operation used by the evasion experiments.
 func (d *Detector) DetectTraced(p *prog.Program, traceLen int) (bool, error) {
-	ws, err := features.Extract(p, d.Spec.Period, traceLen)
+	dec, err := d.DecideTrace(p, traceLen)
 	if err != nil {
 		return false, err
 	}
-	return d.DetectProgram(ws.Rows(d.Spec.Kind)), nil
+	return Majority(dec), nil
 }
 
 // WindowDecision is one black-box observation of a deployed detector:
@@ -215,6 +195,19 @@ func (d *Detector) DecideTrace(p *prog.Program, traceLen int) ([]WindowDecision,
 		}
 	}
 	return out, nil
+}
+
+// Majority is the program-level rule every detector applies to one
+// program's window decisions, the paper's "averaging the decisions
+// across multiple intervals" (§8.2): the program is malware when at
+// least half its windows are flagged. decisions is never empty on a
+// real trace: extraction fails before it yields zero windows.
+func Majority(decisions []WindowDecision) bool {
+	flagged := 0
+	for _, d := range decisions {
+		flagged += d.Decision
+	}
+	return 2*flagged >= len(decisions)
 }
 
 // DecisionAt returns the decision of the window containing instruction

@@ -5,7 +5,6 @@ import (
 
 	"rhmd/internal/dataset"
 	"rhmd/internal/features"
-	"rhmd/internal/ml"
 	"rhmd/internal/prog"
 )
 
@@ -159,35 +158,29 @@ func TestDecisionsAreThresholdedScores(t *testing.T) {
 	}
 }
 
+// TestProgramAggregation pins the program-level Majority rule: at
+// least half the windows flagged, exactly half included.
 func TestProgramAggregation(t *testing.T) {
-	d := &Detector{
-		Spec:      Spec{Kind: features.Memory, Period: 2000, Algo: "lr"},
-		Scaler:    identityScaler(2),
-		Model:     &ml.LRModel{W: []float64{10, 0}},
-		Threshold: 0.5,
+	for _, c := range []struct {
+		flags []int
+		want  bool
+	}{
+		{[]int{1, 1, 0, 0}, true}, // exactly half
+		{[]int{0, 1, 0, 1}, true},
+		{[]int{1, 1, 0}, true},
+		{[]int{1, 0, 0}, false},
+		{[]int{0, 0, 1, 0}, false},
+		{[]int{1}, true},
+		{[]int{0}, false},
+	} {
+		dec := make([]WindowDecision, len(c.flags))
+		for i, f := range c.flags {
+			dec[i].Decision = f
+		}
+		if got := Majority(dec); got != c.want {
+			t.Errorf("Majority(%v) = %v, want %v", c.flags, got, c.want)
+		}
 	}
-	hot := []float64{5, 0}   // score ~1
-	cold := []float64{-5, 0} // score ~0
-	if got := d.ProgramScore([][]float64{hot, hot, cold, cold}); got != 0.5 {
-		t.Fatalf("program score %v", got)
-	}
-	if !d.DetectProgram([][]float64{hot, hot, cold}) {
-		t.Fatal("majority-flagged program not detected")
-	}
-	if d.DetectProgram([][]float64{hot, cold, cold}) {
-		t.Fatal("minority-flagged program detected")
-	}
-	if d.ProgramScore(nil) != 0 {
-		t.Fatal("empty program score should be 0")
-	}
-}
-
-func identityScaler(dim int) *ml.Scaler {
-	s := &ml.Scaler{Mean: make([]float64, dim), Std: make([]float64, dim)}
-	for i := range s.Std {
-		s.Std[i] = 1
-	}
-	return s
 }
 
 func TestDetectTraced(t *testing.T) {

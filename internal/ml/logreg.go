@@ -1,8 +1,6 @@
 package ml
 
 import (
-	"fmt"
-
 	"rhmd/internal/rng"
 )
 
@@ -10,16 +8,21 @@ import (
 // by mini-batch stochastic gradient descent. It is the paper's preferred
 // hardware detector: "LR performs well and has low complexity,
 // facilitating hardware implementations" (§4).
-type LogisticRegression struct {
-	// Epochs is the number of full passes over the data (default 80).
-	Epochs int
-	// LearnRate is the initial step size (default 0.3, with 1/sqrt decay).
-	LearnRate float64
-	// L2 is the ridge penalty (default 1e-4).
-	L2 float64
-	// BatchSize is the mini-batch size (default 32).
-	BatchSize int
-}
+type LogisticRegression struct{}
+
+// The LR detector's hyperparameters. Every LR detector, victim and
+// attacker trains with these.
+const (
+	// lrEpochs is the number of full passes over the data.
+	lrEpochs = 80
+	// lrLearnRate is the initial step size; mini-batch step k uses
+	// lrLearnRate/(1+0.01k).
+	lrLearnRate = 0.3
+	// lrL2 is the ridge penalty.
+	lrL2 = 1e-4
+	// lrBatchSize is the mini-batch size.
+	lrBatchSize = 32
+)
 
 // Name implements Trainer.
 func (LogisticRegression) Name() string { return "lr" }
@@ -39,29 +42,10 @@ func (m *LRModel) Score(x []float64) float64 { return sigmoid(dot(m.W, x) + m.B)
 func (m *LRModel) Dim() int { return len(m.W) }
 
 // Train implements Trainer.
-func (t LogisticRegression) Train(X [][]float64, y []int, seed uint64) (Model, error) {
+func (LogisticRegression) Train(X [][]float64, y []int, seed uint64) (Model, error) {
 	dim, err := validate(X, y)
 	if err != nil {
 		return nil, err
-	}
-	epochs := t.Epochs
-	if epochs <= 0 {
-		epochs = 80
-	}
-	lr0 := t.LearnRate
-	if lr0 <= 0 {
-		lr0 = 0.3
-	}
-	l2 := t.L2
-	if l2 < 0 {
-		return nil, fmt.Errorf("ml: negative L2 %v", l2)
-	}
-	if t.L2 == 0 {
-		l2 = 1e-4
-	}
-	batch := t.BatchSize
-	if batch <= 0 {
-		batch = 32
 	}
 
 	r := rng.NewKeyed(seed, "lr")
@@ -70,10 +54,10 @@ func (t LogisticRegression) Train(X [][]float64, y []int, seed uint64) (Model, e
 	n := len(X)
 
 	step := 0
-	for e := 0; e < epochs; e++ {
+	for e := 0; e < lrEpochs; e++ {
 		order := r.Perm(n)
-		for start := 0; start < n; start += batch {
-			end := start + batch
+		for start := 0; start < n; start += lrBatchSize {
+			end := start + lrBatchSize
 			if end > n {
 				end = n
 			}
@@ -90,10 +74,10 @@ func (t LogisticRegression) Train(X [][]float64, y []int, seed uint64) (Model, e
 				gb += diff
 			}
 			step++
-			eta := lr0 / (1 + 0.01*float64(step))
+			eta := lrLearnRate / (1 + 0.01*float64(step))
 			bs := float64(end - start)
 			for j := range m.W {
-				m.W[j] -= eta * (grad[j]/bs + l2*m.W[j])
+				m.W[j] -= eta * (grad[j]/bs + lrL2*m.W[j])
 			}
 			m.B -= eta * gb / bs
 		}

@@ -11,17 +11,19 @@ import (
 // perceptron (MLP) with a single hidden layer that has a number of
 // neurons equal to the number of features in the feature vector. We use
 // the tanh function as the activation function." (§4)
-type MLP struct {
-	// Hidden is the hidden-layer width; 0 means "equal to the number of
-	// features" per the paper.
-	Hidden int
-	// Epochs is the number of passes over the data (default 60).
-	Epochs int
-	// LearnRate is the initial step size (default 0.1).
-	LearnRate float64
-	// L2 is the weight decay (default 0.01).
-	L2 float64
-}
+type MLP struct{}
+
+// The NN detector's hyperparameters. Every NN detector, victim and
+// attacker trains with these.
+const (
+	// mlpEpochs is the number of passes over the data.
+	mlpEpochs = 60
+	// mlpLearnRate is the initial step size; over n samples, SGD step k
+	// uses mlpLearnRate/(1+0.002k/n).
+	mlpLearnRate = 0.1
+	// mlpL2 is the weight decay.
+	mlpL2 = 0.01
+)
 
 // Name implements Trainer.
 func (MLP) Name() string { return "nn" }
@@ -72,27 +74,12 @@ func (m *MLPModel) CollapseWeights() []float64 {
 }
 
 // Train implements Trainer, using plain SGD with backprop.
-func (t MLP) Train(X [][]float64, y []int, seed uint64) (Model, error) {
+func (MLP) Train(X [][]float64, y []int, seed uint64) (Model, error) {
 	dim, err := validate(X, y)
 	if err != nil {
 		return nil, err
 	}
-	hidden := t.Hidden
-	if hidden <= 0 {
-		hidden = dim
-	}
-	epochs := t.Epochs
-	if epochs <= 0 {
-		epochs = 60
-	}
-	lr0 := t.LearnRate
-	if lr0 <= 0 {
-		lr0 = 0.1
-	}
-	l2 := t.L2
-	if t.L2 == 0 {
-		l2 = 0.01
-	}
+	hidden := dim // one hidden neuron per feature (§4)
 
 	r := rng.NewKeyed(seed, "mlp")
 	m := &MLPModel{
@@ -114,7 +101,7 @@ func (t MLP) Train(X [][]float64, y []int, seed uint64) (Model, error) {
 	hOut := make([]float64, hidden)
 	n := len(X)
 	step := 0
-	for e := 0; e < epochs; e++ {
+	for e := 0; e < mlpEpochs; e++ {
 		order := r.Perm(n)
 		for _, i := range order {
 			x := X[i]
@@ -128,14 +115,14 @@ func (t MLP) Train(X [][]float64, y []int, seed uint64) (Model, error) {
 			dz := p - float64(y[i]) // dLoss/dz for cross-entropy
 
 			step++
-			eta := lr0 / (1 + 0.002*float64(step)/float64(n))
+			eta := mlpLearnRate / (1 + 0.002*float64(step)/float64(n))
 
 			// Backward.
 			for h, wh := range m.W1 {
 				dh := dz * m.W2[h] * (1 - hOut[h]*hOut[h])
-				m.W2[h] -= eta * (dz*hOut[h] + l2*m.W2[h])
+				m.W2[h] -= eta * (dz*hOut[h] + mlpL2*m.W2[h])
 				for j, v := range x {
-					wh[j] -= eta * (dh*v + l2*wh[j])
+					wh[j] -= eta * (dh*v + mlpL2*wh[j])
 				}
 				m.B1[h] -= eta * dh
 			}

@@ -7,12 +7,16 @@ import (
 // LinearSVM trains an L2-regularized linear support-vector machine with
 // the Pegasos stochastic sub-gradient algorithm; the paper's attackers
 // use it ("SVM") as one of the reverse-engineering learners (§4.1).
-type LinearSVM struct {
-	// Lambda is the regularization strength (default 1e-4).
-	Lambda float64
-	// Epochs is the number of passes over the data (default 60).
-	Epochs int
-}
+type LinearSVM struct{}
+
+// The SVM attacker's hyperparameters.
+const (
+	// svmLambda is the regularization strength; Pegasos step k uses
+	// 1/(svmLambda·k).
+	svmLambda = 1e-4
+	// svmEpochs is the number of passes over the data.
+	svmEpochs = 60
+)
 
 // Name implements Trainer.
 func (LinearSVM) Name() string { return "svm" }
@@ -32,33 +36,25 @@ func (m *SVMModel) Score(x []float64) float64 { return sigmoid(dot(m.W, x) + m.B
 func (m *SVMModel) Dim() int { return len(m.W) }
 
 // Train implements Trainer.
-func (t LinearSVM) Train(X [][]float64, y []int, seed uint64) (Model, error) {
+func (LinearSVM) Train(X [][]float64, y []int, seed uint64) (Model, error) {
 	dim, err := validate(X, y)
 	if err != nil {
 		return nil, err
-	}
-	lambda := t.Lambda
-	if lambda <= 0 {
-		lambda = 1e-4
-	}
-	epochs := t.Epochs
-	if epochs <= 0 {
-		epochs = 60
 	}
 
 	r := rng.NewKeyed(seed, "svm")
 	m := &SVMModel{W: make([]float64, dim)}
 	n := len(X)
 	step := 0
-	for e := 0; e < epochs; e++ {
+	for e := 0; e < svmEpochs; e++ {
 		order := r.Perm(n)
 		for _, i := range order {
 			step++
-			eta := 1 / (lambda * float64(step))
+			eta := 1 / (svmLambda * float64(step))
 			yi := float64(2*y[i] - 1) // {-1, +1}
 			margin := yi * (dot(m.W, X[i]) + m.B)
 			// Sub-gradient step: shrink always, push on violation.
-			scale := 1 - eta*lambda
+			scale := 1 - eta*svmLambda
 			if scale < 0 {
 				scale = 0
 			}

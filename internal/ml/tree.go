@@ -9,12 +9,15 @@ import (
 // DecisionTree trains a CART binary classification tree with Gini
 // impurity splits; the paper's attackers use it ("DT") as one of the
 // reverse-engineering learners (§4.1).
-type DecisionTree struct {
-	// MaxDepth bounds the tree depth (default 8).
-	MaxDepth int
-	// MinLeaf is the minimum samples per leaf (default 5).
-	MinLeaf int
-}
+type DecisionTree struct{}
+
+// The DT attacker's growth bounds.
+const (
+	// treeMaxDepth bounds the number of splits on any root-to-leaf path.
+	treeMaxDepth = 8
+	// treeMinLeaf is the minimum number of samples per leaf.
+	treeMinLeaf = 5
+)
 
 // Name implements Trainer.
 func (DecisionTree) Name() string { return "dt" }
@@ -61,12 +64,15 @@ func (m *TreeModel) Depth() int {
 
 // Score implements Model: the positive-class fraction at the reached
 // leaf.
-func (m *TreeModel) Score(x []float64) float64 {
+func (m *TreeModel) Score(x []float64) float64 { return m.nodes[m.leaf(x)].prob }
+
+// leaf returns the index of the leaf x reaches.
+func (m *TreeModel) leaf(x []float64) int32 {
 	i := int32(0)
 	for {
 		n := m.nodes[i]
 		if n.feature < 0 {
-			return n.prob
+			return i
 		}
 		if x[n.feature] <= n.threshold {
 			i = n.left
@@ -77,28 +83,20 @@ func (m *TreeModel) Score(x []float64) float64 {
 }
 
 // Train implements Trainer.
-func (t DecisionTree) Train(X [][]float64, y []int, seed uint64) (Model, error) {
+func (DecisionTree) Train(X [][]float64, y []int, seed uint64) (Model, error) {
 	dim, err := validate(X, y)
 	if err != nil {
 		return nil, err
 	}
-	maxDepth := t.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 8
-	}
-	minLeaf := t.MinLeaf
-	if minLeaf <= 0 {
-		minLeaf = 5
-	}
 	r := rng.NewKeyed(seed, "dt")
 	m := &TreeModel{dim: dim}
 	idx := r.Perm(len(X)) // randomized order for deterministic tie-breaks
-	m.build(X, y, idx, 0, maxDepth, minLeaf)
+	m.build(X, y, idx, 0)
 	return m, nil
 }
 
 // build grows the subtree over samples idx and returns its node index.
-func (m *TreeModel) build(X [][]float64, y []int, idx []int, depth, maxDepth, minLeaf int) int32 {
+func (m *TreeModel) build(X [][]float64, y []int, idx []int, depth int) int32 {
 	pos := 0
 	for _, i := range idx {
 		pos += y[i]
@@ -109,11 +107,11 @@ func (m *TreeModel) build(X [][]float64, y []int, idx []int, depth, maxDepth, mi
 	self := int32(len(m.nodes))
 	m.nodes = append(m.nodes, node)
 
-	if depth >= maxDepth || len(idx) < 2*minLeaf || pos == 0 || pos == len(idx) {
+	if depth >= treeMaxDepth || len(idx) < 2*treeMinLeaf || pos == 0 || pos == len(idx) {
 		return self
 	}
 
-	feat, thr, gain := m.bestSplit(X, y, idx, minLeaf)
+	feat, thr, gain := m.bestSplit(X, y, idx)
 	if feat < 0 || gain <= 1e-12 {
 		return self
 	}
@@ -126,19 +124,19 @@ func (m *TreeModel) build(X [][]float64, y []int, idx []int, depth, maxDepth, mi
 			right = append(right, i)
 		}
 	}
-	if len(left) < minLeaf || len(right) < minLeaf {
+	if len(left) < treeMinLeaf || len(right) < treeMinLeaf {
 		return self
 	}
 
 	m.nodes[self].feature = feat
 	m.nodes[self].threshold = thr
-	m.nodes[self].left = m.build(X, y, left, depth+1, maxDepth, minLeaf)
-	m.nodes[self].right = m.build(X, y, right, depth+1, maxDepth, minLeaf)
+	m.nodes[self].left = m.build(X, y, left, depth+1)
+	m.nodes[self].right = m.build(X, y, right, depth+1)
 	return self
 }
 
 // bestSplit scans every feature for the Gini-optimal threshold.
-func (m *TreeModel) bestSplit(X [][]float64, y []int, idx []int, minLeaf int) (feat int, thr, gain float64) {
+func (m *TreeModel) bestSplit(X [][]float64, y []int, idx []int) (feat int, thr, gain float64) {
 	n := len(idx)
 	totalPos := 0
 	for _, i := range idx {
@@ -166,7 +164,7 @@ func (m *TreeModel) bestSplit(X [][]float64, y []int, idx []int, minLeaf int) (f
 			}
 			nl := k + 1
 			nr := n - nl
-			if nl < minLeaf || nr < minLeaf {
+			if nl < treeMinLeaf || nr < treeMinLeaf {
 				continue
 			}
 			g := parent - (float64(nl)*gini(leftPos, nl)+float64(nr)*gini(totalPos-leftPos, nr))/float64(n)

@@ -51,7 +51,6 @@ type breaker struct {
 // always reflects the renormalized survivor distribution.
 type healthBoard struct {
 	rhmd       *core.RHMD
-	threshold  int // consecutive failures that open a breaker
 	probeAfter uint64
 
 	mu       sync.Mutex
@@ -65,10 +64,9 @@ type healthBoard struct {
 	ins *instruments
 }
 
-func newHealthBoard(r *core.RHMD, threshold int, probeAfter uint64) *healthBoard {
+func newHealthBoard(r *core.RHMD, probeAfter uint64) *healthBoard {
 	b := &healthBoard{
 		rhmd:       r,
-		threshold:  threshold,
 		probeAfter: probeAfter,
 		breakers:   make([]breaker, r.Size()),
 	}
@@ -251,7 +249,7 @@ func (b *healthBoard) report(idx int, ok bool, latency time.Duration, exemplarID
 	br.calls++
 	br.latencyNs += latency.Nanoseconds()
 	if b.ins != nil {
-		b.ins.latency[idx].ObserveExemplar(latency.Seconds(), exemplarID, 0)
+		b.ins.latency[idx].ObserveExemplar(latency.Seconds(), exemplarID)
 	}
 	if ok {
 		br.consecFails = 0
@@ -277,7 +275,7 @@ func (b *healthBoard) report(idx int, ok bool, latency time.Duration, exemplarID
 		br.openedAt = b.windows
 		b.publishLocked()
 	case Closed:
-		if br.consecFails >= b.threshold {
+		if br.consecFails >= failureThreshold {
 			br.state = Open
 			br.openedAt = b.windows
 			b.rebuildLocked()
@@ -357,8 +355,8 @@ func (b *healthBoard) applyTransition(idx int, restored bool) {
 	} else {
 		br.state = Open
 		br.openedAt = b.windows
-		if br.consecFails < b.threshold {
-			br.consecFails = b.threshold
+		if br.consecFails < failureThreshold {
+			br.consecFails = failureThreshold
 		}
 	}
 	b.rebuildLocked()

@@ -27,8 +27,16 @@ func shellPool(t *testing.T, n int) *core.RHMD {
 	return r
 }
 
+// quarantine opens detector idx's breaker with the consecutive failures
+// that open it in the engine.
+func quarantine(b *healthBoard, idx int) {
+	for i := 0; i < failureThreshold; i++ {
+		b.report(idx, false, 0, "")
+	}
+}
+
 func TestBreakerQuarantineAndRenormalize(t *testing.T) {
-	b := newHealthBoard(shellPool(t, 4), 3, 10)
+	b := newHealthBoard(shellPool(t, 4), 10)
 	// Two failures keep the breaker closed; the third opens it.
 	for i := 0; i < 2; i++ {
 		if q, _ := b.report(1, false, time.Millisecond, ""); q {
@@ -75,7 +83,7 @@ func TestBreakerQuarantineAndRenormalize(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsStreak(t *testing.T) {
-	b := newHealthBoard(shellPool(t, 2), 3, 10)
+	b := newHealthBoard(shellPool(t, 2), 10)
 	b.report(0, false, 0, "")
 	b.report(0, false, 0, "")
 	b.report(0, true, 0, "")
@@ -87,8 +95,8 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 }
 
 func TestBreakerProbeRestoreAndRequarantine(t *testing.T) {
-	b := newHealthBoard(shellPool(t, 3), 1, 5)
-	b.report(2, false, 0, "") // threshold 1: quarantine immediately
+	b := newHealthBoard(shellPool(t, 3), 5)
+	quarantine(b, 2)
 	src := rng.New(3)
 	for i := 0; i < 5; i++ {
 		if _, probe, _ := b.pick(src); probe {
@@ -127,8 +135,8 @@ func TestBreakerProbeRestoreAndRequarantine(t *testing.T) {
 }
 
 func TestCancelProbeReopens(t *testing.T) {
-	b := newHealthBoard(shellPool(t, 2), 1, 2)
-	b.report(0, false, 0, "")
+	b := newHealthBoard(shellPool(t, 2), 2)
+	quarantine(b, 0)
 	b.windowDone()
 	b.windowDone()
 	idx, probe, _ := b.pick(rng.New(1))
@@ -147,9 +155,9 @@ func TestCancelProbeReopens(t *testing.T) {
 }
 
 func TestAllQuarantinedPickDrops(t *testing.T) {
-	b := newHealthBoard(shellPool(t, 2), 1, 1000)
-	b.report(0, false, 0, "")
-	b.report(1, false, 0, "")
+	b := newHealthBoard(shellPool(t, 2), 1000)
+	quarantine(b, 0)
+	quarantine(b, 1)
 	idx, probe, _ := b.pick(rng.New(1))
 	if idx != -1 || probe {
 		t.Fatalf("all-dead pool picked idx=%d probe=%v", idx, probe)

@@ -309,7 +309,7 @@ func New(r *core.RHMD, cfg Config) (*Engine, error) {
 	}
 	g := &poolGen{
 		rhmd:   r,
-		health: newHealthBoard(r, failureThreshold, uint64(cfg.ProbeAfter)),
+		health: newHealthBoard(r, uint64(cfg.ProbeAfter)),
 	}
 	g.health.attach(e.ins)
 	e.pool.Store(g)

@@ -28,7 +28,7 @@ func TestRetiredBoardLeavesGaugesAlone(t *testing.T) {
 	reg := obs.NewRegistry()
 	pool := shellPool(t, 4)
 	ins := newInstruments(reg, pool)
-	b := newHealthBoard(pool, 3, 10)
+	b := newHealthBoard(pool, 10)
 	b.attach(ins)
 
 	spec := pool.Detectors[1].Spec.String()

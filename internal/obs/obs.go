@@ -94,10 +94,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 type Exemplar struct {
 	// TraceID is the hex trace identifier (the only exemplar label).
 	TraceID string
-	// Value is the observed value, Ts the observation time in unix
-	// seconds (may be zero when the recorder has no timestamp).
+	// Value is the observed value.
 	Value float64
-	Ts    float64
 }
 
 // Histogram counts observations into fixed buckets. Observations and
@@ -153,12 +151,12 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveExemplar records one value and attaches an exemplar carrying
-// the originating trace ID (ts in unix seconds) to the bucket the
-// value lands in. The exemplar is one extra pointer store on top of
-// Observe; an empty traceID degrades to a plain Observe.
-func (h *Histogram) ObserveExemplar(v float64, traceID string, ts float64) {
+// the originating trace ID to the bucket the value lands in. The
+// exemplar is one extra pointer store on top of Observe; an empty
+// traceID degrades to a plain Observe.
+func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	if traceID != "" {
-		h.exemplars[h.bucketOf(v)].Store(&Exemplar{TraceID: traceID, Value: v, Ts: ts})
+		h.exemplars[h.bucketOf(v)].Store(&Exemplar{TraceID: traceID, Value: v})
 	}
 	h.Observe(v)
 }

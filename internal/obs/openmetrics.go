@@ -28,18 +28,14 @@ const ContentTypeOpenMetrics = "application/openmetrics-text; version=1.0.0; cha
 const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"
 
 // exemplarSuffix renders bucket i's exemplar as
-// ` # {trace_id="..."} value ts`: the empty string when ex is nil (the
+// ` # {trace_id="..."} value`: the empty string when ex is nil (the
 // 0.0.4 format) or no exemplar was recorded for the bucket.
 func exemplarSuffix(ex []*Exemplar, i int) string {
 	if ex == nil || ex[i] == nil {
 		return ""
 	}
 	e := ex[i]
-	s := fmt.Sprintf(" # {trace_id=%q} %s", e.TraceID, formatFloat(e.Value))
-	if e.Ts != 0 {
-		s += " " + strconv.FormatFloat(e.Ts, 'f', 3, 64)
-	}
-	return s
+	return fmt.Sprintf(" # {trace_id=%q} %s", e.TraceID, formatFloat(e.Value))
 }
 
 // AcceptsOpenMetrics reports whether an Accept header asks for the

@@ -16,7 +16,7 @@ func TestWriteOpenMetrics(t *testing.T) {
 	r.Counter("om_events_total", "events seen").Add(3)
 	r.Gauge("om_depth", "queue depth").Set(2.5)
 	h := r.Histogram("om_latency_seconds", "latency", []float64{0.1, 1})
-	h.ObserveExemplar(0.05, "00000000000000000000000000000abc", 1700000000.5)
+	h.ObserveExemplar(0.05, "00000000000000000000000000000abc")
 	h.Observe(5) // +Inf bucket, no exemplar
 
 	var b strings.Builder
@@ -32,7 +32,7 @@ func TestWriteOpenMetrics(t *testing.T) {
 		"# TYPE om_depth gauge",
 		"om_depth 2.5",
 		"# TYPE om_latency_seconds histogram",
-		`om_latency_seconds_bucket{le="0.1"} 1 # {trace_id="00000000000000000000000000000abc"} 0.05 1700000000.500`,
+		`om_latency_seconds_bucket{le="0.1"} 1 # {trace_id="00000000000000000000000000000abc"} 0.05`,
 		`om_latency_seconds_bucket{le="1"} 1`,
 		`om_latency_seconds_bucket{le="+Inf"} 2`,
 		"om_latency_seconds_sum 5.05",

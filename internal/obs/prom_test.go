@@ -45,8 +45,8 @@ c_seconds_count 3
 // TestExpositionGolden pins both expositions byte for byte over one
 // registry holding every shape the writers render: scalar and labeled
 // counters, a counter registered without `_total`, a gauge and a gauge
-// func, a labeled histogram with exemplars (one timestamped in a finite
-// bucket, one without a timestamp in +Inf) and a plain one, a family
+// func, a labeled histogram with exemplars (one in a finite bucket, one
+// in +Inf) and a plain one, a family
 // registered through a WithLabel view, and an empty vec.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
@@ -56,9 +56,9 @@ func TestExpositionGolden(t *testing.T) {
 	r.Gauge("depth", "queue depth").Set(2.5)
 	r.GaugeFunc("uptime_seconds", "computed at read time", func() float64 { return 12.25 })
 	lat := r.HistogramVec("lat_seconds", "latency\nby stage", []float64{0.25, 1}, "stage")
-	lat.With("classify").ObserveExemplar(0.5, "00000000000000000000000000000abc", 1700000000.5)
+	lat.With("classify").ObserveExemplar(0.5, "00000000000000000000000000000abc")
 	lat.With("classify").Observe(2)
-	lat.With("trace").ObserveExemplar(4, "00000000000000000000000000000def", 0)
+	lat.With("trace").ObserveExemplar(4, "00000000000000000000000000000def")
 	r.Histogram("size_bytes", "sizes", []float64{100}).Observe(50)
 	r.WithLabel("shard", "1").Counter("shard_verdicts_total", "verdicts per shard").Add(9)
 	r.CounterVec("unused_total", "never resolved", "k")
@@ -109,7 +109,7 @@ err_total{code="500"} 2
 # HELP lat_seconds latency\nby stage
 # TYPE lat_seconds histogram
 lat_seconds_bucket{stage="classify",le="0.25"} 0
-lat_seconds_bucket{stage="classify",le="1"} 1 # {trace_id="00000000000000000000000000000abc"} 0.5 1700000000.500
+lat_seconds_bucket{stage="classify",le="1"} 1 # {trace_id="00000000000000000000000000000abc"} 0.5
 lat_seconds_bucket{stage="classify",le="+Inf"} 2
 lat_seconds_sum{stage="classify"} 2.5
 lat_seconds_count{stage="classify"} 2

@@ -69,7 +69,7 @@ func Generate(p *Profile, r *rng.Source, name string, traceSeed uint64) (*Progra
 		prog.Funcs[fi] = f
 	}
 
-	prog.Layout(0x400000)
+	prog.Layout()
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("prog: generated invalid program: %w", err)
 	}

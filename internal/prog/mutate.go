@@ -79,7 +79,7 @@ func Inject(p *Program, payload Payload, level InjectLevel) *Program {
 			b.Body = body
 		}
 	}
-	q.Layout(0x400000)
+	q.Layout()
 	return q
 }
 

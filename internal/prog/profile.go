@@ -61,14 +61,6 @@ type Profile struct {
 	TakenMean   float64
 	TakenSpread float64
 
-	// PhaseSpread is the Dirichlet concentration for per-block
-	// behaviour jitter. Real programs are phasic — different code
-	// regions have different instruction mixes and memory behaviour —
-	// so collection windows within one program vary, especially where
-	// counted loops dwell on single blocks. Smaller values spread the
-	// phases further apart; 0 selects the default (70).
-	PhaseSpread float64
-
 	// MemWeights weights the address patterns assigned to non-stack
 	// memory instructions.
 	MemWeights map[MemPattern]float64
@@ -127,11 +119,18 @@ type instance struct {
 	ops       []isa.Op  // index -> opcode for opProbs
 	memProbs  []float64
 	memPats   []MemPattern
-	phase     float64 // per-block Dirichlet concentration
 	blockLen  float64
 	taken     func(r *rng.Source) float64
 	unaligned float64
 }
+
+// phaseSpread is the Dirichlet concentration for per-block behaviour
+// jitter, the same for every family. Real programs are phasic —
+// different code regions have different instruction mixes and memory
+// behaviour — so collection windows within one program vary,
+// especially where counted loops dwell on single blocks. Smaller values
+// would spread the phases further apart.
+const phaseSpread = 70
 
 // phaseDist holds the per-block ("micro-phase") distributions sampled
 // around the program instance.
@@ -143,11 +142,11 @@ type phaseDist struct {
 // samplePhase jitters the program-level distributions into one
 // block's phase behaviour.
 func (inst *instance) samplePhase(r *rng.Source) (*phaseDist, error) {
-	opDist, err := rng.NewCategorical(rng.Dirichlet(r, inst.opProbs, inst.phase))
+	opDist, err := rng.NewCategorical(rng.Dirichlet(r, inst.opProbs, phaseSpread))
 	if err != nil {
 		return nil, err
 	}
-	memDist, err := rng.NewCategorical(rng.Dirichlet(r, inst.memProbs, inst.phase))
+	memDist, err := rng.NewCategorical(rng.Dirichlet(r, inst.memProbs, phaseSpread))
 	if err != nil {
 		return nil, err
 	}
@@ -218,11 +217,6 @@ func (p *Profile) sampleInstance(r *rng.Source) (*instance, error) {
 	}
 	memJittered := rng.Dirichlet(r, memBase, conc)
 
-	phase := p.PhaseSpread
-	if phase <= 0 {
-		phase = 70
-	}
-
 	taken := func(src *rng.Source) float64 {
 		v := src.Norm(p.TakenMean, p.TakenSpread)
 		if v < 0.02 {
@@ -239,7 +233,6 @@ func (p *Profile) sampleInstance(r *rng.Source) (*instance, error) {
 		ops:       ops,
 		memProbs:  memJittered,
 		memPats:   memPats,
-		phase:     phase,
 		blockLen:  r.Jitter(p.BlockLenMean, 0.2),
 		taken:     taken,
 		unaligned: clamp01(r.Jitter(p.UnalignedFrac, 0.4)),

@@ -39,9 +39,10 @@ type Shape struct {
 // evasive fraction ramps linearly from Start at the first event to End
 // at the last, modelling an attacker ramping up a campaign mid-run;
 // each event's evasive/clean decision is a seeded draw against the
-// ramped fraction at its index. Evasive events replay a
-// prog.Inject-mutated variant of their base program (deep clone,
-// Generation+1) built once per base program.
+// ramped fraction at its index. Evasive events replay a variant of
+// their base program with the payload injected at block level
+// (prog.Inject at prog.BlockLevel: a deep clone, Generation+1), built
+// once per base program.
 type Adversary struct {
 	// Start and End bound the linear evasive-fraction ramp, both in
 	// [0, 1]. Zero both to run a clean corpus.
@@ -49,8 +50,6 @@ type Adversary struct {
 	// PayloadLen is the number of injected instructions per site
 	// (default 4).
 	PayloadLen int
-	// Level is the injection level (block or function).
-	Level prog.InjectLevel
 	// MemDelta is the fixed memory-op delta of the payload, steering
 	// which memory-histogram bin the injected loads land in.
 	MemDelta int64
@@ -173,7 +172,7 @@ func Compile(spec Spec) (*Corpus, error) {
 		ev := evasiveAt(spec.Adversary, i, spec.Events, evR)
 		if ev {
 			if evasive[pi] == nil {
-				evasive[pi] = prog.Inject(p, payload, spec.Adversary.Level)
+				evasive[pi] = prog.Inject(p, payload, prog.BlockLevel)
 			}
 			p = evasive[pi]
 		}

@@ -46,17 +46,6 @@ type SinkFunc func(e *Event)
 // Event calls f(e).
 func (f SinkFunc) Event(e *Event) { f(e) }
 
-// MultiSink fans one stream out to several consumers (e.g. multiple
-// feature extractors sharing one execution).
-type MultiSink []Sink
-
-// Event forwards to every sink.
-func (m MultiSink) Event(e *Event) {
-	for _, s := range m {
-		s.Event(e)
-	}
-}
-
 // Config bounds an execution.
 type Config struct {
 	// MaxInstructions is the instruction budget (paper: 15M committed

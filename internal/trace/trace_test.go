@@ -235,22 +235,6 @@ func TestRestartsForShortPrograms(t *testing.T) {
 	}
 }
 
-func TestMultiSink(t *testing.T) {
-	p := genProgram(t, 0, 31)
-	var n1, n2 int
-	ms := MultiSink{
-		SinkFunc(func(*Event) { n1++ }),
-		SinkFunc(func(*Event) { n2++ }),
-	}
-	st, err := Exec(p, Config{MaxInstructions: 1000}, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != st.Total || n2 != st.Total {
-		t.Fatalf("multisink counts %d/%d, want %d", n1, n2, st.Total)
-	}
-}
-
 func TestPCsAreLaidOut(t *testing.T) {
 	p := genProgram(t, 0, 37)
 	sink := SinkFunc(func(e *Event) {
